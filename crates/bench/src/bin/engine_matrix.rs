@@ -11,7 +11,7 @@
 
 use tempo_arch::casestudy::{radio_navigation, CaseStudyParams, EventModelColumn, ScenarioCombo};
 use tempo_arch::engine::{Engine, EngineError, Estimate, Query, RunContext};
-use tempo_arch::{AnalysisConfig, StorageKind, TaEngine};
+use tempo_arch::{AnalysisConfig, TaEngine};
 use tempo_check::{SearchOptions, SearchOrder};
 use tempo_sim::{SimConfig, SimEngine};
 
@@ -93,13 +93,12 @@ fn main() {
     let query = Query::wcrt(requirement);
     let ctx = RunContext::default();
 
-    // The exact engine runs with the federation store (the PR 4 default for
-    // the heavy columns) and a truncation budget, so the `pj`/`bur` corners
-    // report lower bounds instead of running unbounded.
+    // The exact engine runs with the default (federation) store and a
+    // truncation budget, so the `pj`/`bur` corners report lower bounds
+    // instead of running unbounded.
     let ta = TaEngine::with_config(AnalysisConfig {
         search: SearchOptions {
             order: SearchOrder::Bfs,
-            storage: StorageKind::Federation,
             max_states: Some(600_000),
             truncate_on_limit: true,
             ..SearchOptions::default()

@@ -154,11 +154,12 @@ pub struct SearchOptions {
     /// (supremum queries, [`Explorer::explore`]) — never to targeted
     /// reachability searches, whose diagnostic traces must stay concrete.
     pub exact_zone_merging: bool,
-    /// The passed/waiting storage discipline (see [`StorageKind`]): the flat
-    /// single-zone-inclusion antichain store (default), or the federation
-    /// store whose union-coverage subsumption discards a zone already covered
-    /// by the *union* of the stored zones — exact, and decisive on the
-    /// case-study columns whose zone graphs fragment into overlapping zones.
+    /// The passed/waiting storage discipline (see [`StorageKind`]): the
+    /// federation store (default), whose union-coverage subsumption discards
+    /// a zone already covered by the *union* of the stored zones — exact, and
+    /// decisive on the case-study columns whose zone graphs fragment into
+    /// overlapping zones — or the flat single-zone-inclusion antichain store,
+    /// kept as the differential oracle.
     pub storage: StorageKind,
     /// Abort the exploration after this many stored states.
     pub max_states: Option<usize>,
@@ -183,7 +184,7 @@ impl Default for SearchOptions {
             extrapolate: true,
             active_clock_reduction: true,
             exact_zone_merging: true,
-            storage: StorageKind::Flat,
+            storage: StorageKind::Federation,
             max_states: None,
             truncate_on_limit: false,
             extra_clock_constants: Vec::new(),
@@ -295,8 +296,15 @@ pub struct ReachReport {
     pub stats: ExplorationStats,
 }
 
+/// One entry of the exploration arena.
+///
+/// Every inserted state gets a node, and the node's `parent` and `action`
+/// stay for the whole run.  The state itself is held only while it waits
+/// for expansion in untargeted runs: the pop moves it out, so the passed
+/// list's copy of the zone is the only one kept.  Targeted searches keep
+/// every state, since their diagnostic trace prints the whole path.
 struct Node {
-    state: SymState,
+    state: Option<SymState>,
     parent: Option<usize>,
     action: Option<ActionLabel>,
 }
@@ -351,6 +359,7 @@ impl<'s> Explorer<'s> {
         // merged node has no single concrete predecessor path, so diagnostic
         // traces (only produced for targeted searches) stay unmerged.
         let merging = target.is_none() && self.opts.exact_zone_merging;
+        let keep_states = target.is_some();
         let mut rng = StdRng::seed_from_u64(self.opts.seed);
 
         let mut stats = ExplorationStats::default();
@@ -368,7 +377,7 @@ impl<'s> Explorer<'s> {
         let mut passed = store::new_store(self.opts.storage, init.zone.num_clocks());
         passed.insert(&init.discrete, &mut init.zone, false);
         nodes.push(Node {
-            state: init,
+            state: Some(init),
             parent: None,
             action: None,
         });
@@ -419,17 +428,27 @@ impl<'s> Explorer<'s> {
                     });
                 }
             }
+            // Untargeted runs move the state out of the arena: it is dropped
+            // at the end of this iteration, after its expansion (or skip).
+            let taken = if keep_states {
+                None
+            } else {
+                nodes[idx].state.take()
+            };
+            let state = taken
+                .as_ref()
+                .or(nodes[idx].state.as_ref())
+                .expect("a queued node holds its state until popped");
             // A queued state whose zone was since evicted or absorbed into a
             // hull is covered by a stored zone whose own expansion subsumes
             // it: skip it (the flat store keeps every queued state current).
-            if !passed.is_current(&nodes[idx].state.discrete, &nodes[idx].state.zone) {
+            if !passed.is_current(&state.discrete, &state.zone) {
                 continue;
             }
-            let state = nodes[idx].state.clone();
             stats.states_explored += 1;
-            visit(&state);
+            visit(state);
             if let Some(t) = target {
-                if t.matches(&state)? {
+                if t.matches(state)? {
                     found = Some(idx);
                     break;
                 }
@@ -442,7 +461,7 @@ impl<'s> Explorer<'s> {
             }
             let mut succs = {
                 let _span = tempo_obs::span!("explore.successor_gen");
-                gen.successors(&state)?
+                gen.successors(state)?
             };
             stats.transitions += succs.len();
             if self.opts.order == SearchOrder::RandomDfs {
@@ -478,7 +497,7 @@ impl<'s> Explorer<'s> {
                 }
                 let node_idx = nodes.len();
                 nodes.push(Node {
-                    state: succ,
+                    state: Some(succ),
                     parent: Some(idx),
                     action: Some(action),
                 });
@@ -513,10 +532,14 @@ impl<'s> Explorer<'s> {
             let mut rev = Vec::new();
             loop {
                 let node = &nodes[idx];
+                let state = node
+                    .state
+                    .as_ref()
+                    .expect("targeted searches keep every state");
                 rev.push(TraceStep {
                     action: node.action.as_ref().map(|a| a.pretty(self.sys)),
-                    state: node.state.discrete.pretty(self.sys),
-                    zone: node.state.zone.to_string(),
+                    state: state.discrete.pretty(self.sys),
+                    zone: state.zone.to_string(),
                 });
                 match node.parent {
                     Some(p) => idx = p,
@@ -711,6 +734,46 @@ mod tests {
             assert!(ex.check_reachable(&boundary).unwrap().reachable, "{name}");
             let beyond = TargetSpec::any().with_clock_constraint(t.gt(3));
             assert!(!ex.check_reachable(&beyond).unwrap().reachable, "{name}");
+        }
+    }
+
+    #[test]
+    fn federation_is_the_default_store() {
+        assert_eq!(SearchOptions::default().storage, StorageKind::Federation);
+        assert_eq!(StorageKind::default(), StorageKind::Federation);
+    }
+
+    #[test]
+    fn targeted_traces_keep_every_state() {
+        let sys = three_step_pipeline();
+        for storage in [StorageKind::Federation, StorageKind::Flat] {
+            let ex = Explorer::new(&sys, SearchOptions::with_storage(storage)).unwrap();
+            let done = TargetSpec::location(&sys, "stage", "done").unwrap();
+            let trace = ex.check_reachable(&done).unwrap().trace.unwrap();
+            assert_eq!(trace.len(), 4, "{storage:?}: s0 -> s1 -> s2 -> done");
+            assert!(trace[0].action.is_none());
+            assert!(trace[1..].iter().all(|step| step.action.is_some()));
+            for (step, loc) in trace.iter().zip(["s0", "s1", "s2", "done"]) {
+                assert!(step.state.contains(&format!("stage.{loc}")), "{storage:?}");
+                assert!(!step.zone.is_empty() && step.zone != "false", "{storage:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn untargeted_runs_visit_each_expanded_state_once() {
+        for sys in [
+            unprotected_mutex(),
+            three_step_pipeline(),
+            dead_clock_fragmentation(),
+        ] {
+            for storage in [StorageKind::Federation, StorageKind::Flat] {
+                let ex = Explorer::new(&sys, SearchOptions::with_storage(storage)).unwrap();
+                let mut visits = 0usize;
+                let stats = ex.explore(|_| visits += 1).unwrap();
+                assert_eq!(visits, stats.states_explored, "{storage:?}");
+                assert!(stats.states_explored <= stats.stored_cumulative);
+            }
         }
     }
 

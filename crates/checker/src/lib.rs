@@ -11,12 +11,13 @@
 //!   urgent and committed locations,
 //! * a passed/waiting list with zone-inclusion subsumption and
 //!   location-dependent ExtraLU extrapolation guarantees termination; the
-//!   storage discipline is pluggable ([`SearchOptions::storage`]): flat
-//!   per-discrete-state antichains (default) or per-discrete-state
-//!   *federations* whose union-coverage subsumption discards zones covered
-//!   by the union of the stored zones ([`StorageKind::Federation`]) — exact,
-//!   and the difference between truncation and completion on the burstiest
-//!   case-study columns,
+//!   storage discipline is pluggable ([`SearchOptions::storage`]):
+//!   per-discrete-state *federations* (default) whose union-coverage
+//!   subsumption discards zones covered by the union of the stored zones
+//!   ([`StorageKind::Federation`]) — exact, and the difference between
+//!   truncation and completion on the burstiest case-study columns — or
+//!   flat per-discrete-state antichains ([`StorageKind::Flat`]), kept as
+//!   the differential oracle,
 //! * active-clock reduction (on by default, see
 //!   [`SearchOptions::active_clock_reduction`]): clocks a static inactivity
 //!   analysis proves dead in a discrete state are reset to a canonical value

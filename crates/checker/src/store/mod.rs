@@ -6,17 +6,18 @@
 //! and what "covered" means is the storage discipline, and it decides whether
 //! the big case-study columns are tractable:
 //!
-//! * [`FlatStore`] — the classic antichain of zones with *single-zone*
-//!   inclusion subsumption (a newcomer is rejected only when one stored zone
-//!   includes it).  This is the default and reproduces the pre-subsystem
-//!   explorer behavior byte for byte.
-//! * [`FederationStore`] — stores a [`tempo_dbm::Federation`] per discrete
-//!   state and rejects a newcomer when the **union** of the stored zones
-//!   covers it ([`tempo_dbm::Federation::coverage_of`]), which convex
-//!   single-zone storage can never detect; stored zones strictly included in
-//!   a newcomer are evicted, and periodically the federation is
+//! * [`FederationStore`] — the default: stores a [`tempo_dbm::Federation`]
+//!   per discrete state and rejects a newcomer when the **union** of the
+//!   stored zones covers it ([`tempo_dbm::Federation::coverage_of`]), which
+//!   convex single-zone storage can never detect; stored zones strictly
+//!   included in a newcomer are evicted, and periodically the federation is
 //!   [`tempo_dbm::Federation::reduce`]d so members covered by their peers'
 //!   union are dropped too.
+//! * [`FlatStore`] — the classic antichain of zones with *single-zone*
+//!   inclusion subsumption (a newcomer is rejected only when one stored zone
+//!   includes it).  It reproduces the pre-subsystem explorer behavior byte
+//!   for byte and is kept as the differential oracle, selected explicitly
+//!   with `SearchOptions::with_storage(StorageKind::Flat)`.
 //! * [`ShardedStore`] — a lock-striped concurrent wrapper around either of
 //!   the above, giving the parallel checker per-shard critical sections
 //!   instead of one global passed-list mutex.
@@ -43,11 +44,12 @@ use tempo_dbm::Dbm;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum StorageKind {
     /// Flat per-discrete-state zone antichains with single-zone inclusion
-    /// subsumption (the default; byte-for-byte the pre-subsystem behavior).
-    #[default]
+    /// subsumption (byte-for-byte the pre-subsystem behavior; the
+    /// differential oracle).
     Flat,
     /// Per-discrete-state federations with union-coverage subsumption and
-    /// eviction of union-covered members.
+    /// eviction of union-covered members (the default).
+    #[default]
     Federation,
 }
 

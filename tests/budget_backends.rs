@@ -97,3 +97,40 @@ fn generous_budgets_converge_to_the_exact_value_on_every_backend() {
         );
     }
 }
+
+/// The production default explores with the federation store: a cold
+/// `AnalysisDb` run under `AnalysisConfig::default()` and a state budget
+/// between the federation and flat state counts of the burst fixture must
+/// still answer exactly, while the flat oracle overruns the same budget.
+#[test]
+fn default_config_answers_exactly_within_a_budget_flat_storage_overruns() {
+    let model = burst_model();
+    let query = Query::wcrt("lo-e2e");
+    let run = |storage, ctx: &RunContext| {
+        TaEngine::with_config(AnalysisConfig {
+            search: SearchOptions::with_storage(storage),
+            ..AnalysisConfig::default()
+        })
+        .run(&model, &query, ctx)
+        .unwrap()
+    };
+    let stored = |storage| run(storage, &RunContext::default()).states_stored.unwrap();
+    let (flat, federation) = (stored(StorageKind::Flat), stored(StorageKind::Federation));
+    assert!(
+        federation < flat,
+        "federation should store fewer states than flat ({federation} vs {flat})"
+    );
+    let budget = RunContext::with_max_states((federation + flat) / 2);
+
+    let db = AnalysisDb::new(AnalysisConfig::default());
+    let report = db.run(&model, &query, &budget).unwrap();
+    assert!(
+        !report.truncated,
+        "the default path overran {federation}..{flat}"
+    );
+    assert_eq!(report.estimates[0].estimate, Estimate::Exact(exact_truth()));
+    assert!(
+        run(StorageKind::Flat, &budget).truncated,
+        "the budget does not separate the stores"
+    );
+}

@@ -7,8 +7,9 @@
 //! instrumented points (engine entry, store inserts, successor generation,
 //! progress callbacks).  The harness sweeps a matrix of fault seeds over the
 //! generated corpus and the TDMA/burst fixtures, on all four engines and on
-//! both storage stacks (flat sequential, federation parallel), and compares
-//! every answer against the fault-free exact baseline.
+//! three storage stacks (the default sequential one, flat sequential,
+//! federation parallel), and compares every answer against the fault-free
+//! exact baseline.
 //!
 //! Extra seeds can be swept from the environment (the CI chaos job does):
 //! `TEMPO_FAULT_SEED=12345 cargo test --test chaos_differential`.
@@ -33,16 +34,25 @@ fn tolerance() -> TimeValue {
     TimeValue::micros(1)
 }
 
-/// The two storage stacks the tentpole requires: the default flat sequential
-/// passed list, and per-discrete-state federations explored in parallel.
+/// The storage stacks swept: the production default (sequential federation
+/// store), the flat sequential passed list pinned explicitly as the oracle,
+/// and per-discrete-state federations explored in parallel.
 fn stacks() -> Vec<(&'static str, AnalysisConfig)> {
-    let flat_seq = AnalysisConfig::default();
+    let default_seq = AnalysisConfig::default();
+    let flat_seq = AnalysisConfig {
+        search: SearchOptions::with_storage(StorageKind::Flat),
+        ..AnalysisConfig::default()
+    };
     let mut federation_par = AnalysisConfig {
         search: SearchOptions::with_storage(StorageKind::Federation),
         ..AnalysisConfig::default()
     };
     federation_par.parallel = Some(ParallelOptions::with_workers(2));
-    vec![("flat-seq", flat_seq), ("federation-par", federation_par)]
+    vec![
+        ("default-seq", default_seq),
+        ("flat-seq", flat_seq),
+        ("federation-par", federation_par),
+    ]
 }
 
 /// All four engines, with the exact engine on the given stack and a short
