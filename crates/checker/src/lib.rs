@@ -69,7 +69,6 @@ mod store;
 mod target;
 mod successor;
 mod explorer;
-mod merge;
 mod parallel;
 mod wcrt;
 

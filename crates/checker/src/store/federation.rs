@@ -10,14 +10,10 @@
 //! and the per-insert subtraction cost bounded.  All of it is exact — no
 //! valuation is ever lost — so verdicts, suprema and WCRTs are preserved.
 
-use super::{Insert, StateStore};
+use super::{Insert, StateStore, MERGE_ATTEMPT_BUDGET};
 use crate::state::DiscreteState;
 use std::collections::HashMap;
 use tempo_dbm::{Dbm, Federation, ZoneCoverage};
-
-/// Budget of *failed* exact-merge attempts per insertion, matching the flat
-/// store's [`crate::merge`] discipline.
-const MERGE_ATTEMPT_BUDGET: usize = 64;
 
 /// A federation never reduced before it holds this many zones.
 const MIN_REDUCE_THRESHOLD: usize = 8;

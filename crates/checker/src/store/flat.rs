@@ -1,8 +1,8 @@
 //! The flat hash store: per-discrete-state zone antichains with single-zone
-//! inclusion subsumption — the classic UPPAAL passed-list discipline and the
-//! default [`StorageKind`](super::StorageKind).
+//! inclusion subsumption — the classic UPPAAL passed-list discipline, kept as
+//! the differential oracle ([`StorageKind::Flat`](super::StorageKind::Flat)).
 
-use super::{Insert, StateStore};
+use super::{Insert, StateStore, MERGE_ATTEMPT_BUDGET};
 use crate::state::DiscreteState;
 use std::collections::HashMap;
 use tempo_dbm::Dbm;
@@ -50,7 +50,7 @@ impl StateStore for FlatStore {
         zones.retain(|z| !zone.includes(z));
         let evicted = before - zones.len();
         let merged = if merge {
-            crate::merge::merge_into_antichain(zone, zones)
+            tempo_dbm::merge_into_antichain(zone, zones, MERGE_ATTEMPT_BUDGET)
         } else {
             0
         };

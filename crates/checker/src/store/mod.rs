@@ -39,6 +39,10 @@ pub(crate) use sharded::ShardedStore;
 use crate::state::DiscreteState;
 use tempo_dbm::Dbm;
 
+/// Budget of *failed* exact-merge attempts per insertion, shared by the
+/// flat and federation stores ([`tempo_dbm::merge_into_antichain`]).
+const MERGE_ATTEMPT_BUDGET: usize = 64;
+
 /// Which passed/waiting storage discipline the explorer uses, see
 /// [`SearchOptions::storage`](crate::SearchOptions::storage).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]

@@ -102,83 +102,18 @@ impl Federation {
         self.zones.iter().any(|z| z.contains_point(valuation))
     }
 
-    /// Pieces remaining when the members of this federation are successively
-    /// subtracted from `zone`; stops (returning the non-empty rest) as soon
-    /// as the piece count exceeds `piece_cap`, which keeps the worst case of
-    /// the coverage test bounded on hot paths.  An empty result means `zone`
-    /// is covered by the union of the members.
-    fn remainder_of(&self, zone: &Dbm, piece_cap: usize) -> Vec<Dbm> {
-        // Members that certainly miss the candidate cannot remove anything
-        // from its pieces (every piece is a subset of the candidate) — drop
-        // them before they cost one subtraction per piece.
-        let relevant: Vec<&Dbm> = self
-            .zones
-            .iter()
-            .filter(|member| !zone.surely_disjoint(member))
-            .collect();
-        // Necessary condition with no subtraction at all: the union of the
-        // relevant members lies inside their convex hull, so a candidate
-        // poking out of the hull is certainly not covered.  Most failing
-        // coverage queries on the passed-list hot path exit here.
-        match relevant.as_slice() {
-            [] => return vec![zone.clone()],
-            [one] => {
-                if !one.includes(zone) {
-                    return vec![zone.clone()];
-                }
-            }
-            [first, rest @ ..] => {
-                let mut hull = (*first).clone();
-                for member in rest {
-                    hull.hull_in_place(member);
-                }
-                if !hull.includes(zone) {
-                    return vec![zone.clone()];
-                }
-            }
-        }
-        let mut remainder = vec![zone.clone()];
-        for member in relevant {
-            let mut next = Vec::new();
-            for piece in remainder {
-                // Pieces the member certainly misses survive unchanged; move
-                // them instead of routing through a subtraction (which would
-                // clone).  This re-check is not redundant with the `relevant`
-                // filter above: pieces shrink as members are subtracted, so a
-                // member overlapping the candidate can still miss most of its
-                // surviving pieces.
-                if piece.surely_disjoint(member) {
-                    next.push(piece);
-                } else {
-                    piece.split_off_difference(member, |p| {
-                        next.push(p);
-                        true
-                    });
-                }
-                // Consult the cap per piece, not per member: one member pass
-                // can multiply the piece count by O(dim²), and the cap exists
-                // to bound exactly that hot-path blow-up.
-                if next.len() > piece_cap {
-                    return next;
-                }
-            }
-            remainder = next;
-            if remainder.is_empty() {
-                break;
-            }
-        }
-        remainder
-    }
-
     /// Classifies how `zone` is covered by the federation: by a single member
-    /// zone (the cheap convex test), only by the *union* of the members
-    /// (detected with zone subtraction), or not at all.
+    /// zone (the cheap convex test), only by the *union* of the members, or
+    /// not at all.
     ///
-    /// The union test is exact up to an internal piece budget: coverage by
-    /// very fragmented unions may conservatively be reported as
-    /// [`ZoneCoverage::NotCovered`], which is sound for passed-list use (the
-    /// zone is then explored rather than discarded).  The empty zone is
-    /// covered by any federation.
+    /// The union test subtracts the members from `zone` depth first: one
+    /// piece at a time is split against the next member that may overlap
+    /// it, so the common failing case answers at the first piece that
+    /// outlives every member.  It is exact up to a cap of 512 pieces waiting
+    /// at once; past the cap — a very fragmented union — it conservatively
+    /// answers [`ZoneCoverage::NotCovered`], which is sound for passed-list
+    /// use (the zone is then explored rather than discarded).  The empty
+    /// zone is covered by any federation.
     pub fn coverage_of(&self, zone: &Dbm) -> ZoneCoverage {
         if zone.is_empty() {
             return ZoneCoverage::Member;
@@ -187,15 +122,56 @@ impl Federation {
         if self.zones.iter().any(|z| z.includes(zone)) {
             return ZoneCoverage::Member;
         }
-        if self.zones.len() < 2 {
+        const PIECE_CAP: usize = 512;
+        // Members that certainly miss the candidate cannot remove anything
+        // from its pieces (every piece is a subset of the candidate) — drop
+        // them before they cost one test per piece.
+        let relevant: Vec<&Dbm> = self
+            .zones
+            .iter()
+            .filter(|member| !zone.surely_disjoint(member))
+            .collect();
+        // Fewer than two relevant members cover only what one member
+        // includes, which the fast path has ruled out.
+        if relevant.len() < 2 {
             return ZoneCoverage::NotCovered;
         }
-        const PIECE_CAP: usize = 512;
-        if self.remainder_of(zone, PIECE_CAP).is_empty() {
-            ZoneCoverage::Union
-        } else {
-            ZoneCoverage::NotCovered
+        // Necessary condition with no subtraction at all: the union of the
+        // relevant members lies inside their convex hull, so a candidate
+        // poking out of the hull is certainly not covered.  Most failing
+        // coverage queries on the passed-list hot path exit here.
+        let mut hull = relevant[0].clone();
+        for member in &relevant[1..] {
+            hull.hull_in_place(member);
         }
+        if !hull.includes(zone) {
+            return ZoneCoverage::NotCovered;
+        }
+        // Each waiting piece carries the index of the first member not yet
+        // subtracted from it.
+        let mut waiting = vec![(zone.clone(), 0)];
+        while let Some((piece, mut next)) = waiting.pop() {
+            // Re-checked per piece, not redundant with the `relevant`
+            // filter: pieces shrink as members are subtracted, so a member
+            // overlapping the candidate can still miss most of its pieces.
+            while next < relevant.len() && piece.surely_disjoint(relevant[next]) {
+                next += 1;
+            }
+            let Some(member) = relevant.get(next) else {
+                return ZoneCoverage::NotCovered;
+            };
+            if member.includes(&piece) {
+                continue;
+            }
+            piece.split_off_difference(member, |p| {
+                waiting.push((p, next + 1));
+                true
+            });
+            if waiting.len() > PIECE_CAP {
+                return ZoneCoverage::NotCovered;
+            }
+        }
+        ZoneCoverage::Union
     }
 
     /// `true` iff the given zone is included in the **union** of the member
@@ -252,31 +228,12 @@ impl Federation {
         dropped
     }
 
-    /// Merges `zone` with every member it forms an *exact* convex union with
-    /// ([`Dbm::try_merge`], newest-first, with a budget of `failure_budget`
-    /// failed attempts refreshed on every success so cascades complete),
-    /// removing the absorbed members and growing `zone` to the common hull.
-    /// Returns the number of members absorbed; the caller is expected to
+    /// Merges `zone` with every member it forms an *exact* convex union
+    /// with, see [`merge_into_antichain`].  The caller is expected to
     /// [`Federation::add`] the final `zone` afterwards.
     pub fn absorb_convex(&mut self, zone: &mut Dbm, failure_budget: usize) -> usize {
-        let mut absorbed = 0;
-        let mut budget = failure_budget;
-        let mut i = self.zones.len();
-        while i > 0 && budget > 0 {
-            i -= 1;
-            if let Some(hull) = zone.try_merge(&self.zones[i]) {
-                *zone = hull;
-                self.zones.swap_remove(i);
-                absorbed += 1;
-                budget = failure_budget;
-                i = self.zones.len();
-            } else {
-                budget -= 1;
-            }
-        }
-        absorbed
+        merge_into_antichain(zone, &mut self.zones, failure_budget)
     }
-
 
     /// Intersects every member zone with a constraint, dropping emptied zones.
     pub fn constrain(&mut self, c: &Constraint) -> &mut Self {
@@ -319,6 +276,31 @@ impl Federation {
             .map(|z| z.sup(x))
             .max_by(|a, b| a.cmp(b))
     }
+}
+
+/// Merges `zone` with every zone of `zones` it forms an *exact* convex union
+/// with ([`Dbm::try_merge`]: no valuation is added, so verdicts and suprema
+/// hold), removing those zones and growing `zone` to the hull; returns how
+/// many it absorbed.  Attempts run newest first, where breadth-first search
+/// puts mergeable neighbours, and stop after `failure_budget` failures; a
+/// success refreshes the budget and restarts, so cascades run to the end.
+pub fn merge_into_antichain(zone: &mut Dbm, zones: &mut Vec<Dbm>, failure_budget: usize) -> usize {
+    let mut merged = 0;
+    let mut budget = failure_budget;
+    let mut i = zones.len();
+    while i > 0 && budget > 0 {
+        i -= 1;
+        if let Some(hull) = zone.try_merge(&zones[i]) {
+            *zone = hull;
+            zones.swap_remove(i);
+            merged += 1;
+            budget = failure_budget;
+            i = zones.len();
+        } else {
+            budget -= 1;
+        }
+    }
+    merged
 }
 
 impl fmt::Display for Federation {
@@ -454,6 +436,26 @@ mod tests {
         assert_eq!(zone.relation(&zone_between(0, 3)), Relation::Equal);
     }
 
+    #[test]
+    fn cascading_merge_absorbs_a_chain_of_intervals() {
+        // [0,1], [1,2], [3,4] stored; inserting [2,3] bridges the gap and the
+        // cascade collapses everything into [0,4].
+        let mut zones = vec![zone_between(0, 1), zone_between(1, 2), zone_between(3, 4)];
+        let mut zone = zone_between(2, 3);
+        let merged = merge_into_antichain(&mut zone, &mut zones, 64);
+        assert_eq!(merged, 3);
+        assert!(zones.is_empty());
+        assert_eq!(zone, zone_between(0, 4));
+    }
+
+    #[test]
+    fn unmergeable_zones_are_left_alone() {
+        let mut zones = vec![zone_between(0, 1), zone_between(10, 11)];
+        let mut zone = zone_between(4, 5);
+        assert_eq!(merge_into_antichain(&mut zone, &mut zones, 64), 0);
+        assert_eq!(zones.len(), 2);
+        assert_eq!(zone, zone_between(4, 5));
+    }
 
     #[test]
     fn constrain_drops_emptied_members() {

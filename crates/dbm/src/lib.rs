@@ -59,4 +59,4 @@ pub use bound::Bound;
 pub use clock::{Clock, ClockSet};
 pub use constraint::{Constraint, RelOp};
 pub use matrix::{incremental_close_enabled, set_incremental_close, Dbm, Relation};
-pub use federation::{Federation, ZoneCoverage};
+pub use federation::{merge_into_antichain, Federation, ZoneCoverage};

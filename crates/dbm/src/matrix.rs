@@ -625,16 +625,19 @@ impl Dbm {
     /// keeps zone subtraction from fragmenting pieces around zones it never
     /// touches.
     pub(crate) fn surely_disjoint(&self, other: &Dbm) -> bool {
-        debug_assert_eq!(self.dim, other.dim, "dimension mismatch");
+        self.two_cycle_below(other, Bound::LE_ZERO)
+    }
+
+    /// `true` iff some opposing pair of bounds sums below `limit`:
+    /// `self[i,j] + other[j,i] < limit`.
+    fn two_cycle_below(&self, other: &Dbm, limit: Bound) -> bool {
         let n = self.dim;
-        debug_assert_eq!(n, other.dim, "dimension mismatch");
+        assert_eq!(n, other.dim, "dimension mismatch");
         // Pass 1, O(n): opposing absolute bounds.  Zones on a passed list
         // usually separate on a single clock's distance to the reference
         // clock, so most positives never reach the full scan.
         for t in 1..n {
-            if self.m[t] + other.m[t * n] < Bound::LE_ZERO
-                || self.m[t * n] + other.m[t] < Bound::LE_ZERO
-            {
+            if self.m[t] + other.m[t * n] < limit || self.m[t * n] + other.m[t] < limit {
                 return true;
             }
         }
@@ -643,7 +646,7 @@ impl Dbm {
         // diagonals contribute `(0,≤) + (0,≤)`, also never negative.
         for i in 0..n {
             for j in 0..n {
-                if self.m[i * n + j] + other.m[j * n + i] < Bound::LE_ZERO {
+                if self.m[i * n + j] + other.m[j * n + i] < limit {
                     return true;
                 }
             }
@@ -735,6 +738,13 @@ impl Dbm {
         }
         if other.empty {
             return Some(self.clone());
+        }
+        // Gap pre-test, allocation-free: `self[i,j] + other[j,i] < (0,<)`
+        // leaves a gap along `xi − xj` that the hull fills and neither zone
+        // holds.  Not `surely_disjoint`'s `(0,≤)`: zones that merely touch,
+        // such as `[0,1) ∪ [1,2]`, may still merge.
+        if self.two_cycle_below(other, Bound::LT_ZERO) {
+            return None;
         }
         let hull = self.convex_hull(other);
         // Fused subtraction + coverage check with early exit: split off the
@@ -1425,10 +1435,15 @@ mod tests {
     }
 
     fn interval(lo: i64, hi: i64) -> Dbm {
+        interval_with(lo, false, hi, false)
+    }
+
+    /// The interval `lo ⋈ x ⋈ hi`, each end strict or weak.
+    fn interval_with(lo: i64, lo_strict: bool, hi: i64, hi_strict: bool) -> Dbm {
         let mut z = Dbm::zero(1);
         z.up();
-        z.constrain(Clock(1), Clock::REF, Bound::weak(hi));
-        z.constrain(Clock::REF, Clock(1), Bound::weak(-lo));
+        z.constrain(Clock(1), Clock::REF, Bound::new(hi, hi_strict));
+        z.constrain(Clock::REF, Clock(1), Bound::new(-lo, lo_strict));
         z
     }
 
@@ -1489,6 +1504,36 @@ mod tests {
         let z = interval(2, 9);
         assert_eq!(z.try_merge(&z).unwrap().relation(&z), Relation::Equal);
         assert_eq!(z.try_merge(&interval(3, 5)).unwrap().relation(&z), Relation::Equal);
+    }
+
+    #[test]
+    fn try_merge_tells_touching_intervals_from_gapped_ones() {
+        // [0,1) ∪ [1,2] = [0,2]: the opposing bounds sum to (0,<), a shared
+        // boundary, not a gap.
+        let merged = interval_with(0, false, 1, true).try_merge(&interval(1, 2));
+        assert_eq!(merged.map(|m| m.relation(&interval(0, 2))), Some(Relation::Equal));
+        // (0,1) ∪ (1,2) misses the point 1, which the hull (0,2) holds.
+        let (a, b) = (interval_with(0, true, 1, true), interval_with(1, true, 2, true));
+        assert!(a.try_merge(&b).is_none() && b.try_merge(&a).is_none());
+    }
+
+    #[test]
+    fn try_merge_rejects_zones_separated_only_along_a_diagonal() {
+        // Both zones lie in the square [0,4]², on either side of the
+        // diagonal band |x − y| < 2; each single-clock projection overlaps
+        // the other's, but the hull gains the band, e.g. (2,2).
+        let side = |from: Clock, to: Clock| {
+            let mut z = Dbm::universe(2);
+            z.constrain(x(), Clock::REF, Bound::weak(4));
+            z.constrain(y(), Clock::REF, Bound::weak(4));
+            z.constrain(from, to, Bound::weak(-2));
+            z
+        };
+        let (above, below) = (side(x(), y()), side(y(), x()));
+        assert_eq!(above.sup(x()), Bound::weak(2));
+        assert_eq!(below.sup(y()), Bound::weak(2));
+        assert!(above.convex_hull(&below).contains_point(&[0, 2, 2]));
+        assert!(above.try_merge(&below).is_none() && below.try_merge(&above).is_none());
     }
 
     #[test]

@@ -27,21 +27,21 @@ enum Op {
     Free { clock: u32 },
 }
 
-fn clock_idx() -> impl Strategy<Value = u32> {
-    1..=(NUM_CLOCKS as u32)
+fn clock_idx(clocks: usize) -> impl Strategy<Value = u32> {
+    1..=(clocks as u32)
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn op_strategy(clocks: usize) -> impl Strategy<Value = Op> {
     prop_oneof![
         Just(Op::Up),
-        (clock_idx(), 0i64..12, any::<bool>())
+        (clock_idx(clocks), 0i64..12, any::<bool>())
             .prop_map(|(clock, value, strict)| Op::UpperBound { clock, value, strict }),
-        (clock_idx(), 0i64..12, any::<bool>())
+        (clock_idx(clocks), 0i64..12, any::<bool>())
             .prop_map(|(clock, value, strict)| Op::LowerBound { clock, value, strict }),
-        (clock_idx(), clock_idx(), -8i64..8, any::<bool>())
+        (clock_idx(clocks), clock_idx(clocks), -8i64..8, any::<bool>())
             .prop_map(|(a, b, value, strict)| Op::Diff { a, b, value, strict }),
-        (clock_idx(), 0i64..8).prop_map(|(clock, value)| Op::Reset { clock, value }),
-        clock_idx().prop_map(|clock| Op::Free { clock }),
+        (clock_idx(clocks), 0i64..8).prop_map(|(clock, value)| Op::Reset { clock, value }),
+        clock_idx(clocks).prop_map(|clock| Op::Free { clock }),
     ]
 }
 
@@ -71,8 +71,12 @@ fn apply(z: &mut Dbm, op: &Op) {
 }
 
 fn random_zone() -> impl Strategy<Value = Dbm> {
-    proptest::collection::vec(op_strategy(), 0..10).prop_map(|ops| {
-        let mut z = Dbm::zero(NUM_CLOCKS);
+    zone_after_ops(Dbm::zero(NUM_CLOCKS))
+}
+
+fn zone_after_ops(start: Dbm) -> impl Strategy<Value = Dbm> {
+    proptest::collection::vec(op_strategy(start.num_clocks()), 0..10).prop_map(move |ops| {
+        let mut z = start.clone();
         for op in &ops {
             apply(&mut z, op);
         }
@@ -90,8 +94,25 @@ fn random_federation() -> impl Strategy<Value = Federation> {
     })
 }
 
-fn valuation() -> impl Strategy<Value = Vec<i64>> {
-    proptest::collection::vec(0i64..15, NUM_CLOCKS).prop_map(|mut v| {
+/// A federation tiling `base` (the pieces of `base \ hole`, plus `base ∩
+/// hole` when `keep_hole`) and the candidate `base ∩ cut`, often covered by
+/// several tiles and by no single one — rare for random federations.
+fn tiled_case(clocks: usize) -> impl Strategy<Value = (Federation, Dbm)> {
+    let zone = || zone_after_ops(Dbm::universe(clocks));
+    ((zone(), zone(), zone()), any::<bool>()).prop_map(move |((base, hole, cut), keep_hole)| {
+        let mut f = Federation::empty(clocks);
+        for piece in base.subtract(&hole) {
+            f.add(piece);
+        }
+        if keep_hole {
+            f.add(base.clone().intersect(&hole).clone());
+        }
+        (f, base.clone().intersect(&cut).clone())
+    })
+}
+
+fn valuation(clocks: usize) -> impl Strategy<Value = Vec<i64>> {
+    proptest::collection::vec(0i64..15, clocks).prop_map(|mut v| {
         v.insert(0, 0);
         v
     })
@@ -100,10 +121,11 @@ fn valuation() -> impl Strategy<Value = Vec<i64>> {
 /// The candidate minus every member, computed with a plain `Dbm::subtract`
 /// fold (no fast paths) — the independent reference for the union-coverage
 /// verdict.  `Dbm::subtract` itself is proven to be exact set difference by
-/// `reduction_props.rs`.  The second component is `true` when the piece
-/// count stayed within the implementation's internal budget (512): only then
-/// is `coverage_of` specified to be exact — beyond it, it may conservatively
-/// answer `NotCovered`.
+/// `reduction_props.rs`.  The second component is `true` when no level of
+/// the fold held more than 512 pieces: only then must `coverage_of` be
+/// exact — beyond it, it may conservatively answer `NotCovered`.  (Its own
+/// cap bounds the pieces waiting in its depth-first walk, at most one
+/// split of n(n+1) pieces per member, which stays below 512 here.)
 fn reference_remainder(zone: &Dbm, f: &Federation) -> (Vec<Dbm>, bool) {
     if zone.is_empty() {
         return (Vec::new(), true);
@@ -119,6 +141,21 @@ fn reference_remainder(zone: &Dbm, f: &Federation) -> (Vec<Dbm>, bool) {
     (remainder, within_budget)
 }
 
+/// The body of the `includes_zone_is_exact_union_coverage*` properties.
+fn assert_exact_union_coverage(f: &Federation, z: &Dbm, v: &[i64]) {
+    let accepted = f.includes_zone(z);
+    let (remainder, within_budget) = reference_remainder(z, f);
+    if within_budget {
+        prop_assert_eq!(accepted, remainder.is_empty());
+    } else if accepted {
+        // Acceptance must be sound even when the budget was exceeded.
+        prop_assert!(remainder.is_empty());
+    }
+    if accepted && z.contains_point(v) {
+        prop_assert!(f.contains_point(v), "accepted candidate leaks point {:?}", v);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -129,18 +166,17 @@ proptest! {
     /// the union.
     #[test]
     fn includes_zone_is_exact_union_coverage(f in random_federation(), z in random_zone(),
-                                             v in valuation()) {
-        let accepted = f.includes_zone(&z);
-        let (remainder, within_budget) = reference_remainder(&z, &f);
-        if within_budget {
-            prop_assert_eq!(accepted, remainder.is_empty());
-        } else if accepted {
-            // Acceptance must be sound even when the budget was exceeded.
-            prop_assert!(remainder.is_empty());
-        }
-        if accepted && z.contains_point(&v) {
-            prop_assert!(f.contains_point(&v), "accepted candidate leaks point {:?}", v);
-        }
+                                             v in valuation(NUM_CLOCKS)) {
+        assert_exact_union_coverage(&f, &z, &v);
+    }
+
+    /// The same exactness at 4 clocks, nearer the 9-clock production
+    /// networks, where one split yields up to 20 pieces instead of 6.
+    #[test]
+    fn includes_zone_is_exact_union_coverage_at_four_clocks(case in tiled_case(4),
+                                                            v in valuation(4)) {
+        let (f, z) = case;
+        assert_exact_union_coverage(&f, &z, &v);
     }
 
     /// The three-way classification is consistent: `Member` iff some single
@@ -168,7 +204,7 @@ proptest! {
     /// `subtract_zone` is exact set difference at every sampled point.
     #[test]
     fn subtract_zone_is_set_difference(f in random_federation(), z in random_zone(),
-                                       v in valuation()) {
+                                       v in valuation(NUM_CLOCKS)) {
         let d = f.subtract_zone(&z);
         prop_assert_eq!(
             d.contains_point(&v),
@@ -179,7 +215,7 @@ proptest! {
     /// `reduce` preserves the denoted set, never grows the federation, and a
     /// second application finds nothing more to drop.
     #[test]
-    fn reduce_preserves_the_denoted_set(f in random_federation(), v in valuation()) {
+    fn reduce_preserves_the_denoted_set(f in random_federation(), v in valuation(NUM_CLOCKS)) {
         let mut r = f.clone();
         let dropped = r.reduce();
         prop_assert_eq!(r.size() + dropped, f.size());
@@ -192,7 +228,7 @@ proptest! {
     /// `absorb_convex` preserves the denoted set of federation ∪ candidate.
     #[test]
     fn absorb_convex_preserves_the_union(f in random_federation(), z in random_zone(),
-                                         v in valuation()) {
+                                         v in valuation(NUM_CLOCKS)) {
         let before = f.contains_point(&v) || z.contains_point(&v);
         let mut g = f.clone();
         let mut zone = z.clone();
