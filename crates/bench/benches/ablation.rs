@@ -4,9 +4,6 @@
 //!   zone graph finite and small; the bench uses a clock-bounded model so the
 //!   no-extrapolation variant still terminates and the cost difference is the
 //!   measured quantity,
-//! * sequential vs. multi-threaded exploration — the parallel explorer pays
-//!   for sharding/locking, which only amortises on models with enough
-//!   interleaving,
 //! * generator queue capacity — larger event queues enlarge the discrete part
 //!   of every symbolic state and therefore the zone graph.
 
@@ -17,7 +14,7 @@ use tempo_arch::model::{
 };
 use tempo_arch::engine::Session;
 use tempo_arch::{AnalysisConfig, TimeValue};
-use tempo_check::{Explorer, ParallelOptions, SearchOptions};
+use tempo_check::{Explorer, SearchOptions};
 use tempo_ta::{ClockRef, System, SystemBuilder, Update, VarExprExt};
 
 /// A ring of `n` stations passing a token, every clock bounded by invariants,
@@ -116,30 +113,6 @@ fn bench_extrapolation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/parallel_workers");
-    group.sample_size(10);
-    let sys = token_ring(5);
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            let ex = Explorer::new(&sys, SearchOptions::default()).unwrap();
-            black_box(ex.state_space_size().unwrap())
-        })
-    });
-    for workers in [1usize, 2, 4] {
-        group.bench_function(format!("parallel/{workers}"), |b| {
-            b.iter(|| {
-                let ex = Explorer::new(&sys, SearchOptions::default()).unwrap();
-                black_box(
-                    ex.par_state_space_size(&ParallelOptions::with_workers(workers))
-                        .unwrap(),
-                )
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_queue_capacity(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/queue_capacity");
     group.sample_size(10);
@@ -155,10 +128,5 @@ fn bench_queue_capacity(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_extrapolation,
-    bench_parallel_scaling,
-    bench_queue_capacity
-);
+criterion_group!(benches, bench_extrapolation, bench_queue_capacity);
 criterion_main!(benches);

@@ -1,12 +1,10 @@
-//! Sequential vs. parallel explorer throughput on Fischer's protocol: the
-//! same full zone-graph exploration driven through the single-threaded
-//! explorer and through the sharded parallel explorer at several worker
-//! counts, so the locking/sharding overhead and the scaling trend are
-//! visible side by side.
+//! Explorer throughput on Fischer's protocol: the full zone-graph
+//! exploration with the default options and with each state-collapse
+//! mechanism disabled, side by side.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tempo_bench::fischer;
-use tempo_check::{Explorer, ParallelOptions, SearchOptions};
+use tempo_check::{Explorer, SearchOptions};
 
 fn bench_explorer_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("explorer_throughput");
@@ -41,17 +39,6 @@ fn bench_explorer_throughput(c: &mut Criterion) {
                 black_box(ex.state_space_size().unwrap())
             })
         });
-        for workers in [1usize, 2, 4] {
-            group.bench_function(format!("fischer{n}/parallel/{workers}"), |b| {
-                b.iter(|| {
-                    let ex = Explorer::new(&sys, SearchOptions::default()).unwrap();
-                    black_box(
-                        ex.par_state_space_size(&ParallelOptions::with_workers(workers))
-                            .unwrap(),
-                    )
-                })
-            });
-        }
     }
     group.finish();
 }

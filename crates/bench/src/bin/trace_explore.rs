@@ -2,7 +2,7 @@
 //! guardrails.
 //!
 //! Three measurements over the bur/federation column of the radio-navigation
-//! case study (the same workload `parallel_scaling` envelopes):
+//! case study:
 //!
 //! 1. **No-subscriber overhead**: two vanilla sequential runs with no
 //!    subscriber installed.  The instrumentation compiles to one relaxed
@@ -34,8 +34,7 @@ use tempo_obs::{validate_jsonl, ChromeTraceSubscriber, JsonlSubscriber, MetricsR
 
 const REQUIREMENT: &str = "AddressLookup (+ HandleTMC)";
 
-/// PR 8's sequential wall envelope for the quick bur/federation column
-/// (mirrors `parallel_scaling::BUR_SEQ_WALL_LIMIT_SECS`).
+/// PR 8's sequential wall envelope for the quick bur/federation column.
 const BUR_SEQ_WALL_LIMIT_SECS: f64 = 2.5;
 
 /// Allowed no-subscriber overhead on top of the envelope: the disabled fast

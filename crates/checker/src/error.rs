@@ -42,13 +42,6 @@ pub enum CheckError {
         /// Human-readable description of what failed.
         detail: String,
     },
-    /// A worker thread of the parallel explorer panicked more often than the
-    /// self-healing retry budget allows; the exploration was shut down
-    /// cleanly (queues drained, no usable result).
-    WorkerPanicked {
-        /// The panic payload, rendered as a string.
-        payload: String,
-    },
 }
 
 impl fmt::Display for CheckError {
@@ -69,9 +62,6 @@ impl fmt::Display for CheckError {
             CheckError::Cancelled => write!(f, "exploration cancelled"),
             CheckError::Transient { detail } => {
                 write!(f, "transient exploration failure (retryable): {detail}")
-            }
-            CheckError::WorkerPanicked { payload } => {
-                write!(f, "exploration worker panicked: {payload}")
             }
         }
     }

@@ -38,20 +38,14 @@ pub type ProgressFn = dyn Fn(&SearchProgress) + Send + Sync;
 /// [`SearchHook::progress`] callback.
 #[derive(Clone, Copy, Debug)]
 pub struct SearchProgress {
-    /// Symbolic states expanded so far (for the parallel checker: by the
-    /// reporting worker's share of the exploration).
+    /// Symbolic states expanded so far.
     pub states_explored: usize,
-    /// Symbolic states currently held by the passed/waiting store.
+    /// Cumulative insertions into the passed/waiting store so far (see
+    /// [`ExplorationStats::stored_cumulative`]).
     pub states_stored: usize,
-    /// Current waiting-list depth: states queued for expansion (for the
-    /// parallel checker: queued **or in flight** across all workers) — the
-    /// live signal a progress stream needs to show how much frontier
-    /// remains.
+    /// Current waiting-list depth: states queued for expansion — the live
+    /// signal a progress stream needs to show how much frontier remains.
     pub waiting: usize,
-    /// Number of exploration threads currently busy expanding states: always
-    /// `1` for the sequential explorer; for the parallel checker the worker
-    /// count minus the workers presently idling in the termination backoff.
-    pub workers_active: usize,
     /// Wall-clock time since the exploration started.
     pub elapsed: Duration,
 }
@@ -63,8 +57,7 @@ pub struct SearchProgress {
 /// stops gracefully with [`ExplorationStats::truncated`] set, so supremum
 /// queries still yield well-formed *lower bounds*), cancelled cooperatively
 /// (the exploration aborts with [`CheckError::Cancelled`]), and observed
-/// through a periodic progress callback.  Honored by both the sequential and
-/// the parallel explorer.
+/// through a periodic progress callback.
 #[derive(Clone, Default)]
 pub struct SearchHook {
     /// Stop the exploration (gracefully, marking the statistics truncated)
@@ -74,13 +67,13 @@ pub struct SearchHook {
     /// flag is observed `true`.
     pub cancel: Option<Arc<AtomicBool>>,
     /// Invoked periodically (every [`SearchHook::progress_every`] expanded
-    /// states) from the exploring thread(s).
+    /// states) from the exploring thread.
     pub progress: Option<Arc<ProgressFn>>,
     /// States expanded between progress callbacks; `0` selects the default
     /// (8192).
     pub progress_every: usize,
     /// Deterministic fault-injection plan (see [`FaultPlan`]).  When set, the
-    /// instrumented points of the explorers (successor generation, store
+    /// instrumented points of the explorer (successor generation, store
     /// insertion, progress reporting) poll the plan and inject the scheduled
     /// faults; when `None` (the default) the instrumentation reduces to one
     /// branch per site.
@@ -212,30 +205,14 @@ impl SearchOptions {
 }
 
 /// Statistics about one exploration run.
-#[allow(deprecated)] // the derives touch the deprecated `states_stored` alias
 #[derive(Clone, Debug, Default)]
 pub struct ExplorationStats {
     /// Symbolic states popped from the waiting list and expanded.
     pub states_explored: usize,
-    /// Deprecated alias whose meaning depended on the explorer: the
-    /// sequential explorer stored cumulative insertions here while the
-    /// parallel explorer stored the net live count, so comparing the field
-    /// across explorers silently compared different quantities.  Both
-    /// explorers still populate it with their historical value; new code
-    /// reads [`ExplorationStats::stored_cumulative`] or
-    /// [`ExplorationStats::stored_live`] and says which one it means.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `stored_cumulative` (what `max_states` bounds) or `stored_live` \
-                (the store's net footprint); this alias is sequential-cumulative but \
-                parallel-live"
-    )]
-    pub states_stored: usize,
     /// Cumulative successful insertions into the passed/waiting structure
     /// (after inclusion subsumption; zones later absorbed by merging or
     /// eviction still count).  This is the quantity
-    /// [`SearchOptions::max_states`] bounds on the sequential explorer (the
-    /// parallel explorer bounds its live count instead).
+    /// [`SearchOptions::max_states`] bounds.
     pub stored_cumulative: usize,
     /// Net number of symbolic states (zones) held by the passed/waiting
     /// store when the exploration finished — the store's memory footprint;
@@ -248,8 +225,7 @@ pub struct ExplorationStats {
     /// `true` if the exploration stopped because of the state limit.
     pub truncated: bool,
     /// Largest number of states simultaneously awaiting expansion (the
-    /// waiting-list high-water mark; for the parallel explorer, the peak of
-    /// queued-or-in-flight states).
+    /// waiting-list high-water mark).
     pub peak_waiting: usize,
     /// Number of dead-clock canonicalizations the active-clock reduction
     /// applied (one per dead clock per computed symbolic state); `0` when the
@@ -423,7 +399,6 @@ impl<'s> Explorer<'s> {
                         states_explored: stats.states_explored,
                         states_stored: stats.stored_cumulative,
                         waiting: waiting.len(),
-                        workers_active: 1,
                         elapsed: start.elapsed(),
                     });
                 }
@@ -522,11 +497,6 @@ impl<'s> Explorer<'s> {
         stats.clocks_eliminated = gen.clocks_eliminated();
         stats.zones_live = passed.live_zones();
         stats.stored_live = stats.zones_live;
-        // The deprecated alias keeps its historical sequential semantics.
-        #[allow(deprecated)]
-        {
-            stats.states_stored = stats.stored_cumulative;
-        }
         stats.duration = start.elapsed();
         let trace = found.map(|mut idx| {
             let mut rev = Vec::new();
@@ -801,11 +771,6 @@ mod tests {
         let stats = ex.explore(|_| {}).unwrap();
         assert!(stats.truncated);
         assert!(stats.stored_cumulative <= 4);
-        // The deprecated alias mirrors the cumulative count sequentially.
-        #[allow(deprecated)]
-        {
-            assert_eq!(stats.states_stored, stats.stored_cumulative);
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! engine wrapping one) should fail on purpose.  The plan is threaded through
 //! [`SearchHook::faults`](crate::SearchHook::faults) — and, one layer up,
 //! through the architecture crate's `RunContext` — into the instrumented
-//! points of the sequential and parallel explorers:
+//! points of the explorer:
 //!
 //! * [`FaultSite::EngineEntry`] — the entry of an engine's `run`,
 //! * [`FaultSite::StoreInsert`] — before a passed/waiting-store insertion,
@@ -72,8 +72,7 @@ const SITES: [FaultSite; 4] = [
 /// The kind of fault a [`FaultPlan`] injects at a site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// `panic!` at the site, exercising unwind isolation (a worker of the
-    /// parallel explorer catches it and retries the state; an engine wrapper
+    /// `panic!` at the site, exercising unwind isolation (an engine wrapper
     /// reports `Panicked`).
     Panic,
     /// Behave as if the cooperative cancellation flag had been observed:
@@ -107,9 +106,9 @@ struct FaultRule {
 /// A seeded, deterministic schedule of injected faults.
 ///
 /// See the [module documentation](self) for the overall picture.  A plan is
-/// shared behind an `Arc` by every thread of an exploration; the per-site
-/// visit counters are atomic, so the rules fire exactly once regardless of
-/// how work is distributed.
+/// shared behind an `Arc` by every engine and retry of a run; the per-site
+/// visit counters are atomic, so each rule fires exactly once whichever
+/// thread reaches it.
 pub struct FaultPlan {
     seed: u64,
     rules: Vec<FaultRule>,
@@ -232,8 +231,8 @@ impl fmt::Debug for FaultPlan {
     }
 }
 
-/// Renders a caught panic payload (`Box<dyn Any>`) as a message, for
-/// [`CheckError::WorkerPanicked`] and the engine layer's `Panicked` error.
+/// Renders a caught panic payload (`Box<dyn Any>`) as a message, for the
+/// engine layer's `Panicked` error.
 pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()

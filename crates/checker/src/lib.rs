@@ -69,7 +69,6 @@ mod store;
 mod target;
 mod successor;
 mod explorer;
-mod parallel;
 mod wcrt;
 
 pub use error::CheckError;
@@ -78,7 +77,6 @@ pub use explorer::{
     ExplorationStats, Explorer, ProgressFn, ReachReport, SearchHook, SearchOptions, SearchOrder,
     SearchProgress, TraceStep,
 };
-pub use parallel::ParallelOptions;
 pub use store::StorageKind;
 pub use state::{DiscreteState, SymState};
 pub use successor::ActionLabel;

@@ -60,13 +60,6 @@ impl DiscreteState {
         &self.vars
     }
 
-    /// The cached 64-bit hash — what [`Hash`] writes, usable directly for
-    /// shard selection without re-hashing the vectors.
-    #[inline]
-    pub fn cached_hash(&self) -> u64 {
-        self.hash
-    }
-
     /// Renders the state with declared names, e.g.
     /// `RAD.idle, BUS.sending_setvol | rec=1 setvolume=0`.
     pub fn pretty(&self, sys: &System) -> String {

@@ -18,9 +18,6 @@
 //!   includes it).  It reproduces the pre-subsystem explorer behavior byte
 //!   for byte and is kept as the differential oracle, selected explicitly
 //!   with `SearchOptions::with_storage(StorageKind::Flat)`.
-//! * [`ShardedStore`] — a lock-striped concurrent wrapper around either of
-//!   the above, giving the parallel checker per-shard critical sections
-//!   instead of one global passed-list mutex.
 //!
 //! All disciplines are *exact*: a zone is only discarded when every one of
 //! its valuations is already covered, so verdicts, suprema and WCRTs are
@@ -30,11 +27,9 @@
 
 mod federation;
 mod flat;
-mod sharded;
 
 pub(crate) use federation::FederationStore;
 pub(crate) use flat::FlatStore;
-pub(crate) use sharded::ShardedStore;
 
 use crate::state::DiscreteState;
 use tempo_dbm::Dbm;
@@ -79,20 +74,20 @@ pub(crate) enum Insert {
     },
 }
 
-/// A passed/waiting storage backend for one sequential exploration.
+/// A passed/waiting storage backend for one exploration.
 ///
 /// `insert` is the single hot-path operation: decide whether `zone` (for
 /// `discrete`) is already covered, and if not, store it — evicting covered
 /// peers and, when `merge` is set, absorbing stored zones whose union with
 /// the newcomer is exactly convex (the newcomer is grown in place).
-pub(crate) trait StateStore: Send {
+pub(crate) trait StateStore {
     /// Attempts to insert the zone; see the trait documentation.
     fn insert(&mut self, discrete: &DiscreteState, zone: &mut Dbm, merge: bool) -> Insert;
 
     /// `true` iff `zone` is still a stored member for `discrete` — i.e. it
     /// has not been evicted or absorbed into a hull since it was inserted.
     ///
-    /// The explorers call this when they pop a state from the waiting
+    /// The explorer calls this when it pops a state from the waiting
     /// structure: a state whose zone was replaced by a covering zone need not
     /// be expanded, because the covering zone's own (pending or past)
     /// expansion yields a superset of its successors.  The flat store always
@@ -106,8 +101,7 @@ pub(crate) trait StateStore: Send {
     fn live_zones(&self) -> usize;
 }
 
-/// Creates a sequential store of the requested kind for zones over
-/// `num_clocks` clocks.
+/// Creates a store of the requested kind for zones over `num_clocks` clocks.
 pub(crate) fn new_store(kind: StorageKind, num_clocks: usize) -> Box<dyn StateStore> {
     match kind {
         StorageKind::Flat => Box::new(FlatStore::new()),
@@ -211,22 +205,5 @@ mod tests {
         // The caller's zone was grown to the exact hull in place.
         assert!(bridge.includes(&interval(0, 6)));
         assert_eq!(store.live_zones(), 1);
-    }
-
-    #[test]
-    fn sharded_store_aggregates_across_shards() {
-        let system = sys();
-        let s = d(&system);
-        let store = ShardedStore::new(StorageKind::Federation, 4, 1);
-        store.insert(&s, &mut interval(0, 4), false);
-        store.insert(&s, &mut interval(3, 7), false);
-        assert_eq!(
-            store.insert(&s, &mut interval(1, 6), false),
-            Insert::Subsumed { by_union: true }
-        );
-        assert_eq!(store.live_zones(), 2);
-        assert_eq!(store.zones_subsumed_by_union(), 1);
-        assert_eq!(store.zones_evicted(), 0);
-        assert_eq!(store.zones_merged(), 0);
     }
 }

@@ -50,29 +50,6 @@ impl SupReport {
     }
 }
 
-/// The shared cap-doubling policy of the `*_auto` supremum queries
-/// (sequential and parallel): call `attempt` with growing caps until the
-/// supremum no longer touches the cap or `max_cap` is reached.  Truncated
-/// explorations (state limit or wall-clock budget) stop the doubling — the
-/// supremum is only a lower bound there and a larger cap cannot fix that.
-pub(crate) fn auto_cap<F>(
-    initial_cap: i64,
-    max_cap: i64,
-    mut attempt: F,
-) -> Result<SupReport, CheckError>
-where
-    F: FnMut(i64) -> Result<SupReport, CheckError>,
-{
-    let mut cap = initial_cap.max(1);
-    loop {
-        let report = attempt(cap)?;
-        if !report.cap_hit || report.stats.truncated || cap >= max_cap {
-            return Ok(report);
-        }
-        cap = (cap * 2).min(max_cap);
-    }
-}
-
 /// One clock-supremum query of a batched WCRT extraction: compute
 /// `sup { clock | reachable state matching target }` together with the other
 /// queries of the batch, in a *single* exploration of the zone graph.
@@ -87,81 +64,6 @@ pub struct SupQuery {
     pub initial_cap: i64,
     /// Hard upper bound on the cap-doubling of the `*_auto` variants.
     pub max_cap: i64,
-}
-
-/// The batched form of [`auto_cap`], shared by the sequential and parallel
-/// explorers: re-run `attempt` with the caps of all cap-hitting queries
-/// doubled (each up to its own `max_cap`) until every supremum is exact,
-/// capped out, or truncated.
-pub(crate) fn batched_auto_cap<F>(
-    queries: &[SupQuery],
-    mut attempt: F,
-) -> Result<Vec<SupReport>, CheckError>
-where
-    F: FnMut(&[i64]) -> Result<Vec<SupReport>, CheckError>,
-{
-    let mut caps: Vec<i64> = queries.iter().map(|q| q.initial_cap.max(1)).collect();
-    loop {
-        let reports = attempt(&caps)?;
-        let mut retry = false;
-        for (i, report) in reports.iter().enumerate() {
-            if report.cap_hit && !report.stats.truncated && caps[i] < queries[i].max_cap {
-                caps[i] = caps[i].saturating_mul(2).min(queries[i].max_cap);
-                retry = true;
-            }
-        }
-        if !retry {
-            return Ok(reports);
-        }
-    }
-}
-
-/// The query seeds of one batched attempt: each query's target constants
-/// plus its current clock cap.
-pub(crate) fn sup_query_seeds(
-    sys: &tempo_ta::System,
-    queries: &[SupQuery],
-    caps: &[i64],
-) -> Vec<QuerySeed> {
-    assert_eq!(queries.len(), caps.len());
-    queries
-        .iter()
-        .zip(caps)
-        .map(|(q, cap)| {
-            let mut consts = q.target.clock_constants(sys);
-            consts.push((q.clock, *cap));
-            QuerySeed {
-                target: q.target.clone(),
-                consts,
-            }
-        })
-        .collect()
-}
-
-/// Turns the per-query `(sup, matched)` accumulators of one batched
-/// exploration into [`SupReport`]s sharing that exploration's statistics.
-pub(crate) fn assemble_sup_reports(
-    accs: Vec<(Option<Bound>, bool)>,
-    caps: &[i64],
-    stats: &ExplorationStats,
-) -> Vec<SupReport> {
-    accs.into_iter()
-        .zip(caps)
-        .map(|((sup, matched), cap)| {
-            let sup = if matched { sup } else { None };
-            let cap_hit = match sup {
-                Some(b) if b.is_infinity() => true,
-                Some(b) => b.constant() >= *cap,
-                None => false,
-            };
-            SupReport {
-                sup,
-                cap_hit,
-                cap: *cap,
-                stats: stats.clone(),
-            }
-        })
-        .collect()
 }
 
 /// Result of [`Explorer::binary_search_wcrt`].
@@ -197,7 +99,7 @@ impl<'s> Explorer<'s> {
             initial_cap: cap,
             max_cap: cap,
         };
-        let mut reports = self.sup_clocks_attempt(std::slice::from_ref(&query), &[cap])?;
+        let mut reports = self.sup_clocks_at(std::slice::from_ref(&query), &[cap])?;
         Ok(reports.pop().expect("one report per query"))
     }
 
@@ -213,22 +115,19 @@ impl<'s> Explorer<'s> {
         queries: &[SupQuery],
         caps: &[i64],
     ) -> Result<Vec<SupReport>, CheckError> {
-        self.sup_clocks_attempt(queries, caps)
-    }
-
-    /// Like [`Explorer::sup_clocks_at`] but automatically doubles the cap of
-    /// every query whose supremum touched it (up to its `max_cap`), re-running
-    /// the batched exploration until all suprema are exact or capped.
-    pub fn sup_clocks_at_auto(&self, queries: &[SupQuery]) -> Result<Vec<SupReport>, CheckError> {
-        batched_auto_cap(queries, |caps| self.sup_clocks_attempt(queries, caps))
-    }
-
-    fn sup_clocks_attempt(
-        &self,
-        queries: &[SupQuery],
-        caps: &[i64],
-    ) -> Result<Vec<SupReport>, CheckError> {
-        let seeds = sup_query_seeds(self.system(), queries, caps);
+        assert_eq!(queries.len(), caps.len());
+        let seeds: Vec<QuerySeed> = queries
+            .iter()
+            .zip(caps)
+            .map(|(q, cap)| {
+                let mut consts = q.target.clock_constants(self.system());
+                consts.push((q.clock, *cap));
+                QuerySeed {
+                    target: q.target.clone(),
+                    consts,
+                }
+            })
+            .collect();
         let mut accs: Vec<(Option<Bound>, bool)> = vec![(None, false); queries.len()];
         let mut error: Option<tempo_ta::EvalError> = None;
         let (_, _, stats) = self.run(None, &seeds, |state| {
@@ -256,11 +155,52 @@ impl<'s> Explorer<'s> {
         if let Some(e) = error {
             return Err(e.into());
         }
-        Ok(assemble_sup_reports(accs, caps, &stats))
+        Ok(accs
+            .into_iter()
+            .zip(caps)
+            .map(|((sup, matched), cap)| {
+                let sup = if matched { sup } else { None };
+                let cap_hit = match sup {
+                    Some(b) if b.is_infinity() => true,
+                    Some(b) => b.constant() >= *cap,
+                    None => false,
+                };
+                SupReport {
+                    sup,
+                    cap_hit,
+                    cap: *cap,
+                    stats: stats.clone(),
+                }
+            })
+            .collect())
+    }
+
+    /// Like [`Explorer::sup_clocks_at`] but automatically doubles the cap of
+    /// every query whose supremum touched it (up to its `max_cap`), re-running
+    /// the batched exploration until all suprema are exact or capped.
+    /// Truncated explorations (state limit or wall-clock budget) stop the
+    /// doubling: the supremum is only a lower bound there and a larger cap
+    /// cannot fix that.
+    pub fn sup_clocks_at_auto(&self, queries: &[SupQuery]) -> Result<Vec<SupReport>, CheckError> {
+        let mut caps: Vec<i64> = queries.iter().map(|q| q.initial_cap.max(1)).collect();
+        loop {
+            let reports = self.sup_clocks_at(queries, &caps)?;
+            let mut retry = false;
+            for (i, report) in reports.iter().enumerate() {
+                if report.cap_hit && !report.stats.truncated && caps[i] < queries[i].max_cap {
+                    caps[i] = caps[i].saturating_mul(2).min(queries[i].max_cap);
+                    retry = true;
+                }
+            }
+            if !retry {
+                return Ok(reports);
+            }
+        }
     }
 
     /// Like [`Explorer::sup_clock_at`] but automatically doubles the cap (up
-    /// to `max_cap`) until the supremum no longer touches it.
+    /// to `max_cap`) until the supremum no longer touches it, as
+    /// [`Explorer::sup_clocks_at_auto`] does for a batch.
     pub fn sup_clock_at_auto(
         &self,
         target: &TargetSpec,
@@ -268,9 +208,14 @@ impl<'s> Explorer<'s> {
         initial_cap: i64,
         max_cap: i64,
     ) -> Result<SupReport, CheckError> {
-        auto_cap(initial_cap, max_cap, |cap| {
-            self.sup_clock_at(target, clock, cap)
-        })
+        let mut cap = initial_cap.max(1);
+        loop {
+            let report = self.sup_clock_at(target, clock, cap)?;
+            if !report.cap_hit || report.stats.truncated || cap >= max_cap {
+                return Ok(report);
+            }
+            cap = (cap * 2).min(max_cap);
+        }
     }
 
     /// The paper's Property 1 procedure: binary search for the smallest
@@ -569,9 +514,8 @@ mod tests {
     }
 
     #[test]
-    fn progress_hook_fires_in_both_explorers() {
+    fn progress_hook_fires() {
         use crate::explorer::SearchHook;
-        use crate::parallel::ParallelOptions;
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
         let sys = two_observed_jobs();
@@ -590,13 +534,9 @@ mod tests {
         };
         let ex = Explorer::new(&sys, opts).unwrap();
         ex.explore(|_| {}).unwrap();
-        let sequential = calls.swap(0, Ordering::Relaxed);
-        assert!(sequential > 0, "sequential progress hook never fired");
-        ex.par_explore(&|_| {}, &ParallelOptions::with_workers(2))
-            .unwrap();
         assert!(
             calls.load(Ordering::Relaxed) > 0,
-            "parallel progress hook never fired"
+            "progress hook never fired"
         );
     }
 }

@@ -6,9 +6,7 @@ use crate::generator::{generate, GeneratedModel, GeneratorOptions};
 use crate::model::{ArchitectureModel, ModelError, Requirement};
 use crate::time::TimeValue;
 use std::fmt;
-use tempo_check::{
-    CheckError, ExplorationStats, Explorer, ParallelOptions, SearchOptions, TargetSpec,
-};
+use tempo_check::{CheckError, ExplorationStats, Explorer, SearchOptions, TargetSpec};
 
 /// The kind of named model entity a reference failed to resolve to — used by
 /// [`ArchError::UnknownEntity`] so callers (and error messages) can tell a
@@ -110,10 +108,6 @@ pub struct AnalysisConfig {
     /// Model-checker search options (including the passed-list storage
     /// discipline, [`tempo_check::SearchOptions::storage`]).
     pub search: SearchOptions,
-    /// When set, explorations run on the multi-threaded checker with these
-    /// options (sharded passed list, per-worker work-stealing deques); the
-    /// verdicts, WCRTs and bounds are identical to the sequential analysis.
-    pub parallel: Option<ParallelOptions>,
     /// Initial extrapolation cap for the observer clock, as a multiple of the
     /// requirement deadline.
     pub initial_cap_factor: i64,
@@ -127,7 +121,6 @@ impl Default for AnalysisConfig {
         AnalysisConfig {
             generator: GeneratorOptions::default(),
             search: SearchOptions::default(),
-            parallel: None,
             initial_cap_factor: 2,
             max_cap_factor: 64,
         }
@@ -208,12 +201,7 @@ pub fn analyze_generated(
     let deadline_ticks = generated.quantizer.to_ticks(req.deadline).max(1);
     let initial_cap = deadline_ticks.saturating_mul(cfg.initial_cap_factor.max(1));
     let max_cap = deadline_ticks.saturating_mul(cfg.max_cap_factor.max(cfg.initial_cap_factor));
-    let report = match &cfg.parallel {
-        Some(par) => {
-            explorer.par_sup_clock_at_auto(&target, observer.clock, initial_cap, max_cap, par)?
-        }
-        None => explorer.sup_clock_at_auto(&target, observer.clock, initial_cap, max_cap)?,
-    };
+    let report = explorer.sup_clock_at_auto(&target, observer.clock, initial_cap, max_cap)?;
     Ok(report_from_sup(&generated.quantizer, req, report))
 }
 

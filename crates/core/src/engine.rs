@@ -15,7 +15,7 @@
 //! * [`Engine`] — the trait every technique implements (`TaEngine` here,
 //!   `RtcEngine`, `SymtaEngine` and `SimEngine` in their crates),
 //! * [`RunContext`] — wall-clock/state budgets, cooperative cancellation and
-//!   progress reporting, threaded down into the model checker's explorers
+//!   progress reporting, threaded down into the model checker's explorer
 //!   through [`tempo_check::SearchHook`],
 //! * [`Session`] — a stateful handle binding one model: it validates once,
 //!   generates/compiles the timed-automata network **once** per query shape
@@ -298,14 +298,14 @@ pub struct Budget {
     /// Wall-clock budget: the run stops gracefully (truncating to a lower
     /// bound where applicable) once this much time has elapsed.
     pub wall_clock: Option<Duration>,
-    /// State budget for the symbolic explorers (merged with any configured
+    /// State budget for the symbolic explorer (merged with any configured
     /// `max_states`, truncating instead of erroring).
     pub max_states: Option<usize>,
 }
 
 /// Everything ambient to one engine run: budgets, cooperative cancellation
-/// and progress reporting.  Threaded down into `tempo_check`'s sequential and
-/// parallel explorers through [`SearchHook`]; the non-symbolic engines honor
+/// and progress reporting.  Threaded down into `tempo_check`'s explorer
+/// through [`SearchHook`]; the non-symbolic engines honor
 /// the budget and the cancellation flag at their own natural granularity
 /// (e.g. between simulation runs).
 #[derive(Clone, Default)]
@@ -323,7 +323,7 @@ pub struct RunContext {
     /// whichever is earlier wins.
     pub deadline: Option<Instant>,
     /// Deterministic fault-injection plan (see [`FaultPlan`]), threaded into
-    /// the explorers through [`SearchHook::faults`] and polled by engines at
+    /// the explorer through [`SearchHook::faults`] and polled by engines at
     /// their entry point.  `None` (the default) costs nothing.
     pub faults: Option<Arc<FaultPlan>>,
 }
@@ -484,8 +484,8 @@ pub enum EngineError {
     TimedOut,
     /// The model checker failed; the structured [`CheckError`] is preserved
     /// so callers can tell a budget limit ([`CheckError::StateLimitExceeded`])
-    /// or a retryable transient ([`CheckError::Transient`],
-    /// [`CheckError::WorkerPanicked`]) from a genuine analysis failure.
+    /// or a retryable transient ([`CheckError::Transient`]) from a genuine
+    /// analysis failure.
     Check(CheckError),
     /// The engine panicked; the panic was caught at the
     /// [`Engine::run_isolated`] unwind barrier.
@@ -505,9 +505,7 @@ impl EngineError {
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
-            EngineError::Panicked { .. }
-                | EngineError::Check(CheckError::Transient { .. })
-                | EngineError::Check(CheckError::WorkerPanicked { .. })
+            EngineError::Panicked { .. } | EngineError::Check(CheckError::Transient { .. })
         )
     }
 
@@ -730,8 +728,7 @@ pub trait Engine {
 #[derive(Clone, Debug)]
 pub struct TaEngine {
     /// The analysis configuration (generator options, search options
-    /// including the storage discipline, optional parallel checking, cap
-    /// policy).
+    /// including the storage discipline, cap policy).
     pub cfg: AnalysisConfig,
     /// Whether [`Query::WcrtAll`] uses the batched multi-observer network
     /// (one generation, one exploration for every requirement; default) or
@@ -938,10 +935,7 @@ impl<'m> Session<'m> {
                     .saturating_mul(cfg.max_cap_factor.max(cfg.initial_cap_factor)),
             });
         }
-        let sups = match &cfg.parallel {
-            Some(par) => explorer.par_sup_clocks_at_auto(&queries, par)?,
-            None => explorer.sup_clocks_at_auto(&queries)?,
-        };
+        let sups = explorer.sup_clocks_at_auto(&queries)?;
         Ok(self
             .model
             .requirements
@@ -972,11 +966,7 @@ impl<'m> Session<'m> {
     ) -> Result<tempo_check::ExplorationStats, ArchError> {
         let generated = self.generated_base()?;
         let explorer = Explorer::new(&generated.system, cfg.search.clone())?;
-        let outcome = match &cfg.parallel {
-            Some(par) => explorer.par_explore(&|_| {}, par),
-            None => explorer.explore(|_| {}),
-        };
-        outcome.map_err(ArchError::from)
+        explorer.explore(|_| {}).map_err(ArchError::from)
     }
 
     fn queues_bounded_with(&self, cfg: &AnalysisConfig) -> Result<Option<bool>, ArchError> {

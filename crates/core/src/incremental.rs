@@ -32,7 +32,7 @@
 //! * the generator options and the extrapolation cap factors of the
 //!   [`AnalysisConfig`].
 //!
-//! Search *strategy* options (order, storage backend, parallelism) are
+//! Search *strategy* options (order, storage backend) are
 //! deliberately excluded: the repo's differential harnesses prove them
 //! result-preserving, so they do not belong to the semantic cone.  As a
 //! consequence only **complete** answers are cached — a truncated exploration
@@ -492,10 +492,7 @@ impl AnalysisDb {
         let generated = self.network(model, None)?;
         let explorer = tempo_check::Explorer::new(&generated.system, cfg.search.clone())?;
         let explore_started = Instant::now();
-        let outcome = match &cfg.parallel {
-            Some(par) => explorer.par_explore(&|_| {}, par),
-            None => explorer.explore(|_| {}),
-        };
+        let outcome = explorer.explore(|_| {});
         let explore_nanos = u64::try_from(explore_started.elapsed().as_nanos())
             .unwrap_or(u64::MAX)
             .max(1);

@@ -1,6 +1,6 @@
 //! Structured tracing and metrics for the tempo analysis stack.
 //!
-//! The explorers, the engine portfolio and the incremental analysis database
+//! The explorer, the engine portfolio and the incremental analysis database
 //! are performance-critical, and their behaviour used to be visible only
 //! through scattered one-off statistics structs.  This crate provides one
 //! `tracing`-style seam for all of them: named **spans** with RAII timing,

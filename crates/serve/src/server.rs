@@ -19,7 +19,7 @@
 //!   with a typed `overloaded` error instead of queueing unboundedly.
 //!   Cancelling a queued request frees its slot without running it;
 //!   cancelling an in-flight request trips the cooperative cancellation flag
-//!   threaded into the explorers, which abort at the next state pop.
+//!   threaded into the explorer, which aborts at the next state pop.
 //! * **Isolation.**  Each job runs behind an unwind barrier: a panic inside
 //!   an engine becomes a typed `panicked` response and the worker survives
 //!   (the PR 6 contract — never wrong, only slower, looser, or explicitly

@@ -643,7 +643,6 @@ pub fn progress_to_json(p: &SearchProgress) -> JsonValue {
         ("states_explored", p.states_explored.into()),
         ("states_stored", p.states_stored.into()),
         ("waiting", p.waiting.into()),
-        ("workers_active", p.workers_active.into()),
         ("elapsed_us", (p.elapsed.as_micros() as i128).into()),
     ])
 }

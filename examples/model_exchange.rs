@@ -1,4 +1,4 @@
-//! Model exchange and parallel verification.
+//! Model exchange and verification.
 //!
 //! The paper derives UPPAAL models automatically and stresses that generated
 //! models still need to be inspected and maintained.  This example shows the
@@ -7,9 +7,8 @@
 //! 1. an architecture model is translated into a network of timed automata,
 //! 2. the network is serialised to the textual `.tta` format, re-parsed and
 //!    compared (exact round trip),
-//! 3. the worst-case response time is computed twice — with the sequential
-//!    explorer and with the multi-threaded explorer — and the results are
-//!    checked to agree.
+//! 3. the worst-case response time is computed from the re-parsed network in
+//!    one exploration of its zone graph.
 //!
 //! ```text
 //! cargo run --release --example model_exchange
@@ -17,7 +16,7 @@
 
 use tempo::arch::prelude::*;
 use tempo::arch::{generate, GeneratorOptions};
-use tempo::check::{Explorer, ParallelOptions, SearchOptions, TargetSpec};
+use tempo::check::{Explorer, SearchOptions, TargetSpec};
 use tempo::ta::format::{parse_system, print_system};
 
 fn main() {
@@ -104,36 +103,22 @@ fn main() {
     println!("round trip: parse(print(system)) == system ✓\n");
 
     // ------------------------------------------------------------------
-    // 3. Sequential vs. parallel exact WCRT.
+    // 3. Exact WCRT of the re-parsed network.
     // ------------------------------------------------------------------
     let observer = generated.observer.as_ref().expect("observer present");
-    let explorer =
-        Explorer::new(&generated.system, SearchOptions::default()).expect("valid system");
-    let seen = TargetSpec::location(&generated.system, &observer.automaton, &observer.seen_location)
+    let explorer = Explorer::new(&reparsed, SearchOptions::default()).expect("valid system");
+    let seen = TargetSpec::location(&reparsed, &observer.automaton, &observer.seen_location)
         .expect("observer location");
     let cap = generated.quantizer.to_ticks(TimeValue::millis(400));
 
-    let sequential = explorer
+    let report = explorer
         .sup_clock_at(&seen, observer.clock, cap)
-        .expect("sequential analysis");
-    let parallel = explorer
-        .par_sup_clock_at(&seen, observer.clock, cap, &ParallelOptions::default())
-        .expect("parallel analysis");
-
-    let to_ms = |ticks: Option<i64>| {
-        ticks
-            .map(|t| generated.quantizer.ticks_to_ms(t))
-            .unwrap_or(f64::NAN)
-    };
+        .expect("exact analysis");
+    let wcrt = report.exact_value().expect("the WCRT stays below the cap");
     println!(
-        "frame latency WCRT: sequential = {:.3} ms ({} states, {:?}), parallel = {:.3} ms ({} states, {:?})",
-        to_ms(sequential.exact_value()),
-        sequential.stats.stored_cumulative,
-        sequential.stats.duration,
-        to_ms(parallel.exact_value()),
-        parallel.stats.stored_cumulative,
-        parallel.stats.duration,
+        "frame latency WCRT = {:.3} ms ({} states, {:?})",
+        generated.quantizer.ticks_to_ms(wcrt),
+        report.stats.stored_cumulative,
+        report.stats.duration,
     );
-    assert_eq!(sequential.exact_value(), parallel.exact_value());
-    println!("sequential and parallel explorers agree ✓");
 }

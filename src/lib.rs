@@ -69,7 +69,7 @@
 //! a wall-clock/state budget (a budgeted exact query degrades to a
 //! well-formed *lower bound* instead of failing), a cancellation flag, an
 //! optional shared deadline and a progress callback, all threaded down into
-//! the model checker's sequential and parallel explorers.
+//! the model checker's explorer.
 //!
 //! ## Incremental design-space exploration
 //!
@@ -125,10 +125,9 @@
 //! looser, or explicitly declined one. Every engine runs behind
 //! [`Engine::run_isolated`](arch::engine::Engine::run_isolated), which
 //! converts a panic into a typed
-//! [`EngineError::Panicked`](arch::engine::EngineError::Panicked); a worker
-//! thread panicking inside the parallel explorer is detected, its work
-//! requeued, and the exploration finishes or fails cleanly. A failing engine
-//! degrades to a per-engine [`EngineStatus`](arch::engine::EngineStatus) row
+//! [`EngineError::Panicked`](arch::engine::EngineError::Panicked). A failing
+//! engine degrades to a per-engine
+//! [`EngineStatus`](arch::engine::EngineStatus) row
 //! in the [`ComparisonReport`](arch::engine::ComparisonReport) while the
 //! survivors still reconcile, and transient failures or budget-truncated
 //! answers are retried under a [`RetryPolicy`](arch::engine::RetryPolicy)
@@ -138,7 +137,7 @@
 //! [`FaultPlan`](check::FaultPlan) threaded through
 //! [`RunContext::faults`](arch::engine::RunContext) injects panics, spurious
 //! cancellations, budget exhaustion and transient errors at instrumented
-//! points in the engines and the explorers (engine entry, store insert,
+//! points in the engines and the explorer (engine entry, store insert,
 //! successor generation, progress callbacks) — zero-cost when absent. The
 //! chaos differential harness (`tests/chaos_differential.rs`) runs the full
 //! portfolio under a matrix of fault seeds and asserts every answer is the
@@ -148,13 +147,11 @@
 //! ## Observability
 //!
 //! The engines are instrumented end to end with [`tempo_obs`] (re-exported
-//! as [`obs`]): per-phase spans in both explorers (successor generation,
+//! as [`obs`]): per-phase spans in the explorer (successor generation,
 //! closure + extrapolation, store insertion), store counters (subsumption
-//! hits, hull short-circuits, evictions, merges), work-stealing telemetry
-//! (steal counts, batch sizes, deque depth, idle time, requeues after a
-//! worker panic), per-engine portfolio spans with retry/degradation events,
-//! and analysis-database hit/miss/invalidation events carrying the input-cone
-//! hashes.  With **no subscriber installed the whole layer costs one relaxed
+//! hits, hull short-circuits, evictions, merges), per-engine portfolio spans
+//! with retry/degradation events, and analysis-database
+//! hit/miss/invalidation events carrying the input-cone hashes.  With **no subscriber installed the whole layer costs one relaxed
 //! atomic load per site** — the `trace_explore` bench asserts the
 //! no-subscriber wall stays inside the uninstrumented envelope.  Install a
 //! subscriber to collect:

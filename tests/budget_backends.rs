@@ -1,41 +1,26 @@
 //! Budget expiry on every storage backend (satellite of the robustness PR):
 //! on the bursty fixture, an exhausted wall-clock or state budget must
 //! degrade the exact engine to a *well-formed lower bound* — on the flat and
-//! federation passed lists, sequential and sharded-parallel alike — and a
+//! federation passed lists alike — and a
 //! generous budget must still converge to the exact value.
 
 mod common;
 
 use common::burst_model;
 use tempo::arch::prelude::*;
-use tempo::check::{ParallelOptions, SearchOptions, StorageKind};
+use tempo::check::{SearchOptions, StorageKind};
 use tempo::engine::{Engine, TaEngine};
 
-/// Every storage backend: {flat, federation} × {sequential, sharded parallel}.
+/// Every storage backend: flat and federation.
 fn backends() -> Vec<(&'static str, AnalysisConfig)> {
-    let mut out = Vec::new();
-    for (storage_name, storage) in [("flat", StorageKind::Flat), ("federation", StorageKind::Federation)] {
-        for (mode, parallel) in [
-            ("seq", None),
-            ("sharded-par", Some(ParallelOptions::with_workers(2))),
-        ] {
-            let mut cfg = AnalysisConfig {
-                search: SearchOptions::with_storage(storage),
-                ..AnalysisConfig::default()
-            };
-            cfg.parallel = parallel;
-            out.push((
-                match (storage_name, mode) {
-                    ("flat", "seq") => "flat-seq",
-                    ("flat", "sharded-par") => "sharded-flat",
-                    ("federation", "seq") => "federation-seq",
-                    _ => "sharded-federation",
-                },
-                cfg,
-            ));
-        }
-    }
-    out
+    let cfg = |storage| AnalysisConfig {
+        search: SearchOptions::with_storage(storage),
+        ..AnalysisConfig::default()
+    };
+    vec![
+        ("flat-seq", cfg(StorageKind::Flat)),
+        ("federation-seq", cfg(StorageKind::Federation)),
+    ]
 }
 
 fn exact_truth() -> TimeValue {

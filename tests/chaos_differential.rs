@@ -7,9 +7,8 @@
 //! instrumented points (engine entry, store inserts, successor generation,
 //! progress callbacks).  The harness sweeps a matrix of fault seeds over the
 //! generated corpus and the TDMA/burst fixtures, on all four engines and on
-//! three storage stacks (the default sequential one, flat sequential,
-//! federation parallel), and compares every answer against the fault-free
-//! exact baseline.
+//! two storage stacks (the default federation store and the flat oracle),
+//! and compares every answer against the fault-free exact baseline.
 //!
 //! Extra seeds can be swept from the environment (the CI chaos job does):
 //! `TEMPO_FAULT_SEED=12345 cargo test --test chaos_differential`.
@@ -20,7 +19,7 @@ use common::{burst_model, random_model_with_policies, tdma_model, ANALYTIC_SOUND
 use std::collections::HashMap;
 use std::sync::Arc;
 use tempo::arch::prelude::*;
-use tempo::check::{FaultPlan, ParallelOptions, SearchOptions, StorageKind};
+use tempo::check::{FaultPlan, SearchOptions, StorageKind};
 use tempo::engine::{
     quiet_injected_panics, BoundKind, Capabilities, Engine, EngineError, EngineReport,
     EngineStatus, Portfolio, SimEngine, SymtaEngine, TaEngine,
@@ -34,25 +33,15 @@ fn tolerance() -> TimeValue {
     TimeValue::micros(1)
 }
 
-/// The storage stacks swept: the production default (sequential federation
-/// store), the flat sequential passed list pinned explicitly as the oracle,
-/// and per-discrete-state federations explored in parallel.
+/// The storage stacks swept: the production default (federation store) and
+/// the flat passed list pinned explicitly as the oracle.
 fn stacks() -> Vec<(&'static str, AnalysisConfig)> {
     let default_seq = AnalysisConfig::default();
     let flat_seq = AnalysisConfig {
         search: SearchOptions::with_storage(StorageKind::Flat),
         ..AnalysisConfig::default()
     };
-    let mut federation_par = AnalysisConfig {
-        search: SearchOptions::with_storage(StorageKind::Federation),
-        ..AnalysisConfig::default()
-    };
-    federation_par.parallel = Some(ParallelOptions::with_workers(2));
-    vec![
-        ("default-seq", default_seq),
-        ("flat-seq", flat_seq),
-        ("federation-par", federation_par),
-    ]
+    vec![("default-seq", default_seq), ("flat-seq", flat_seq)]
 }
 
 /// All four engines, with the exact engine on the given stack and a short

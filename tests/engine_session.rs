@@ -55,33 +55,6 @@ fn batched_wcrt_all_matches_per_requirement_analysis_everywhere() {
     }
 }
 
-/// The batched path also agrees when the exploration runs on the parallel
-/// checker with the federation store — the whole PR 4 storage matrix behind
-/// the new API seam.
-#[test]
-fn batched_wcrt_all_matches_under_parallel_federation_storage() {
-    for seed in [0u64, 3, 5] {
-        let model = random_model(seed);
-        let cfg = AnalysisConfig {
-            search: SearchOptions {
-                storage: StorageKind::Federation,
-                ..SearchOptions::default()
-            },
-            parallel: Some(ParallelOptions::with_workers(4)),
-            ..AnalysisConfig::default()
-        };
-        let session = Session::new(&model, cfg).unwrap();
-        let batched = session.wcrt_all().unwrap();
-        let mut dedicated = Session::new(&model, AnalysisConfig::default()).unwrap();
-        dedicated.set_batch_wcrt_all(false);
-        let classic = dedicated.wcrt_all().unwrap();
-        for (b, c) in batched.iter().zip(&classic) {
-            assert_eq!(b.wcrt, c.wcrt, "{}/{}", model.name, b.requirement);
-            assert_eq!(b.meets_deadline, c.meets_deadline);
-        }
-    }
-}
-
 #[test]
 fn session_caches_across_query_kinds() {
     let model = random_model(1);

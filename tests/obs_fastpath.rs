@@ -5,8 +5,8 @@
 //! `tempo_obs` layer must then be inert — a full exploration may not dispatch
 //! a single record (asserted through the global dispatch counter and through
 //! subscriber buffers that were constructed but never installed).  The
-//! companion obligation checks that both explorers populate the
-//! [`SearchProgress`] `waiting` / `workers_active` fields.
+//! companion obligation checks that the explorer populates the
+//! [`SearchProgress`] `waiting` field.
 
 mod common;
 
@@ -14,7 +14,7 @@ use common::burst_model;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tempo::arch::prelude::*;
-use tempo::check::{ParallelOptions, SearchHook, SearchOptions, SearchProgress};
+use tempo::check::{SearchHook, SearchOptions, SearchProgress};
 use tempo::obs::{JsonlSubscriber, MetricsRegistry};
 
 #[test]
@@ -50,11 +50,20 @@ fn no_subscriber_exploration_dispatches_nothing() {
     );
 }
 
-fn progress_cfg(
-    progress: Arc<tempo::check::ProgressFn>,
-    parallel: Option<ParallelOptions>,
-) -> AnalysisConfig {
-    AnalysisConfig {
+#[test]
+fn progress_stream_populates_waiting() {
+    let model = burst_model();
+    let calls = Arc::new(AtomicUsize::new(0));
+    let max_waiting = Arc::new(AtomicUsize::new(0));
+    let progress: Arc<tempo::check::ProgressFn> = Arc::new({
+        let calls = calls.clone();
+        let max_waiting = max_waiting.clone();
+        move |p: &SearchProgress| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            max_waiting.fetch_max(p.waiting, Ordering::SeqCst);
+        }
+    });
+    let cfg = AnalysisConfig {
         search: SearchOptions {
             hook: SearchHook {
                 progress: Some(progress),
@@ -63,56 +72,17 @@ fn progress_cfg(
             },
             ..SearchOptions::default()
         },
-        parallel,
         ..AnalysisConfig::default()
-    }
-}
+    };
+    let session = Session::new(&model, cfg).unwrap();
+    session.wcrt(&model.requirements[0].name).unwrap();
 
-#[test]
-fn both_explorers_populate_waiting_and_workers_active() {
-    let model = burst_model();
-    for workers in [None, Some(2usize)] {
-        let calls = Arc::new(AtomicUsize::new(0));
-        let max_waiting = Arc::new(AtomicUsize::new(0));
-        let min_active = Arc::new(AtomicUsize::new(usize::MAX));
-        let max_active = Arc::new(AtomicUsize::new(0));
-        let progress: Arc<tempo::check::ProgressFn> = Arc::new({
-            let calls = calls.clone();
-            let max_waiting = max_waiting.clone();
-            let min_active = min_active.clone();
-            let max_active = max_active.clone();
-            move |p: &SearchProgress| {
-                calls.fetch_add(1, Ordering::SeqCst);
-                max_waiting.fetch_max(p.waiting, Ordering::SeqCst);
-                min_active.fetch_min(p.workers_active, Ordering::SeqCst);
-                max_active.fetch_max(p.workers_active, Ordering::SeqCst);
-            }
-        });
-        let cfg = progress_cfg(progress, workers.map(ParallelOptions::with_workers));
-        let label = workers.map_or("sequential".to_string(), |w| format!("parallel({w})"));
-        let session = Session::new(&model, cfg).unwrap();
-        session.wcrt(&model.requirements[0].name).unwrap();
-
-        assert!(
-            calls.load(Ordering::SeqCst) > 0,
-            "{label}: no progress callback fired at stride 8"
-        );
-        assert!(
-            max_waiting.load(Ordering::SeqCst) > 0,
-            "{label}: `waiting` was never reported above zero mid-exploration"
-        );
-        let lo = min_active.load(Ordering::SeqCst);
-        let hi = max_active.load(Ordering::SeqCst);
-        assert!(lo >= 1, "{label}: `workers_active` reported below one");
-        match workers {
-            None => assert_eq!(
-                hi, 1,
-                "the sequential explorer reports exactly one active worker"
-            ),
-            Some(w) => assert!(
-                hi <= w,
-                "{label}: `workers_active` {hi} exceeds the worker count"
-            ),
-        }
-    }
+    assert!(
+        calls.load(Ordering::SeqCst) > 0,
+        "no progress callback fired at stride 8"
+    );
+    assert!(
+        max_waiting.load(Ordering::SeqCst) > 0,
+        "`waiting` was never reported above zero mid-exploration"
+    );
 }

@@ -12,17 +12,17 @@
 //! that never fires would pass any differential check vacuously.
 //!
 //! Since PR 4 the same obligation covers the state-*storage* subsystem
-//! (`SearchOptions::storage`): the flat antichain store, the federation store
-//! with union-coverage subsumption, and the sharded concurrent store of the
-//! parallel checker must agree on every WCRT, lower bound, deadline verdict
-//! and clock supremum across the whole corpus and all fixtures (see
-//! `storage_backends_agree_*` below).
+//! (`SearchOptions::storage`): the flat antichain store and the federation
+//! store with union-coverage subsumption must agree on every WCRT, lower
+//! bound, deadline verdict and clock supremum across the whole corpus and
+//! all fixtures (see `storage_backends_agree_*` below).
 
 mod common;
 
 use common::{burst_model, random_model, tdma_model};
 use tempo::arch::prelude::*;
 use tempo::check::{Explorer, SearchOptions, TargetSpec};
+use tempo::ta::{ClockRef, System};
 
 fn cfg2(reduction: bool, merging: bool) -> AnalysisConfig {
     AnalysisConfig {
@@ -35,16 +35,10 @@ fn cfg2(reduction: bool, merging: bool) -> AnalysisConfig {
     }
 }
 
-/// Analysis configuration for one of the three storage backends: flat
-/// sequential, federation sequential, or sharded (parallel checker, with the
-/// per-shard backend following `storage`).
-fn storage_cfg(storage: StorageKind, sharded: bool) -> AnalysisConfig {
+/// Analysis configuration for one of the storage backends.
+fn storage_cfg(storage: StorageKind) -> AnalysisConfig {
     AnalysisConfig {
-        search: SearchOptions {
-            storage,
-            ..SearchOptions::default()
-        },
-        parallel: sharded.then(|| ParallelOptions::with_workers(4)),
+        search: SearchOptions::with_storage(storage),
         ..AnalysisConfig::default()
     }
 }
@@ -52,10 +46,8 @@ fn storage_cfg(storage: StorageKind, sharded: bool) -> AnalysisConfig {
 /// Every storage backend the differential harness compares.
 fn storage_matrix() -> Vec<(&'static str, AnalysisConfig)> {
     vec![
-        ("flat", storage_cfg(StorageKind::Flat, false)),
-        ("federation", storage_cfg(StorageKind::Federation, false)),
-        ("sharded-flat", storage_cfg(StorageKind::Flat, true)),
-        ("sharded-federation", storage_cfg(StorageKind::Federation, true)),
+        ("flat", storage_cfg(StorageKind::Flat)),
+        ("federation", storage_cfg(StorageKind::Federation)),
     ]
 }
 
@@ -245,11 +237,11 @@ fn exact_zone_merging_is_wcrt_preserving() {
     assert!(merges_seen, "exact zone merging never fired on the corpus");
 }
 
-/// The storage differential over the pseudo-random corpus: flat, federation
-/// and sharded (parallel, both per-shard backends) stores must produce
-/// identical WCRTs, lower bounds and deadline verdicts — and the federation
-/// store's union-coverage subsumption must actually fire somewhere (fewer
-/// stored states than flat at least once), or the differential is vacuous.
+/// The storage differential over the pseudo-random corpus: flat and
+/// federation stores must produce identical WCRTs, lower bounds and deadline
+/// verdicts — and the federation store's union-coverage subsumption must
+/// actually fire somewhere (fewer stored states than flat at least once), or
+/// the differential is vacuous.
 #[test]
 fn storage_backends_agree_on_generated_corpus() {
     let mut federation_ever_smaller = false;
@@ -285,40 +277,74 @@ fn storage_backends_agree_on_tdma_and_burst_fixtures() {
     );
 }
 
-/// The storage differential on Fischer, at the TA level: safety verdicts,
-/// per-process reachability and clock suprema across all three stores, both
-/// sequential and parallel.
+/// Fischer's delay constant `K` in `tempo_bench::fischer`.
+const FISCHER_K: i64 = 2;
+
+/// The Fischer targets the storage differential compares: every pairwise
+/// mutex violation first, then each process's `cs` and `wait` locations,
+/// then `P1` in `cs` with its clock beyond `K`.
+fn fischer_targets(sys: &System, n: usize) -> Vec<TargetSpec> {
+    let mut targets = Vec::new();
+    for i in 1..=n {
+        for j in (i + 1)..=n {
+            targets.push(
+                TargetSpec::location(sys, &format!("P{i}"), "cs")
+                    .unwrap()
+                    .and_location(sys, &format!("P{j}"), "cs")
+                    .unwrap(),
+            );
+        }
+    }
+    for i in 1..=n {
+        targets.push(TargetSpec::location(sys, &format!("P{i}"), "cs").unwrap());
+        targets.push(TargetSpec::location(sys, &format!("P{i}"), "wait").unwrap());
+    }
+    let x0 = sys.clock_by_name("x0").unwrap();
+    targets.push(
+        TargetSpec::location(sys, "P1", "cs")
+            .unwrap()
+            .with_clock_constraint(ClockRef::gt(x0, FISCHER_K)),
+    );
+    targets
+}
+
+/// The storage differential on Fischer, at the TA level: flat and federation
+/// storage must agree on every mutex verdict, per-process reachability and
+/// clock supremum, for the correct protocol with 2 and 3 processes and for
+/// the weakened (non-strict guard) variant, whose mutex violation is
+/// reachable.
 #[test]
 fn storage_backends_agree_on_fischer() {
-    let sys = tempo_bench::fischer(3, true);
-    let x0 = sys.clock_by_name("x0").unwrap();
-    let req = TargetSpec::location(&sys, "P1", "req").unwrap();
-    let cs = TargetSpec::location(&sys, "P1", "cs").unwrap();
-    let violation = TargetSpec::location(&sys, "P1", "cs")
-        .unwrap()
-        .and_location(&sys, "P2", "cs")
-        .unwrap();
-    let mut verdicts = Vec::new();
-    for storage in [StorageKind::Flat, StorageKind::Federation] {
-        let ex = Explorer::new(&sys, SearchOptions::with_storage(storage)).unwrap();
-        let seq_sup = ex.sup_clock_at(&req, x0, 1_000).unwrap().exact_value();
-        let par = ParallelOptions::with_workers(4);
-        let par_sup = ex
-            .par_sup_clock_at(&req, x0, 1_000, &par)
-            .unwrap()
-            .exact_value();
-        assert_eq!(seq_sup, par_sup, "{storage:?}: parallel sup differs");
-        verdicts.push((
-            seq_sup,
-            ex.check_reachable(&cs).unwrap().reachable,
-            ex.check_reachable(&violation).unwrap().reachable,
-            ex.par_check_reachable(&violation, &par).unwrap().reachable,
-        ));
+    for (n, strict) in [(2, true), (3, true), (2, false)] {
+        let sys = tempo_bench::fischer(n, strict);
+        let x0 = sys.clock_by_name("x0").unwrap();
+        let req = TargetSpec::location(&sys, "P1", "req").unwrap();
+        let targets = fischer_targets(&sys, n);
+        let mut outcomes = Vec::new();
+        for storage in [StorageKind::Flat, StorageKind::Federation] {
+            let ex = Explorer::new(&sys, SearchOptions::with_storage(storage)).unwrap();
+            let sup = ex.sup_clock_at(&req, x0, 1_000).unwrap().exact_value();
+            let verdicts: Vec<bool> = targets
+                .iter()
+                .map(|t| ex.check_reachable(t).unwrap().reachable)
+                .collect();
+            outcomes.push((sup, verdicts));
+        }
+        let label = format!("fischer(n={n}, strict={strict})");
+        assert_eq!(outcomes[0], outcomes[1], "{label}: flat and federation disagree");
+        let (sup, verdicts) = &outcomes[0];
+        let pairs = n * (n - 1) / 2;
+        if strict {
+            assert_eq!(*sup, Some(FISCHER_K), "{label}: sup x0 at req = K");
+        }
+        assert!(
+            verdicts[..pairs].iter().all(|&violated| violated != strict),
+            "{label}: mutual exclusion must hold exactly when the guard is strict"
+        );
+        for i in 0..n {
+            assert!(verdicts[pairs + 2 * i], "{label}: P{} never enters cs", i + 1);
+        }
     }
-    assert_eq!(verdicts[0], verdicts[1], "flat and federation disagree");
-    assert_eq!(verdicts[0].0, Some(2)); // sup x0 at req = K
-    assert!(verdicts[0].1);
-    assert!(!verdicts[0].2 && !verdicts[0].3);
 }
 
 /// One quick-workload case-study column end to end: the sp column of the

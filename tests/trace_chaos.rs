@@ -1,6 +1,6 @@
 //! Fault-injected runs must emit well-formed traces: the JSONL stream a
 //! chaos sweep produces has to parse, balance its spans per thread, and keep
-//! per-thread timestamps monotone even when workers panic mid-expansion,
+//! per-thread timestamps monotone even when an expansion panics,
 //! budgets expire, or spurious cancellations fire.  Span guards are RAII, so
 //! an unwinding expansion still closes its spans — this is the test that
 //! keeps that property honest.
@@ -13,7 +13,7 @@ mod common;
 use common::burst_model;
 use std::sync::Arc;
 use tempo::arch::prelude::*;
-use tempo::check::{FaultPlan, ParallelOptions, SearchOptions, StorageKind};
+use tempo::check::{FaultPlan, SearchOptions, StorageKind};
 use tempo::engine::{quiet_injected_panics, Engine, TaEngine};
 use tempo::obs::{validate_jsonl, JsonlSubscriber};
 
@@ -24,27 +24,24 @@ fn fault_injected_runs_emit_well_formed_traces() {
     let jsonl = Arc::new(JsonlSubscriber::new());
     tempo::obs::install(jsonl.clone());
 
-    // A small chaos sweep: two seeds, both storage/parallelism stacks.  The
-    // answers themselves are the chaos differential harness's concern; here
-    // only the trace's structural integrity matters, so errors (typed fault
+    // A small chaos sweep: two seeds on the federation store.  The answers
+    // themselves are the chaos differential harness's concern; here only the
+    // trace's structural integrity matters, so errors (typed fault
     // surfacing) are fine.
     for seed in [0xC0FFEEu64, 0xBEEF ^ 0x9E37] {
-        for parallel in [false, true] {
-            let cfg = AnalysisConfig {
-                search: SearchOptions::with_storage(StorageKind::Federation),
-                parallel: parallel.then(|| ParallelOptions::with_workers(2)),
-                ..AnalysisConfig::default()
-            };
-            let ctx = RunContext {
-                faults: Some(Arc::new(FaultPlan::from_seed(seed))),
-                ..RunContext::default()
-            };
-            // `run_isolated` is the panic barrier the portfolio uses: an
-            // injected panic surfaces as a typed error while the RAII span
-            // guards unwind and close their spans.
-            let engine = TaEngine::with_config(cfg);
-            let _ = engine.run_isolated(&model, &Query::WcrtAll, &ctx);
-        }
+        let cfg = AnalysisConfig {
+            search: SearchOptions::with_storage(StorageKind::Federation),
+            ..AnalysisConfig::default()
+        };
+        let ctx = RunContext {
+            faults: Some(Arc::new(FaultPlan::from_seed(seed))),
+            ..RunContext::default()
+        };
+        // `run_isolated` is the panic barrier the portfolio uses: an
+        // injected panic surfaces as a typed error while the RAII span
+        // guards unwind and close their spans.
+        let engine = TaEngine::with_config(cfg);
+        let _ = engine.run_isolated(&model, &Query::WcrtAll, &ctx);
     }
     tempo::obs::uninstall();
 
