@@ -93,7 +93,7 @@ fn main() {
     let query = Query::wcrt(requirement);
     let ctx = RunContext::default();
 
-    // The exact engine runs with the default (federation) store and a
+    // The exact engine runs with the default search options and a
     // truncation budget, so the `pj`/`bur` corners report lower bounds
     // instead of running unbounded.
     let ta = TaEngine::with_config(AnalysisConfig {

@@ -4,11 +4,11 @@
 //!
 //! For each event-model column of the paper's Table 1 the binary analyses the
 //! AddressLookup requirement of the (quick, 8× slowed user streams) radio
-//! navigation case study with the flat and the federation passed-list stores
-//! (plus, for the light columns, with active-clock reduction off) and prints
-//! the stored/explored state counts, the union-subsumption and eviction
-//! counts, the waiting-list high-water mark, the number of dead-clock
-//! canonicalizations and the wall-clock time.
+//! navigation case study with the default search options (plus, for the
+//! light columns, with active-clock reduction off) and prints the
+//! stored/explored state counts, the eviction and merge counts, the
+//! waiting-list high-water mark, the number of dead-clock canonicalizations
+//! and the wall-clock time.
 //!
 //! Run with `cargo run --release -p tempo_bench --bin explorer_state_counts`;
 //! pass `--full` to use the paper's original workload instead of the quick
@@ -17,12 +17,11 @@
 
 use tempo_arch::casestudy::{radio_navigation, CaseStudyParams, EventModelColumn, ScenarioCombo};
 use tempo_arch::engine::Session;
-use tempo_arch::{AnalysisConfig, StorageKind, WcrtReport};
+use tempo_arch::{AnalysisConfig, WcrtReport};
 use tempo_check::{SearchOptions, SearchOrder};
 
 struct Row {
     column: &'static str,
-    storage: &'static str,
     reduction: bool,
     report: WcrtReport,
 }
@@ -48,22 +47,19 @@ fn to_json(workload: &str, rows: &[Row]) -> String {
             None => "null".into(),
         };
         out.push_str(&format!(
-            "    {{\"column\": \"{}\", \"storage\": \"{}\", \"reduction\": {}, \
+            "    {{\"column\": \"{}\", \"reduction\": {}, \
              \"stored\": {}, \"explored\": {}, \"transitions\": {}, \
-             \"subsumed_by_union\": {}, \"evicted\": {}, \"merged\": {}, \
-             \"live_zones\": {}, \"peak_waiting\": {}, \"clocks_eliminated\": {}, \
+             \"evicted\": {}, \"merged\": {}, \
+             \"peak_waiting\": {}, \"clocks_eliminated\": {}, \
              \"truncated\": {}, \"wcrt_ms\": {}, \"lower_bound_ms\": {}, \
              \"wall_seconds\": {:.6}}}{}\n",
             esc(row.column),
-            row.storage,
             row.reduction,
             s.stored_cumulative,
             s.states_explored,
             s.transitions,
-            s.zones_subsumed_by_union,
             s.zones_evicted,
             s.zones_merged,
-            s.zones_live,
             s.peak_waiting,
             s.clocks_eliminated,
             s.truncated,
@@ -95,9 +91,16 @@ fn main() {
     let requirement = "AddressLookup (+ HandleTMC)";
     println!("explorer_state_counts ({workload} workload), requirement: {requirement}");
     println!(
-        "{:<22} {:>10} {:>9} {:>10} {:>10} {:>10} {:>9} {:>9} {:>12} {:>10} {:>9}",
-        "column", "storage", "reduction", "stored", "explored", "sub_union", "evicted", "merged",
-        "eliminated", "wcrt_ms", "secs"
+        "{:<22} {:>9} {:>10} {:>10} {:>9} {:>9} {:>12} {:>10} {:>9}",
+        "column",
+        "reduction",
+        "stored",
+        "explored",
+        "evicted",
+        "merged",
+        "eliminated",
+        "wcrt_ms",
+        "secs"
     );
     let mut rows: Vec<Row> = Vec::new();
     for column in EventModelColumn::all() {
@@ -106,11 +109,7 @@ fn main() {
             column,
             EventModelColumn::PeriodicJitter | EventModelColumn::Burst
         );
-        for (storage, reduction) in [
-            (StorageKind::Flat, true),
-            (StorageKind::Federation, true),
-            (StorageKind::Flat, false),
-        ] {
+        for reduction in [true, false] {
             // The unreduced pj/bur explorations blow past the 400k-state cap
             // and would dominate the job; cap them (the TRUNCATED marker in
             // the log is exactly the point) and skip them unless --full.
@@ -121,16 +120,11 @@ fn main() {
                 search: SearchOptions {
                     order: SearchOrder::Bfs,
                     active_clock_reduction: reduction,
-                    storage,
                     max_states: if reduction { None } else { Some(400_000) },
                     truncate_on_limit: true,
                     ..SearchOptions::default()
                 },
                 ..AnalysisConfig::default()
-            };
-            let storage_label = match storage {
-                StorageKind::Flat => "flat",
-                StorageKind::Federation => "federation",
             };
             match Session::new(&model, cfg).and_then(|s| s.wcrt(requirement)) {
                 Ok(report) => {
@@ -144,13 +138,11 @@ fn main() {
                                 .unwrap_or_else(|| "-".into())
                         });
                     println!(
-                        "{:<22} {:>10} {:>9} {:>10} {:>10} {:>10} {:>9} {:>9} {:>12} {:>10} {:>9.2}{}",
+                        "{:<22} {:>9} {:>10} {:>10} {:>9} {:>9} {:>12} {:>10} {:>9.2}{}",
                         column.label(),
-                        storage_label,
                         if reduction { "on" } else { "off" },
                         report.stats.stored_cumulative,
                         report.stats.states_explored,
-                        report.stats.zones_subsumed_by_union,
                         report.stats.zones_evicted,
                         report.stats.zones_merged,
                         report.stats.clocks_eliminated,
@@ -164,15 +156,13 @@ fn main() {
                     );
                     rows.push(Row {
                         column: column.label(),
-                        storage: storage_label,
                         reduction,
                         report,
                     });
                 }
                 Err(e) => println!(
-                    "{:<22} {:>10} {:>9} analysis failed: {e}",
+                    "{:<22} {:>9} analysis failed: {e}",
                     column.label(),
-                    storage_label,
                     if reduction { "on" } else { "off" }
                 ),
             }

@@ -1,7 +1,7 @@
 //! Traced reproduction of one Table 1 column, plus the observability
 //! guardrails.
 //!
-//! Three measurements over the bur/federation column of the radio-navigation
+//! Three measurements over the bur column (default options) of the radio-navigation
 //! case study:
 //!
 //! 1. **No-subscriber overhead**: two vanilla sequential runs with no
@@ -34,7 +34,7 @@ use tempo_obs::{validate_jsonl, ChromeTraceSubscriber, JsonlSubscriber, MetricsR
 
 const REQUIREMENT: &str = "AddressLookup (+ HandleTMC)";
 
-/// PR 8's sequential wall envelope for the quick bur/federation column.
+/// Sequential wall envelope for the quick bur column.
 const BUR_SEQ_WALL_LIMIT_SECS: f64 = 2.5;
 
 /// Allowed no-subscriber overhead on top of the envelope: the disabled fast
@@ -129,7 +129,7 @@ fn main() {
 
     println!("trace_explore ({workload} workload), requirement: {REQUIREMENT}");
 
-    // -- 1. No-subscriber overhead on bur/federation ------------------------
+    // -- 1. No-subscriber overhead on bur ------------------------------------
     assert!(
         !tempo_obs::enabled(),
         "a subscriber is already installed; the overhead baseline is invalid"
@@ -156,7 +156,7 @@ fn main() {
     // reported but not gated.
     if !full && vanilla_wall > wall_limit {
         failures.push(format!(
-            "no-subscriber bur/federation wall {vanilla_wall:.3} s exceeds \
+            "no-subscriber bur wall {vanilla_wall:.3} s exceeds \
              {OVERHEAD_FACTOR}x the {BUR_SEQ_WALL_LIMIT_SECS} s envelope"
         ));
     }

@@ -3,7 +3,7 @@
 use crate::error::CheckError;
 use crate::fault::{FaultPlan, FaultSite};
 use crate::state::SymState;
-use crate::store::{self, Insert, StorageKind};
+use crate::store::{Insert, PassedList};
 use crate::successor::{ActionLabel, QuerySeed, SuccessorGen};
 use crate::target::TargetSpec;
 use rand::rngs::StdRng;
@@ -147,13 +147,6 @@ pub struct SearchOptions {
     /// (supremum queries, [`Explorer::explore`]) — never to targeted
     /// reachability searches, whose diagnostic traces must stay concrete.
     pub exact_zone_merging: bool,
-    /// The passed/waiting storage discipline (see [`StorageKind`]): the
-    /// federation store (default), whose union-coverage subsumption discards
-    /// a zone already covered by the *union* of the stored zones — exact, and
-    /// decisive on the case-study columns whose zone graphs fragment into
-    /// overlapping zones — or the flat single-zone-inclusion antichain store,
-    /// kept as the differential oracle.
-    pub storage: StorageKind,
     /// Abort the exploration after this many stored states.
     pub max_states: Option<usize>,
     /// When the state limit is reached, stop gracefully and mark the
@@ -177,7 +170,6 @@ impl Default for SearchOptions {
             extrapolate: true,
             active_clock_reduction: true,
             exact_zone_merging: true,
-            storage: StorageKind::Federation,
             max_states: None,
             truncate_on_limit: false,
             extra_clock_constants: Vec::new(),
@@ -194,14 +186,6 @@ impl SearchOptions {
             ..SearchOptions::default()
         }
     }
-
-    /// Convenience constructor selecting a storage discipline.
-    pub fn with_storage(storage: StorageKind) -> SearchOptions {
-        SearchOptions {
-            storage,
-            ..SearchOptions::default()
-        }
-    }
 }
 
 /// Statistics about one exploration run.
@@ -215,8 +199,8 @@ pub struct ExplorationStats {
     /// [`SearchOptions::max_states`] bounds.
     pub stored_cumulative: usize,
     /// Net number of symbolic states (zones) held by the passed/waiting
-    /// store when the exploration finished — the store's memory footprint;
-    /// equals [`ExplorationStats::zones_live`].
+    /// store when the exploration finished — the store's memory footprint,
+    /// as opposed to [`ExplorationStats::stored_cumulative`].
     pub stored_live: usize,
     /// Zone-graph transitions computed.
     pub transitions: usize,
@@ -235,19 +219,8 @@ pub struct ExplorationStats {
     /// [`SearchOptions::exact_zone_merging`]); `0` when merging is disabled
     /// or the search is targeted.
     pub zones_merged: usize,
-    /// Number of computed zones discarded because the **union** of the
-    /// stored zones covers them while no single stored zone does — only the
-    /// federation store ([`StorageKind::Federation`]) can detect these; `0`
-    /// under flat storage.
-    pub zones_subsumed_by_union: usize,
-    /// Number of stored zones dropped because a newcomer includes them, or
-    /// (federation storage) because the union of their peers covers them.
+    /// Number of stored zones dropped because a newcomer includes them.
     pub zones_evicted: usize,
-    /// Net number of zones held by the passed/waiting store when the
-    /// exploration finished — the store's memory footprint, as opposed to
-    /// [`ExplorationStats::stored_cumulative`], which counts cumulative
-    /// insertions.  Same value as [`ExplorationStats::stored_live`].
-    pub zones_live: usize,
 }
 
 /// One step of a diagnostic trace.
@@ -350,7 +323,7 @@ impl<'s> Explorer<'s> {
             stats.duration = start.elapsed();
             return Ok((None, false, stats));
         }
-        let mut passed = store::new_store(self.opts.storage, init.zone.num_clocks());
+        let mut passed = PassedList::new();
         passed.insert(&init.discrete, &mut init.zone, false);
         nodes.push(Node {
             state: Some(init),
@@ -416,7 +389,7 @@ impl<'s> Explorer<'s> {
                 .expect("a queued node holds its state until popped");
             // A queued state whose zone was since evicted or absorbed into a
             // hull is covered by a stored zone whose own expansion subsumes
-            // it: skip it (the flat store keeps every queued state current).
+            // it: skip it.
             if !passed.is_current(&state.discrete, &state.zone) {
                 continue;
             }
@@ -459,12 +432,7 @@ impl<'s> Explorer<'s> {
                     }
                 }
                 match passed.insert(&succ.discrete, &mut succ.zone, merging) {
-                    Insert::Subsumed { by_union } => {
-                        if by_union {
-                            stats.zones_subsumed_by_union += 1;
-                        }
-                        continue;
-                    }
+                    Insert::Subsumed => continue,
                     Insert::Inserted { evicted, merged } => {
                         stats.zones_evicted += evicted;
                         stats.zones_merged += merged;
@@ -495,8 +463,7 @@ impl<'s> Explorer<'s> {
         }
 
         stats.clocks_eliminated = gen.clocks_eliminated();
-        stats.zones_live = passed.live_zones();
-        stats.stored_live = stats.zones_live;
+        stats.stored_live = passed.live_zones();
         stats.duration = start.elapsed();
         let trace = found.map(|mut idx| {
             let mut rev = Vec::new();
@@ -708,25 +675,17 @@ mod tests {
     }
 
     #[test]
-    fn federation_is_the_default_store() {
-        assert_eq!(SearchOptions::default().storage, StorageKind::Federation);
-        assert_eq!(StorageKind::default(), StorageKind::Federation);
-    }
-
-    #[test]
     fn targeted_traces_keep_every_state() {
         let sys = three_step_pipeline();
-        for storage in [StorageKind::Federation, StorageKind::Flat] {
-            let ex = Explorer::new(&sys, SearchOptions::with_storage(storage)).unwrap();
-            let done = TargetSpec::location(&sys, "stage", "done").unwrap();
-            let trace = ex.check_reachable(&done).unwrap().trace.unwrap();
-            assert_eq!(trace.len(), 4, "{storage:?}: s0 -> s1 -> s2 -> done");
-            assert!(trace[0].action.is_none());
-            assert!(trace[1..].iter().all(|step| step.action.is_some()));
-            for (step, loc) in trace.iter().zip(["s0", "s1", "s2", "done"]) {
-                assert!(step.state.contains(&format!("stage.{loc}")), "{storage:?}");
-                assert!(!step.zone.is_empty() && step.zone != "false", "{storage:?}");
-            }
+        let ex = Explorer::new(&sys, SearchOptions::default()).unwrap();
+        let done = TargetSpec::location(&sys, "stage", "done").unwrap();
+        let trace = ex.check_reachable(&done).unwrap().trace.unwrap();
+        assert_eq!(trace.len(), 4, "s0 -> s1 -> s2 -> done");
+        assert!(trace[0].action.is_none());
+        assert!(trace[1..].iter().all(|step| step.action.is_some()));
+        for (step, loc) in trace.iter().zip(["s0", "s1", "s2", "done"]) {
+            assert!(step.state.contains(&format!("stage.{loc}")));
+            assert!(!step.zone.is_empty() && step.zone != "false");
         }
     }
 
@@ -737,13 +696,11 @@ mod tests {
             three_step_pipeline(),
             dead_clock_fragmentation(),
         ] {
-            for storage in [StorageKind::Federation, StorageKind::Flat] {
-                let ex = Explorer::new(&sys, SearchOptions::with_storage(storage)).unwrap();
-                let mut visits = 0usize;
-                let stats = ex.explore(|_| visits += 1).unwrap();
-                assert_eq!(visits, stats.states_explored, "{storage:?}");
-                assert!(stats.states_explored <= stats.stored_cumulative);
-            }
+            let ex = Explorer::new(&sys, SearchOptions::default()).unwrap();
+            let mut visits = 0usize;
+            let stats = ex.explore(|_| visits += 1).unwrap();
+            assert_eq!(visits, stats.states_explored);
+            assert!(stats.states_explored <= stats.stored_cumulative);
         }
     }
 

@@ -11,13 +11,10 @@
 //!   urgent and committed locations,
 //! * a passed/waiting list with zone-inclusion subsumption and
 //!   location-dependent ExtraLU extrapolation guarantees termination; the
-//!   storage discipline is pluggable ([`SearchOptions::storage`]):
-//!   per-discrete-state *federations* (default) whose union-coverage
-//!   subsumption discards zones covered by the union of the stored zones
-//!   ([`StorageKind::Federation`]) — exact, and the difference between
-//!   truncation and completion on the burstiest case-study columns — or
-//!   flat per-discrete-state antichains ([`StorageKind::Flat`]), kept as
-//!   the differential oracle,
+//!   passed list keeps one zone antichain per discrete state, and a queued
+//!   state whose zone was meanwhile evicted or absorbed into an exact convex
+//!   hull is skipped on pop — exact, and the difference between truncation
+//!   and completion on the burstiest case-study columns,
 //! * active-clock reduction (on by default, see
 //!   [`SearchOptions::active_clock_reduction`]): clocks a static inactivity
 //!   analysis proves dead in a discrete state are reset to a canonical value
@@ -77,7 +74,6 @@ pub use explorer::{
     ExplorationStats, Explorer, ProgressFn, ReachReport, SearchHook, SearchOptions, SearchOrder,
     SearchProgress, TraceStep,
 };
-pub use store::StorageKind;
 pub use state::{DiscreteState, SymState};
 pub use successor::ActionLabel;
 pub use target::TargetSpec;

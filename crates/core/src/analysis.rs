@@ -105,8 +105,7 @@ impl From<CheckError> for ArchError {
 pub struct AnalysisConfig {
     /// Generator options (queue capacities).
     pub generator: GeneratorOptions,
-    /// Model-checker search options (including the passed-list storage
-    /// discipline, [`tempo_check::SearchOptions::storage`]).
+    /// Model-checker search options.
     pub search: SearchOptions,
     /// Initial extrapolation cap for the observer clock, as a multiple of the
     /// requirement deadline.

@@ -727,8 +727,8 @@ pub trait Engine {
 /// the same model.
 #[derive(Clone, Debug)]
 pub struct TaEngine {
-    /// The analysis configuration (generator options, search options
-    /// including the storage discipline, cap policy).
+    /// The analysis configuration (generator options, search options, cap
+    /// policy).
     pub cfg: AnalysisConfig,
     /// Whether [`Query::WcrtAll`] uses the batched multi-observer network
     /// (one generation, one exploration for every requirement; default) or

@@ -32,7 +32,7 @@
 //! * the generator options and the extrapolation cap factors of the
 //!   [`AnalysisConfig`].
 //!
-//! Search *strategy* options (order, storage backend) are
+//! Search *strategy* options (order, reduction, zone merging) are
 //! deliberately excluded: the repo's differential harnesses prove them
 //! result-preserving, so they do not belong to the semantic cone.  As a
 //! consequence only **complete** answers are cached — a truncated exploration

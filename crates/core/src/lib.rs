@@ -86,7 +86,7 @@ pub use model::{
     ArchitectureModel, Bus, BusArbitration, BusId, EventModel, MeasurePoint, ModelError,
     Processor, ProcessorId, Requirement, Scenario, ScenarioId, SchedulingPolicy, Step,
 };
-pub use tempo_check::{SearchHook, SearchOptions, SearchProgress, StorageKind};
+pub use tempo_check::{SearchHook, SearchOptions, SearchProgress};
 pub use time::{Quantizer, TimeValue};
 pub use transform::fragment_transfers;
 
@@ -109,5 +109,5 @@ pub mod prelude {
     pub use crate::explore::{Sweep, SweepOutcome};
     pub use crate::time::TimeValue;
     pub use crate::transform::fragment_transfers;
-    pub use tempo_check::{SearchOptions, StorageKind};
+    pub use tempo_check::SearchOptions;
 }

@@ -28,7 +28,9 @@
 //! * [`Dbm::relation`] / [`Dbm::includes`] — zone inclusion,
 //! * [`Dbm::extrapolate_max_bounds`] / [`Dbm::extrapolate_lu`] — finiteness
 //!   abstractions,
-//! * [`Federation`] — finite unions of zones.
+//! * [`Dbm::try_merge`] / [`merge_into_antichain`] — exact convex unions,
+//!   which the checker's passed list uses to replace zones by their hull
+//!   without adding a valuation.
 //!
 //! All bounds are kept in `i64`, which is ample for the nanosecond-resolution
 //! model-time units produced by the architecture front-end.
@@ -53,10 +55,10 @@ mod bound;
 mod clock;
 mod constraint;
 mod matrix;
-mod federation;
 
 pub use bound::Bound;
 pub use clock::{Clock, ClockSet};
 pub use constraint::{Constraint, RelOp};
-pub use matrix::{incremental_close_enabled, set_incremental_close, Dbm, Relation};
-pub use federation::{merge_into_antichain, Federation, ZoneCoverage};
+pub use matrix::{
+    incremental_close_enabled, merge_into_antichain, set_incremental_close, Dbm, Relation,
+};

@@ -600,21 +600,12 @@ impl Dbm {
             return self.clone();
         }
         let mut hull = self.clone();
-        hull.hull_in_place(other);
-        hull
-    }
-
-    /// Widens `self` to the convex hull of `self` and `other` in place —
-    /// [`Dbm::convex_hull`] without the clone, for hull folds over many
-    /// zones.  Both operands must be non-empty.
-    pub fn hull_in_place(&mut self, other: &Dbm) {
-        debug_assert_eq!(self.dim, other.dim, "dimension mismatch");
-        debug_assert!(!self.empty && !other.empty);
-        for (h, o) in self.m.iter_mut().zip(&other.m) {
+        for (h, o) in hull.m.iter_mut().zip(&other.m) {
             if *o > *h {
                 *h = *o;
             }
         }
+        hull
     }
 
     /// Sound one-sided disjointness test: `true` means the zones certainly
@@ -1029,6 +1020,31 @@ impl Dbm {
         self.hash(&mut h);
         h.finish()
     }
+}
+
+/// Merges `zone` with every zone of `zones` it forms an *exact* convex union
+/// with ([`Dbm::try_merge`]: no valuation is added, so verdicts and suprema
+/// hold), removing those zones and growing `zone` to the hull; returns how
+/// many it absorbed.  Attempts run newest first, where breadth-first search
+/// puts mergeable neighbours, and stop after `failure_budget` failures; a
+/// success refreshes the budget and restarts, so cascades run to the end.
+pub fn merge_into_antichain(zone: &mut Dbm, zones: &mut Vec<Dbm>, failure_budget: usize) -> usize {
+    let mut merged = 0;
+    let mut budget = failure_budget;
+    let mut i = zones.len();
+    while i > 0 && budget > 0 {
+        i -= 1;
+        if let Some(hull) = zone.try_merge(&zones[i]) {
+            *zone = hull;
+            zones.swap_remove(i);
+            merged += 1;
+            budget = failure_budget;
+            i = zones.len();
+        } else {
+            budget -= 1;
+        }
+    }
+    merged
 }
 
 impl Hash for Dbm {
@@ -1534,6 +1550,27 @@ mod tests {
         assert_eq!(below.sup(y()), Bound::weak(2));
         assert!(above.convex_hull(&below).contains_point(&[0, 2, 2]));
         assert!(above.try_merge(&below).is_none() && below.try_merge(&above).is_none());
+    }
+
+    #[test]
+    fn cascading_merge_absorbs_a_chain_of_intervals() {
+        // [0,1], [1,2], [3,4] stored; inserting [2,3] bridges the gap and the
+        // cascade collapses everything into [0,4].
+        let mut zones = vec![interval(0, 1), interval(1, 2), interval(3, 4)];
+        let mut zone = interval(2, 3);
+        let merged = merge_into_antichain(&mut zone, &mut zones, 64);
+        assert_eq!(merged, 3);
+        assert!(zones.is_empty());
+        assert_eq!(zone, interval(0, 4));
+    }
+
+    #[test]
+    fn unmergeable_zones_are_left_alone() {
+        let mut zones = vec![interval(0, 1), interval(10, 11)];
+        let mut zone = interval(4, 5);
+        assert_eq!(merge_into_antichain(&mut zone, &mut zones, 64), 0);
+        assert_eq!(zones.len(), 2);
+        assert_eq!(zone, interval(4, 5));
     }
 
     #[test]

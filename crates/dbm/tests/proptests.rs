@@ -6,7 +6,7 @@
 //! reachability relies on.
 
 use proptest::prelude::*;
-use tempo_dbm::{Bound, Clock, Constraint, Dbm, Federation, Relation};
+use tempo_dbm::{Bound, Clock, Constraint, Dbm, Relation};
 
 const NUM_CLOCKS: usize = 3;
 
@@ -196,20 +196,6 @@ proptest! {
         let mut i = a.clone();
         i.intersect(&b);
         prop_assert_eq!(i.contains_point(&v), a.contains_point(&v) && b.contains_point(&v));
-    }
-
-    /// Federations never lose points when zones are added, and subsumption
-    /// does not change the represented set.
-    #[test]
-    fn federation_add_preserves_points(zones in proptest::collection::vec(random_zone(), 1..5),
-                                       v in valuation()) {
-        let mut f = Federation::empty(NUM_CLOCKS);
-        let mut expected = false;
-        for z in &zones {
-            expected |= z.contains_point(&v);
-            f.add(z.clone());
-        }
-        prop_assert_eq!(f.contains_point(&v), expected);
     }
 
     /// `free` makes the freed clock unconstrained while keeping the projection

@@ -2,10 +2,12 @@
 //! checker's active-clock reduction (`free_clock`, `reset_to_canonical`,
 //! `restrict_to_active`): they must preserve the canonical form, be
 //! idempotent, and be monotone with respect to zone inclusion — the three
-//! laws the passed-list subsumption of the explorer relies on.
+//! laws the passed-list subsumption of the explorer relies on.  The exact
+//! union machinery behind the passed list's zone merging (`subtract`,
+//! `try_merge`, `merge_into_antichain`) must never add or lose a valuation.
 
 use proptest::prelude::*;
-use tempo_dbm::{Bound, Clock, Dbm, Relation};
+use tempo_dbm::{merge_into_antichain, Bound, Clock, Dbm, Relation};
 
 const NUM_CLOCKS: usize = 3;
 
@@ -77,6 +79,23 @@ fn random_zone() -> impl Strategy<Value = Dbm> {
 /// An activity mask over the reference clock + NUM_CLOCKS real clocks.
 fn active_mask() -> impl Strategy<Value = Vec<bool>> {
     proptest::collection::vec(any::<bool>(), NUM_CLOCKS + 1)
+}
+
+/// Runs `merge_into_antichain` on `zone` against `stored` and checks that the
+/// denoted set of stored ∪ candidate is unchanged at `point`, that every
+/// absorbed zone left the list, and that the grown zone still includes the
+/// candidate.
+fn check_merge_preserves_union(stored: &[Dbm], zone: &Dbm, point: &[i64]) {
+    let before = stored.iter().any(|z| z.contains_point(point)) || zone.contains_point(point);
+    let mut rest = stored.to_vec();
+    let mut grown = zone.clone();
+    let absorbed = merge_into_antichain(&mut grown, &mut rest, 16);
+    prop_assert_eq!(rest.len() + absorbed, stored.len());
+    let after = rest.iter().any(|z| z.contains_point(point)) || grown.contains_point(point);
+    prop_assert_eq!(after, before);
+    if !zone.is_empty() {
+        prop_assert!(grown.includes(zone));
+    }
 }
 
 fn is_canonical(z: &Dbm) -> bool {
@@ -236,6 +255,23 @@ proptest! {
                 prop_assert!(beyond_a.iter().any(|p| !b.includes(p)));
             }
         }
+    }
+
+    /// `merge_into_antichain` preserves the denoted set of the stored zones
+    /// plus the candidate, on random zones and on the pieces of `base \ hole`
+    /// with `base ∩ hole` as the candidate (a tiling that merges often).
+    #[test]
+    fn merge_into_antichain_preserves_the_union(zones in proptest::collection::vec(random_zone(), 0..5),
+                                                z in random_zone(),
+                                                base in random_zone(), hole in random_zone(),
+                                                v in proptest::collection::vec(0i64..60, NUM_CLOCKS)) {
+        let mut point = v.clone();
+        point.insert(0, 0);
+        check_merge_preserves_union(&zones, &z, &point);
+        let tiles = base.subtract(&hole);
+        let mut inside = base.clone();
+        inside.intersect(&hole);
+        check_merge_preserves_union(&tiles, &inside, &point);
     }
 
     /// Canonicalizing a dead clock never changes emptiness, and the result

@@ -33,7 +33,7 @@ use crate::json::{self, JsonValue};
 use crate::protocol::{self, Request, RequestOpts};
 use crate::wire::{self, WireError};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -46,6 +46,11 @@ use tempo_arch::model::ArchitectureModel;
 use tempo_arch::AnalysisConfig;
 use tempo_check::{panic_message, FaultPlan};
 use tempo_obs::MetricsRegistry;
+
+/// Largest request frame, in bytes without its newline.  A longer frame is
+/// refused with a `bad_request` error and the connection is closed, so a
+/// newline-free stream cannot grow the reader's buffer without limit.
+const MAX_FRAME_BYTES: usize = 16 << 20;
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -286,19 +291,32 @@ impl Server {
 impl ServerHandle {
     /// Serves one connection on the calling thread: reads one request per
     /// line, answers management operations inline, and submits queries to the
-    /// admission queue.  Returns when the client disconnects or a shutdown is
-    /// requested.
+    /// admission queue.  Returns when the client disconnects, a shutdown is
+    /// requested, or a frame exceeds `MAX_FRAME_BYTES` (16 MiB).
     pub fn serve_connection(&self, mut reader: impl BufRead, writer: impl Write + Send + 'static) {
         let out = SharedWriter::new(writer);
         let cancels: Arc<Mutex<HashMap<u64, Arc<AtomicBool>>>> =
             Arc::new(Mutex::new(HashMap::new()));
-        let mut line = String::new();
+        let mut frame = Vec::new();
         loop {
-            line.clear();
-            match reader.read_line(&mut line) {
+            frame.clear();
+            let limit = MAX_FRAME_BYTES as u64 + 1;
+            match (&mut reader).take(limit).read_until(b'\n', &mut frame) {
                 Ok(0) | Err(_) => break,
                 Ok(_) => {}
             }
+            if frame.len() > MAX_FRAME_BYTES && frame.last() != Some(&b'\n') {
+                out.write_line(&protocol::response_err(
+                    None,
+                    &WireError::bad_request(format!(
+                        "frame exceeds {MAX_FRAME_BYTES} bytes without a newline"
+                    )),
+                ));
+                break;
+            }
+            let Ok(line) = std::str::from_utf8(&frame) else {
+                break;
+            };
             if line.trim().is_empty() {
                 continue;
             }
@@ -813,5 +831,59 @@ fn worker_loop(state: &Arc<ServerState>) {
         job.registry.lock().expect("cancel lock").remove(&job.id);
         state.admission.active.fetch_sub(1, Ordering::SeqCst);
         job.out.write_line(&line);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io;
+
+    /// A writer whose bytes the test reads back after the connection ends.
+    #[derive(Clone, Default)]
+    struct Captured(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Captured {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().expect("capture lock").extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_newline_free_stream_is_refused_once_and_the_connection_closes() {
+        let server = Server::new(ServerConfig::default());
+        let out = Captured::default();
+        let total = 64u64 << 20;
+        let mut stream = io::repeat(b'x').take(total);
+        server
+            .handle()
+            .serve_connection(BufReader::new(&mut stream), out.clone());
+        server.begin_shutdown();
+        server.join();
+
+        // The reader stopped at the frame cap instead of buffering the whole
+        // stream (plus at most one `BufReader` fill beyond it).
+        let consumed = total - stream.limit();
+        assert!(
+            consumed > MAX_FRAME_BYTES as u64 && consumed <= MAX_FRAME_BYTES as u64 + 1 + 64 * 1024,
+            "read {consumed} bytes of a {total}-byte newline-free stream"
+        );
+        let text = String::from_utf8(out.0.lock().expect("capture lock").clone()).unwrap();
+        let frames: Vec<&str> = text.lines().collect();
+        assert_eq!(frames.len(), 1, "expected exactly one frame, got {text:?}");
+        let frame = json::parse(frames[0]).unwrap();
+        assert_eq!(frame.get("frame").and_then(JsonValue::as_str), Some("response"));
+        assert!(frame.get("id").is_some_and(JsonValue::is_null));
+        assert_eq!(frame.get("ok").and_then(JsonValue::as_bool), Some(false));
+        let kind = frame
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(JsonValue::as_str);
+        assert_eq!(kind, Some("bad_request"));
     }
 }

@@ -1,25 +1,20 @@
-//! Budget expiry on every storage backend (satellite of the robustness PR):
-//! on the bursty fixture, an exhausted wall-clock or state budget must
-//! degrade the exact engine to a *well-formed lower bound* — on the flat and
-//! federation passed lists alike — and a
-//! generous budget must still converge to the exact value.
+//! Budget expiry on every search configuration: on the bursty fixture, an
+//! exhausted wall-clock or state budget must degrade the exact engine to a
+//! *well-formed lower bound* — under the default configuration and the
+//! reference one (no active-clock reduction, no exact zone merging) alike —
+//! and a generous budget must still converge to the exact value.
 
 mod common;
 
-use common::burst_model;
+use common::{burst_model, reference_config};
 use tempo::arch::prelude::*;
-use tempo::check::{SearchOptions, StorageKind};
 use tempo::engine::{Engine, TaEngine};
 
-/// Every storage backend: flat and federation.
+/// Every configuration: the default and the reference.
 fn backends() -> Vec<(&'static str, AnalysisConfig)> {
-    let cfg = |storage| AnalysisConfig {
-        search: SearchOptions::with_storage(storage),
-        ..AnalysisConfig::default()
-    };
     vec![
-        ("flat-seq", cfg(StorageKind::Flat)),
-        ("federation-seq", cfg(StorageKind::Federation)),
+        ("default-seq", AnalysisConfig::default()),
+        ("reference-seq", reference_config()),
     ]
 }
 
@@ -83,39 +78,34 @@ fn generous_budgets_converge_to_the_exact_value_on_every_backend() {
     }
 }
 
-/// The production default explores with the federation store: a cold
-/// `AnalysisDb` run under `AnalysisConfig::default()` and a state budget
-/// between the federation and flat state counts of the burst fixture must
-/// still answer exactly, while the flat oracle overruns the same budget.
+/// The production default collapses the burst fixture: a cold `AnalysisDb`
+/// run under `AnalysisConfig::default()` and a state budget between the
+/// default and reference state counts of the burst fixture must still answer
+/// exactly, while the reference configuration overruns the same budget.
 #[test]
-fn default_config_answers_exactly_within_a_budget_flat_storage_overruns() {
+fn default_config_answers_exactly_within_a_budget_the_reference_overruns() {
     let model = burst_model();
     let query = Query::wcrt("lo-e2e");
-    let run = |storage, ctx: &RunContext| {
-        TaEngine::with_config(AnalysisConfig {
-            search: SearchOptions::with_storage(storage),
-            ..AnalysisConfig::default()
-        })
-        .run(&model, &query, ctx)
-        .unwrap()
+    let run = |cfg: AnalysisConfig, ctx: &RunContext| {
+        TaEngine::with_config(cfg).run(&model, &query, ctx).unwrap()
     };
-    let stored = |storage| run(storage, &RunContext::default()).states_stored.unwrap();
-    let (flat, federation) = (stored(StorageKind::Flat), stored(StorageKind::Federation));
+    let stored = |cfg| run(cfg, &RunContext::default()).states_stored.unwrap();
+    let (default, reference_states) = (stored(AnalysisConfig::default()), stored(reference_config()));
     assert!(
-        federation < flat,
-        "federation should store fewer states than flat ({federation} vs {flat})"
+        default < reference_states,
+        "the default should store fewer states than the reference ({default} vs {reference_states})"
     );
-    let budget = RunContext::with_max_states((federation + flat) / 2);
+    let budget = RunContext::with_max_states((default + reference_states) / 2);
 
     let db = AnalysisDb::new(AnalysisConfig::default());
     let report = db.run(&model, &query, &budget).unwrap();
     assert!(
         !report.truncated,
-        "the default path overran {federation}..{flat}"
+        "the default path overran {default}..{reference_states}"
     );
     assert_eq!(report.estimates[0].estimate, Estimate::Exact(exact_truth()));
     assert!(
-        run(StorageKind::Flat, &budget).truncated,
-        "the budget does not separate the stores"
+        run(reference_config(), &budget).truncated,
+        "the budget does not separate the configurations"
     );
 }

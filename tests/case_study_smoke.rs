@@ -12,7 +12,7 @@
 
 use tempo::arch::casestudy::{radio_navigation, CaseStudyParams, EventModelColumn, ScenarioCombo};
 use tempo::arch::prelude::*;
-use tempo::check::{SearchOptions, SearchOrder, StorageKind};
+use tempo::check::{SearchOptions, SearchOrder};
 
 fn quick_params() -> CaseStudyParams {
     let mut p = CaseStudyParams::default();
@@ -95,22 +95,20 @@ fn address_lookup_row_is_insensitive_to_radio_station_burstiness() {
     }
 }
 
-/// The PR 4 acceptance criterion: the `bur` column — which PR 3's flat store
+/// The `bur` column — which a passed list without stale-entry skips
 /// completed only at 718,160 stored states, and which before that had to be
 /// truncated at the 400k cap with a mere lower bound — completes under the
-/// old 400k truncation line with the federation store.  Union-coverage
-/// subsumption plus the store's stale-state skipping (queued zones absorbed
-/// into a stored hull are never expanded) land it around 38k stored states,
-/// an order of magnitude below the ~486k intrinsic zone graph; the tighter
-/// 60k ceiling is the regression guard.  The WCRT must equal the flat-store
-/// value of the column (cross-checked against the `pj` column, which shares
-/// it on the quick workload).
+/// old 400k truncation line.  Exact zone merging plus the passed list's
+/// stale-entry skip (queued zones evicted or absorbed into a stored hull are
+/// never expanded) land it around 40k stored states, an order of magnitude
+/// below the ~486k intrinsic zone graph; the tighter 60k ceiling is the
+/// regression guard.  The WCRT is cross-checked against the `pj` column,
+/// which shares it on the quick workload.
 #[test]
-fn bur_column_completes_under_400k_with_the_federation_store() {
+fn bur_column_completes_under_400k_stored_states() {
     let cfg = AnalysisConfig {
         search: SearchOptions {
             order: SearchOrder::Bfs,
-            storage: StorageKind::Federation,
             ..SearchOptions::default()
         },
         ..AnalysisConfig::default()
@@ -122,7 +120,7 @@ fn bur_column_completes_under_400k_with_the_federation_store() {
         &quick_params(),
     );
     let report = Session::new(&bur, cfg.clone()).unwrap().wcrt(requirement).unwrap();
-    assert!(!report.stats.truncated, "bur truncated with the federation store");
+    assert!(!report.stats.truncated, "bur truncated");
     assert!(
         report.stats.stored_cumulative < 400_000,
         "bur stored {} states — above the old truncation line",
@@ -130,17 +128,13 @@ fn bur_column_completes_under_400k_with_the_federation_store() {
     );
     assert!(
         report.stats.stored_cumulative < 60_000,
-        "bur stored {} states — regression over the measured ~38k",
+        "bur stored {} states — regression over the measured ~40k",
         report.stats.stored_cumulative
     );
-    assert!(
-        report.stats.zones_subsumed_by_union > 0,
-        "union-coverage subsumption never fired on bur"
-    );
     assert!(report.stats.zones_evicted > 0);
-    // Exactness cross-check without re-running the (slow) flat bur column:
-    // on the quick workload the pj column has the same WCRT, and the pj
-    // federation analysis is cheap enough to serve as the reference.
+    // Exactness cross-check: on the quick workload the pj column has the
+    // same WCRT, and the pj analysis is cheap enough to serve as the
+    // reference.
     let pj = radio_navigation(
         ScenarioCombo::AddressLookupWithTmc,
         EventModelColumn::PeriodicJitter,

@@ -7,19 +7,23 @@
 //! instrumented points (engine entry, store inserts, successor generation,
 //! progress callbacks).  The harness sweeps a matrix of fault seeds over the
 //! generated corpus and the TDMA/burst fixtures, on all four engines and on
-//! two storage stacks (the default federation store and the flat oracle),
-//! and compares every answer against the fault-free exact baseline.
+//! two search stacks (the default configuration and the reference one with
+//! active-clock reduction and exact zone merging off), and compares every
+//! answer against the fault-free exact baseline.
 //!
 //! Extra seeds can be swept from the environment (the CI chaos job does):
 //! `TEMPO_FAULT_SEED=12345 cargo test --test chaos_differential`.
 
 mod common;
 
-use common::{burst_model, random_model_with_policies, tdma_model, ANALYTIC_SOUND_POLICIES};
+use common::{
+    burst_model, random_model_with_policies, reference_config, tdma_model,
+    ANALYTIC_SOUND_POLICIES,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tempo::arch::prelude::*;
-use tempo::check::{FaultPlan, SearchOptions, StorageKind};
+use tempo::check::FaultPlan;
 use tempo::engine::{
     quiet_injected_panics, BoundKind, Capabilities, Engine, EngineError, EngineReport,
     EngineStatus, Portfolio, SimEngine, SymtaEngine, TaEngine,
@@ -33,15 +37,13 @@ fn tolerance() -> TimeValue {
     TimeValue::micros(1)
 }
 
-/// The storage stacks swept: the production default (federation store) and
-/// the flat passed list pinned explicitly as the oracle.
+/// The search stacks swept: the production default and the reference
+/// configuration (no active-clock reduction, no exact zone merging).
 fn stacks() -> Vec<(&'static str, AnalysisConfig)> {
-    let default_seq = AnalysisConfig::default();
-    let flat_seq = AnalysisConfig {
-        search: SearchOptions::with_storage(StorageKind::Flat),
-        ..AnalysisConfig::default()
-    };
-    vec![("default-seq", default_seq), ("flat-seq", flat_seq)]
+    vec![
+        ("default-seq", AnalysisConfig::default()),
+        ("reference-seq", reference_config()),
+    ]
 }
 
 /// All four engines, with the exact engine on the given stack and a short

@@ -1,6 +1,6 @@
 //! Shared fixtures of the root-level integration tests: the pseudo-random
-//! architecture generator of the differential harnesses plus the TDMA and
-//! burst fixtures.  Used by `reduction_differential.rs` (exactness of the
+//! architecture generator of the differential harnesses, the TDMA and burst
+//! fixtures, and the reference search configuration.  Used by `reduction_differential.rs` (exactness of the
 //! state-collapse machinery), `engine_session.rs` (exactness of batched
 //! multi-observer WCRT extraction) and `engine_portfolio.rs` (the paper's
 //! bracket invariant across all four engines).
@@ -26,6 +26,24 @@ pub const ANALYTIC_SOUND_POLICIES: [SchedulingPolicy; 2] = [
     SchedulingPolicy::FixedPriorityPreemptive,
     SchedulingPolicy::FixedPriorityNonPreemptive,
 ];
+
+/// The reference search options the storage differentials compare the
+/// default against: active-clock reduction and exact zone merging off.
+pub fn reference_search() -> SearchOptions {
+    SearchOptions {
+        active_clock_reduction: false,
+        exact_zone_merging: false,
+        ..SearchOptions::default()
+    }
+}
+
+/// [`reference_search`] as an analysis configuration.
+pub fn reference_config() -> AnalysisConfig {
+    AnalysisConfig {
+        search: reference_search(),
+        ..AnalysisConfig::default()
+    }
+}
 
 /// A small pseudo-random architecture: two processors and a bus, two
 /// scenarios with random event models, service times, mappings and policies

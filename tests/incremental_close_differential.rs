@@ -12,7 +12,8 @@
 //! zone graphs may legitimately differ — this harness proves the difference
 //! is invisible where it must be: WCRTs, lower bounds, deadline verdicts and
 //! clock suprema over the pseudo-random corpus, the TDMA and burst fixtures
-//! and Fischer, under both passed-list storage disciplines.
+//! and Fischer, under the default search options and the reference ones
+//! (active-clock reduction and exact zone merging off).
 //!
 //! The toggle is process-global, so the whole differential lives in a single
 //! `#[test]` function; this file is its own test binary and owns the toggle
@@ -20,7 +21,7 @@
 
 mod common;
 
-use common::{burst_model, random_model, tdma_model};
+use common::{burst_model, random_model, reference_search, tdma_model};
 use tempo::arch::prelude::*;
 use tempo::check::{Explorer, SearchOptions, TargetSpec};
 use tempo::dbm::set_incremental_close;
@@ -28,14 +29,11 @@ use tempo::dbm::set_incremental_close;
 /// One requirement's observable result: `(name, wcrt, lower bound, verdict)`.
 type RequirementDigest = (String, Option<TimeValue>, Option<TimeValue>, Option<bool>);
 
-/// Analysis of every requirement of `model` with the given storage, as a
-/// comparable digest.
-fn digest(model: &ArchitectureModel, storage: StorageKind) -> Vec<RequirementDigest> {
+/// Analysis of every requirement of `model` with the given search options,
+/// as a comparable digest.
+fn digest(model: &ArchitectureModel, search: &SearchOptions) -> Vec<RequirementDigest> {
     let cfg = AnalysisConfig {
-        search: SearchOptions {
-            storage,
-            ..SearchOptions::default()
-        },
+        search: search.clone(),
         ..AnalysisConfig::default()
     };
     let session = Session::new(model, cfg).unwrap_or_else(|e| panic!("{}: {e}", model.name));
@@ -59,7 +57,7 @@ fn digest(model: &ArchitectureModel, storage: StorageKind) -> Vec<RequirementDig
 /// Fischer at the TA level: the clock supremum at `req` and the mutual
 /// exclusion verdict, which exercise the sup-extraction and reachability
 /// paths the architecture digest does not.
-fn fischer_digest(storage: StorageKind) -> (Option<i64>, bool, bool) {
+fn fischer_digest(search: &SearchOptions) -> (Option<i64>, bool, bool) {
     let sys = tempo_bench::fischer(3, true);
     let x0 = sys.clock_by_name("x0").unwrap();
     let req = TargetSpec::location(&sys, "P1", "req").unwrap();
@@ -67,7 +65,7 @@ fn fischer_digest(storage: StorageKind) -> (Option<i64>, bool, bool) {
         .unwrap()
         .and_location(&sys, "P2", "cs")
         .unwrap();
-    let ex = Explorer::new(&sys, SearchOptions::with_storage(storage)).unwrap();
+    let ex = Explorer::new(&sys, search.clone()).unwrap();
     (
         ex.sup_clock_at(&req, x0, 1_000).unwrap().exact_value(),
         ex.check_reachable(&req).unwrap().reachable,
@@ -81,27 +79,30 @@ fn incremental_and_full_close_analyses_agree() {
         .map(random_model)
         .chain([tdma_model(), burst_model()])
         .collect();
-    for storage in [StorageKind::Flat, StorageKind::Federation] {
+    for (label, search) in [
+        ("default", SearchOptions::default()),
+        ("reference", reference_search()),
+    ] {
         for model in &corpus {
             set_incremental_close(true);
-            let fast = digest(model, storage);
+            let fast = digest(model, &search);
             set_incremental_close(false);
-            let slow = digest(model, storage);
+            let slow = digest(model, &search);
             set_incremental_close(true);
             assert_eq!(
                 fast, slow,
-                "{} with {storage:?}: results differ between incremental and full close",
+                "{} with {label}: results differ between incremental and full close",
                 model.name
             );
         }
         set_incremental_close(true);
-        let fast = fischer_digest(storage);
+        let fast = fischer_digest(&search);
         set_incremental_close(false);
-        let slow = fischer_digest(storage);
+        let slow = fischer_digest(&search);
         set_incremental_close(true);
         assert_eq!(
             fast, slow,
-            "fischer with {storage:?}: results differ between incremental and full close"
+            "fischer with {label}: results differ between incremental and full close"
         );
         // The digests must also be *right*, not just equal: sup x0 at req is
         // the Fischer constant, the critical section is reachable for one

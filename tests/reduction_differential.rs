@@ -11,15 +11,16 @@
 //! or equally many stored states, a non-zero elimination count) — a reduction
 //! that never fires would pass any differential check vacuously.
 //!
-//! Since PR 4 the same obligation covers the state-*storage* subsystem
-//! (`SearchOptions::storage`): the flat antichain store and the federation
-//! store with union-coverage subsumption must agree on every WCRT, lower
-//! bound, deadline verdict and clock supremum across the whole corpus and
-//! all fixtures (see `storage_backends_agree_*` below).
+//! The same obligation covers the passed list as a whole: the default
+//! configuration (reduction and exact zone merging on, so queued states are
+//! skipped once their zone is evicted or absorbed into a hull) must agree
+//! with the reference configuration (both off) on every WCRT, lower bound,
+//! deadline verdict and clock supremum across the whole corpus and all
+//! fixtures (see `storage_backends_agree_*` below).
 
 mod common;
 
-use common::{burst_model, random_model, tdma_model};
+use common::{burst_model, random_model, reference_config, reference_search, tdma_model};
 use tempo::arch::prelude::*;
 use tempo::check::{Explorer, SearchOptions, TargetSpec};
 use tempo::ta::{ClockRef, System};
@@ -35,59 +36,33 @@ fn cfg2(reduction: bool, merging: bool) -> AnalysisConfig {
     }
 }
 
-/// Analysis configuration for one of the storage backends.
-fn storage_cfg(storage: StorageKind) -> AnalysisConfig {
-    AnalysisConfig {
-        search: SearchOptions::with_storage(storage),
-        ..AnalysisConfig::default()
-    }
-}
-
-/// Every storage backend the differential harness compares.
-fn storage_matrix() -> Vec<(&'static str, AnalysisConfig)> {
-    vec![
-        ("flat", storage_cfg(StorageKind::Flat)),
-        ("federation", storage_cfg(StorageKind::Federation)),
-    ]
-}
-
-/// Asserts that all storage backends agree with the flat baseline on
-/// everything a user can observe for `requirement`, and returns the flat and
-/// federation stored-state counts.
+/// Asserts that the default configuration agrees with the reference one on
+/// everything a user can observe for `requirement`, and returns the default
+/// and reference stored-state counts.
 fn assert_storage_backends_match(model: &ArchitectureModel, requirement: &str) -> (usize, usize) {
-    let mut baseline: Option<WcrtReport> = None;
-    let mut counts = (0usize, 0usize);
-    for (label, cfg) in storage_matrix() {
-        let report = Session::new(model, cfg)
+    let run = |label: &str, cfg: AnalysisConfig| {
+        Session::new(model, cfg)
             .and_then(|s| s.wcrt(requirement))
-            .unwrap_or_else(|e| panic!("{}/{requirement} with {label}: {e}", model.name));
-        match label {
-            "flat" => counts.0 = report.stats.stored_cumulative,
-            "federation" => counts.1 = report.stats.stored_cumulative,
-            _ => {}
-        }
-        match &baseline {
-            None => baseline = Some(report),
-            Some(base) => {
-                assert_eq!(
-                    base.wcrt, report.wcrt,
-                    "{}/{requirement}: WCRT differs between flat and {label}",
-                    model.name
-                );
-                assert_eq!(
-                    base.lower_bound, report.lower_bound,
-                    "{}/{requirement}: lower bound differs between flat and {label}",
-                    model.name
-                );
-                assert_eq!(
-                    base.meets_deadline, report.meets_deadline,
-                    "{}/{requirement}: deadline verdict differs between flat and {label}",
-                    model.name
-                );
-            }
-        }
-    }
-    counts
+            .unwrap_or_else(|e| panic!("{}/{requirement} with {label}: {e}", model.name))
+    };
+    let default = run("default", AnalysisConfig::default());
+    let reference = run("reference", reference_config());
+    assert_eq!(
+        default.wcrt, reference.wcrt,
+        "{}/{requirement}: WCRT differs between default and reference",
+        model.name
+    );
+    assert_eq!(
+        default.lower_bound, reference.lower_bound,
+        "{}/{requirement}: lower bound differs between default and reference",
+        model.name
+    );
+    assert_eq!(
+        default.meets_deadline, reference.meets_deadline,
+        "{}/{requirement}: deadline verdict differs between default and reference",
+        model.name
+    );
+    (default.stats.stored_cumulative, reference.stats.stored_cumulative)
 }
 
 fn cfg(reduction: bool) -> AnalysisConfig {
@@ -237,32 +212,32 @@ fn exact_zone_merging_is_wcrt_preserving() {
     assert!(merges_seen, "exact zone merging never fired on the corpus");
 }
 
-/// The storage differential over the pseudo-random corpus: flat and
-/// federation stores must produce identical WCRTs, lower bounds and deadline
-/// verdicts — and the federation store's union-coverage subsumption must
-/// actually fire somewhere (fewer stored states than flat at least once), or
-/// the differential is vacuous.
+/// The storage differential over the pseudo-random corpus: the default and
+/// reference configurations must produce identical WCRTs, lower bounds and
+/// deadline verdicts — and the default must actually collapse something
+/// (fewer stored states than the reference at least once), or the
+/// differential is vacuous.
 #[test]
 fn storage_backends_agree_on_generated_corpus() {
-    let mut federation_ever_smaller = false;
+    let mut default_ever_smaller = false;
     for seed in 0..8u64 {
         let model = random_model(seed);
         for req in ["r0", "r1"] {
-            let (flat, federation) = assert_storage_backends_match(&model, req);
-            if federation < flat {
-                federation_ever_smaller = true;
+            let (default, reference) = assert_storage_backends_match(&model, req);
+            if default < reference {
+                default_ever_smaller = true;
             }
         }
     }
     assert!(
-        federation_ever_smaller,
-        "federation storage never stored fewer states than flat on the corpus"
+        default_ever_smaller,
+        "the default configuration never stored fewer states than the reference on the corpus"
     );
 }
 
 /// The storage differential over the TDMA and burst fixtures.  The burst
-/// fixture is the paper's intractable corner scaled down: the federation
-/// store must beat flat storage there, strictly.
+/// fixture is the paper's intractable corner scaled down: the default
+/// configuration must beat the reference there, strictly.
 #[test]
 fn storage_backends_agree_on_tdma_and_burst_fixtures() {
     let tdma = tdma_model();
@@ -270,10 +245,10 @@ fn storage_backends_agree_on_tdma_and_burst_fixtures() {
         assert_storage_backends_match(&tdma, req);
     }
     let burst = burst_model();
-    let (flat, federation) = assert_storage_backends_match(&burst, "lo-e2e");
+    let (default, reference) = assert_storage_backends_match(&burst, "lo-e2e");
     assert!(
-        federation < flat,
-        "union-coverage subsumption should shrink the burst fixture ({federation} vs {flat})"
+        default < reference,
+        "merging and stale-entry skips should shrink the burst fixture ({default} vs {reference})"
     );
 }
 
@@ -308,11 +283,11 @@ fn fischer_targets(sys: &System, n: usize) -> Vec<TargetSpec> {
     targets
 }
 
-/// The storage differential on Fischer, at the TA level: flat and federation
-/// storage must agree on every mutex verdict, per-process reachability and
-/// clock supremum, for the correct protocol with 2 and 3 processes and for
-/// the weakened (non-strict guard) variant, whose mutex violation is
-/// reachable.
+/// The storage differential on Fischer, at the TA level: the default and
+/// reference search options must agree on every mutex verdict, per-process
+/// reachability and clock supremum, for the correct protocol with 2 and 3
+/// processes and for the weakened (non-strict guard) variant, whose mutex
+/// violation is reachable.
 #[test]
 fn storage_backends_agree_on_fischer() {
     for (n, strict) in [(2, true), (3, true), (2, false)] {
@@ -321,8 +296,8 @@ fn storage_backends_agree_on_fischer() {
         let req = TargetSpec::location(&sys, "P1", "req").unwrap();
         let targets = fischer_targets(&sys, n);
         let mut outcomes = Vec::new();
-        for storage in [StorageKind::Flat, StorageKind::Federation] {
-            let ex = Explorer::new(&sys, SearchOptions::with_storage(storage)).unwrap();
+        for opts in [SearchOptions::default(), reference_search()] {
+            let ex = Explorer::new(&sys, opts).unwrap();
             let sup = ex.sup_clock_at(&req, x0, 1_000).unwrap().exact_value();
             let verdicts: Vec<bool> = targets
                 .iter()
@@ -331,7 +306,7 @@ fn storage_backends_agree_on_fischer() {
             outcomes.push((sup, verdicts));
         }
         let label = format!("fischer(n={n}, strict={strict})");
-        assert_eq!(outcomes[0], outcomes[1], "{label}: flat and federation disagree");
+        assert_eq!(outcomes[0], outcomes[1], "{label}: default and reference disagree");
         let (sup, verdicts) = &outcomes[0];
         let pairs = n * (n - 1) / 2;
         if strict {

@@ -13,7 +13,7 @@ mod common;
 use common::burst_model;
 use std::sync::Arc;
 use tempo::arch::prelude::*;
-use tempo::check::{FaultPlan, SearchOptions, StorageKind};
+use tempo::check::FaultPlan;
 use tempo::engine::{quiet_injected_panics, Engine, TaEngine};
 use tempo::obs::{validate_jsonl, JsonlSubscriber};
 
@@ -24,15 +24,11 @@ fn fault_injected_runs_emit_well_formed_traces() {
     let jsonl = Arc::new(JsonlSubscriber::new());
     tempo::obs::install(jsonl.clone());
 
-    // A small chaos sweep: two seeds on the federation store.  The answers
+    // A small chaos sweep: two seeds on the default options.  The answers
     // themselves are the chaos differential harness's concern; here only the
     // trace's structural integrity matters, so errors (typed fault
     // surfacing) are fine.
     for seed in [0xC0FFEEu64, 0xBEEF ^ 0x9E37] {
-        let cfg = AnalysisConfig {
-            search: SearchOptions::with_storage(StorageKind::Federation),
-            ..AnalysisConfig::default()
-        };
         let ctx = RunContext {
             faults: Some(Arc::new(FaultPlan::from_seed(seed))),
             ..RunContext::default()
@@ -40,7 +36,7 @@ fn fault_injected_runs_emit_well_formed_traces() {
         // `run_isolated` is the panic barrier the portfolio uses: an
         // injected panic surfaces as a typed error while the RAII span
         // guards unwind and close their spans.
-        let engine = TaEngine::with_config(cfg);
+        let engine = TaEngine::with_config(AnalysisConfig::default());
         let _ = engine.run_isolated(&model, &Query::WcrtAll, &ctx);
     }
     tempo::obs::uninstall();
