@@ -324,7 +324,7 @@ impl<'s> Explorer<'s> {
             return Ok((None, false, stats));
         }
         let mut passed = PassedList::new();
-        passed.insert(&init.discrete, &mut init.zone, false);
+        passed.insert(&init.discrete, &mut init.zone, false, 0);
         nodes.push(Node {
             state: Some(init),
             parent: None,
@@ -390,7 +390,7 @@ impl<'s> Explorer<'s> {
             // A queued state whose zone was since evicted or absorbed into a
             // hull is covered by a stored zone whose own expansion subsumes
             // it: skip it.
-            if !passed.is_current(&state.discrete, &state.zone) {
+            if !passed.is_current(idx) {
                 continue;
             }
             stats.states_explored += 1;
@@ -431,14 +431,14 @@ impl<'s> Explorer<'s> {
                         break;
                     }
                 }
-                match passed.insert(&succ.discrete, &mut succ.zone, merging) {
+                let node_idx = nodes.len();
+                match passed.insert(&succ.discrete, &mut succ.zone, merging, node_idx) {
                     Insert::Subsumed => continue,
                     Insert::Inserted { evicted, merged } => {
                         stats.zones_evicted += evicted;
                         stats.zones_merged += merged;
                     }
                 }
-                let node_idx = nodes.len();
                 nodes.push(Node {
                     state: Some(succ),
                     parent: Some(idx),
@@ -451,6 +451,7 @@ impl<'s> Explorer<'s> {
                     if stats.stored_cumulative > limit {
                         if self.opts.truncate_on_limit {
                             stats.truncated = true;
+                            break;
                         } else {
                             return Err(CheckError::StateLimitExceeded { limit });
                         }
@@ -718,16 +719,19 @@ mod tests {
 
     #[test]
     fn truncation_yields_partial_exploration_without_error() {
+        // The initial state has two successors, so a limit of 1 trips on the
+        // first of them and must not insert its sibling.
         let sys = unprotected_mutex();
-        let opts = SearchOptions {
-            max_states: Some(2),
-            truncate_on_limit: true,
-            ..SearchOptions::default()
-        };
-        let ex = Explorer::new(&sys, opts).unwrap();
-        let stats = ex.explore(|_| {}).unwrap();
-        assert!(stats.truncated);
-        assert!(stats.stored_cumulative <= 4);
+        for limit in 1..=3 {
+            let opts = SearchOptions {
+                max_states: Some(limit),
+                truncate_on_limit: true,
+                ..SearchOptions::default()
+            };
+            let stats = Explorer::new(&sys, opts).unwrap().explore(|_| {}).unwrap();
+            assert!(stats.truncated, "limit {limit}");
+            assert_eq!(stats.stored_cumulative, limit + 1, "limit {limit}");
+        }
     }
 
     #[test]

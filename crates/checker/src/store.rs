@@ -10,6 +10,8 @@
 //! stored.  [`PassedList::is_current`] lets the explorer skip them on pop:
 //! the stored zone that replaced one includes it, and its own (pending or
 //! past) expansion yields a superset of the skipped state's successors.
+//! Every stored zone remembers the exploration-arena node it was queued as,
+//! so the skip is one flag lookup per pop.
 //! UPPAAL's unified passed/waiting list gets the same effect (David,
 //! Behrmann, Larsen, Yi, "A tool architecture for the next generation of
 //! UPPAAL", 2003).  On the burst case-study columns the skip is what keeps
@@ -44,6 +46,18 @@ pub(crate) enum Insert {
     },
 }
 
+/// A stored zone and the arena node it was queued as.
+struct Stored {
+    zone: Dbm,
+    node: usize,
+}
+
+impl AsRef<Dbm> for Stored {
+    fn as_ref(&self) -> &Dbm {
+        &self.zone
+    }
+}
+
 /// See the [module documentation](self).
 ///
 /// Discrete states are interned: the intern table maps each distinct state to
@@ -52,8 +66,9 @@ pub(crate) enum Insert {
 /// discrete state is seen, not on every insert.
 pub(crate) struct PassedList {
     ids: HashMap<DiscreteState, u32>,
-    zones: Vec<Vec<Dbm>>,
-    live: usize,
+    zones: Vec<Vec<Stored>>,
+    /// Indexed by arena node: `true` while the node's zone is stored.
+    current: Vec<bool>,
 }
 
 impl PassedList {
@@ -61,19 +76,21 @@ impl PassedList {
         PassedList {
             ids: HashMap::new(),
             zones: Vec::new(),
-            live: 0,
+            current: Vec::new(),
         }
     }
 
     /// Decides whether `zone` (for `discrete`) is already covered by a single
-    /// stored zone, and if not, stores it: stored zones it includes are
-    /// evicted and, when `merge` is set, stored zones whose union with it is
-    /// exactly convex are absorbed (`zone` is grown in place to the hull).
+    /// stored zone, and if not, stores it as arena node `node`: stored zones
+    /// it includes are evicted and, when `merge` is set, stored zones whose
+    /// union with it is exactly convex are absorbed (`zone` is grown in place
+    /// to the hull).  Evicted and absorbed zones' nodes stop being current.
     pub(crate) fn insert(
         &mut self,
         discrete: &DiscreteState,
         zone: &mut Dbm,
         merge: bool,
+        node: usize,
     ) -> Insert {
         let id = match self.ids.get(discrete) {
             Some(&id) => id,
@@ -85,21 +102,34 @@ impl PassedList {
             }
         };
         let zones = &mut self.zones[id as usize];
-        if zones.iter().any(|z| z.includes(zone)) {
+        if zones.iter().any(|s| s.zone.includes(zone)) {
             tempo_obs::counter("store.subsumed", 1);
             return Insert::Subsumed;
         }
         // Drop stored zones now subsumed by the new one.
+        let current = &mut self.current;
         let before = zones.len();
-        zones.retain(|z| !zone.includes(z));
+        zones.retain(|s| {
+            let keep = !zone.includes(&s.zone);
+            if !keep {
+                current[s.node] = false;
+            }
+            keep
+        });
         let evicted = before - zones.len();
         let merged = if merge {
-            tempo_dbm::merge_into_antichain(zone, zones, MERGE_ATTEMPT_BUDGET)
+            tempo_dbm::merge_into_antichain(zone, zones, MERGE_ATTEMPT_BUDGET, |s| {
+                current[s.node] = false;
+            })
         } else {
             0
         };
-        zones.push(zone.clone());
-        self.live = self.live + 1 - evicted - merged;
+        zones.push(Stored {
+            zone: zone.clone(),
+            node,
+        });
+        current.resize(current.len().max(node + 1), false);
+        current[node] = true;
         if evicted > 0 {
             tempo_obs::counter("store.evicted", evicted as u64);
         }
@@ -109,25 +139,32 @@ impl PassedList {
         Insert::Inserted { evicted, merged }
     }
 
-    /// `true` iff `zone` is still a stored member for `discrete` — i.e. it
-    /// has not been evicted or absorbed into a hull since it was inserted.
-    /// A zone that is no longer a member is included in one that is, so the
-    /// explorer need not expand it.
-    pub(crate) fn is_current(&self, discrete: &DiscreteState, zone: &Dbm) -> bool {
-        self.ids
-            .get(discrete)
-            .is_some_and(|&id| self.zones[id as usize].iter().any(|z| z == zone))
+    /// `true` iff arena node `node` was stored and its zone has not been
+    /// evicted or absorbed into a hull since.  A zone that is no longer
+    /// stored is included in one that is, so the explorer need not expand it.
+    ///
+    /// This flag is exactly "the node's zone is a stored member of its
+    /// discrete state's antichain".  A newcomer is stored only when no stored
+    /// zone includes it, so the zone that evicts or absorbs a stored zone
+    /// strictly includes it, and from then on some stored zone strictly
+    /// includes every removed one.  A zone equal to a removed one is
+    /// therefore never stored again: as a newcomer it is subsumed, and a
+    /// hull grown from a newcomer included in no stored zone cannot equal a
+    /// zone that is.
+    pub(crate) fn is_current(&self, node: usize) -> bool {
+        self.current.get(node).copied().unwrap_or(false)
     }
 
     /// Net number of zones currently stored (after evictions and merges).
     pub(crate) fn live_zones(&self) -> usize {
-        self.live
+        self.current.iter().filter(|&&stored| stored).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
     use tempo_dbm::{Bound, Clock};
     use tempo_ta::{LocId, System, SystemBuilder};
 
@@ -159,44 +196,36 @@ mod tests {
         DiscreteState::initial(sys)
     }
 
+    fn stored(evicted: usize, merged: usize) -> Insert {
+        Insert::Inserted { evicted, merged }
+    }
+
     #[test]
     fn single_zone_inclusion_subsumes_and_a_superset_evicts() {
         let system = sys();
         let s = d(&system);
         let mut store = PassedList::new();
         assert_eq!(
-            store.insert(&s, &mut interval(0, 4), false),
-            Insert::Inserted {
-                evicted: 0,
-                merged: 0
-            }
+            store.insert(&s, &mut interval(0, 4), false, 0),
+            stored(0, 0)
         );
         assert_eq!(
-            store.insert(&s, &mut interval(3, 7), false),
-            Insert::Inserted {
-                evicted: 0,
-                merged: 0
-            }
+            store.insert(&s, &mut interval(3, 7), false, 1),
+            stored(0, 0)
         );
         // Covered by the union of the two, but by no single stored zone.
         assert_eq!(
-            store.insert(&s, &mut interval(1, 6), false),
-            Insert::Inserted {
-                evicted: 0,
-                merged: 0
-            }
+            store.insert(&s, &mut interval(1, 6), false, 2),
+            stored(0, 0)
         );
         // Covered by a single zone: rejected, and a superset evicts.
         assert_eq!(
-            store.insert(&s, &mut interval(1, 2), false),
+            store.insert(&s, &mut interval(1, 2), false, 3),
             Insert::Subsumed
         );
         assert_eq!(
-            store.insert(&s, &mut interval(0, 10), false),
-            Insert::Inserted {
-                evicted: 3,
-                merged: 0
-            }
+            store.insert(&s, &mut interval(0, 10), false, 4),
+            stored(3, 0)
         );
         assert_eq!(store.live_zones(), 1);
     }
@@ -206,15 +235,9 @@ mod tests {
         let system = sys();
         let s = d(&system);
         let mut store = PassedList::new();
-        store.insert(&s, &mut interval(0, 3), true);
+        store.insert(&s, &mut interval(0, 3), true, 0);
         let mut bridge = interval(2, 6);
-        assert_eq!(
-            store.insert(&s, &mut bridge, true),
-            Insert::Inserted {
-                evicted: 0,
-                merged: 1
-            }
-        );
+        assert_eq!(store.insert(&s, &mut bridge, true, 1), stored(0, 1));
         // The caller's zone was grown to the exact hull in place.
         assert!(bridge.includes(&interval(0, 6)));
         assert_eq!(store.live_zones(), 1);
@@ -225,17 +248,14 @@ mod tests {
         let system = sys();
         let s = d(&system);
         let mut store = PassedList::new();
-        store.insert(&s, &mut interval(2, 4), false);
-        assert!(store.is_current(&s, &interval(2, 4)));
+        store.insert(&s, &mut interval(2, 4), false, 0);
+        assert!(store.is_current(0));
         assert_eq!(
-            store.insert(&s, &mut interval(0, 10), false),
-            Insert::Inserted {
-                evicted: 1,
-                merged: 0
-            }
+            store.insert(&s, &mut interval(0, 10), false, 1),
+            stored(1, 0)
         );
-        assert!(!store.is_current(&s, &interval(2, 4)));
-        assert!(store.is_current(&s, &interval(0, 10)));
+        assert!(!store.is_current(0));
+        assert!(store.is_current(1));
     }
 
     #[test]
@@ -243,23 +263,88 @@ mod tests {
         let system = sys();
         let s = d(&system);
         let mut store = PassedList::new();
-        store.insert(&s, &mut interval(0, 3), true);
+        store.insert(&s, &mut interval(0, 3), true, 0);
         let mut bridge = interval(2, 6);
-        store.insert(&s, &mut bridge, true);
-        assert!(!store.is_current(&s, &interval(0, 3)));
-        assert!(!store.is_current(&s, &interval(2, 6)));
-        assert!(store.is_current(&s, &bridge));
-        assert!(store.is_current(&s, &interval(0, 6)));
+        store.insert(&s, &mut bridge, true, 1);
+        assert!(!store.is_current(0));
+        // Node 1 holds the hull, not the zone it was offered as.
+        assert!(store.is_current(1));
+        assert_eq!(bridge, interval(0, 6));
     }
 
     #[test]
     fn an_unseen_discrete_state_is_not_current() {
         let (system, l1) = two_locations();
         let s = d(&system);
-        let mut store = PassedList::new();
-        store.insert(&s, &mut interval(0, 4), false);
         let other = DiscreteState::new(vec![l1], s.vars().clone());
         assert_ne!(other, s);
-        assert!(!store.is_current(&other, &interval(0, 4)));
+        let mut store = PassedList::new();
+        store.insert(&s, &mut interval(0, 4), false, 0);
+        // Node 1 is queued for `other`, which holds no zone yet.
+        assert!(store.is_current(0) && !store.is_current(1));
+        // The same zone is a separate member there; a subsumed offer (node
+        // 2) is never stored.
+        assert_eq!(
+            store.insert(&other, &mut interval(0, 4), false, 1),
+            stored(0, 0)
+        );
+        assert_eq!(
+            store.insert(&s, &mut interval(1, 2), false, 2),
+            Insert::Subsumed
+        );
+        assert!(store.is_current(1) && !store.is_current(2));
+    }
+
+    /// A non-empty zone over `clocks` clocks with small constants, so that
+    /// inclusions, evictions and exact merges all occur.
+    fn random_zone(rng: &mut StdRng, clocks: usize) -> Dbm {
+        loop {
+            let mut z = Dbm::universe(clocks);
+            for c in 1..=clocks as u32 {
+                let lo = rng.gen_range(0..6i64);
+                let hi = lo + rng.gen_range(1..5i64);
+                z.constrain(Clock(c), Clock::REF, Bound::new(hi, rng.gen_bool(0.25)));
+                z.constrain(Clock::REF, Clock(c), Bound::new(-lo, rng.gen_bool(0.25)));
+            }
+            if clocks == 2 && rng.gen_bool(0.5) {
+                z.constrain(Clock(1), Clock(2), Bound::weak(rng.gen_range(-2..3i64)));
+            }
+            if !z.is_empty() {
+                return z;
+            }
+        }
+    }
+
+    #[test]
+    fn the_stale_flag_equals_membership_in_the_antichain() {
+        let (system, l1) = two_locations();
+        let s0 = d(&system);
+        let s1 = DiscreteState::new(vec![l1], s0.vars().clone());
+        let (mut evictions, mut merges) = (0, 0);
+        for (seed, clocks, merge) in [(1, 1, false), (2, 1, true), (3, 2, false), (4, 2, true)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut store = PassedList::new();
+            let mut nodes: Vec<(DiscreteState, Dbm)> = Vec::new();
+            for _ in 0..300 {
+                let discrete = if rng.gen_bool(0.5) { &s0 } else { &s1 };
+                let mut zone = random_zone(&mut rng, clocks);
+                if let Insert::Inserted { evicted, merged } =
+                    store.insert(discrete, &mut zone, merge, nodes.len())
+                {
+                    evictions += evicted;
+                    merges += merged;
+                    nodes.push((discrete.clone(), zone));
+                }
+                for (node, (discrete, zone)) in nodes.iter().enumerate() {
+                    let id = store.ids[discrete] as usize;
+                    let member = store.zones[id].iter().any(|s| &s.zone == zone);
+                    assert_eq!(store.is_current(node), member, "seed {seed}, node {node}");
+                }
+            }
+        }
+        assert!(
+            evictions > 0 && merges > 0,
+            "{evictions} evictions, {merges} merges"
+        );
     }
 }

@@ -16,9 +16,6 @@
 //!   splits inside subtraction, the per-entry path of [`Dbm::intersect`] and
 //!   the clamp at the end of [`Dbm::shift`] — closes with one O(n²)
 //!   propagation through the new edge ([`Dbm::close1`]);
-//! * loosening a single clock's row and/or column (the extrapolation
-//!   widenings) re-tightens just the loosened side(s) through single
-//!   intermediates, O(n²) per widened clock with no interior pivot;
 //! * operations that map canonical matrices to canonical matrices
 //!   ([`Dbm::up`], [`Dbm::down`], [`Dbm::free`], [`Dbm::reset`],
 //!   [`Dbm::copy_clock`], [`Dbm::convex_hull`]) need no re-closure at all.
@@ -26,12 +23,7 @@
 //! The full O(n³) Floyd–Warshall [`Dbm::close`] is still required after a
 //! sequence of [`Dbm::set_raw`] writes (no structure to exploit), after an
 //! intersection that tightens many entries at once (per-entry propagation
-//! would exceed n·n² work), when a constant table constrains the
-//! reference clock (the per-clock extrapolation split assumes it does not),
-//! and when the per-clock extrapolation sweep fails its post-hoc fixpoint
-//! check (re-closing a widened clock re-derived an entry of an earlier clock
-//! above its cap — the batch widen + close fallback restores the fixpoint
-//! the explorer's termination argument needs).  The
+//! would exceed n·n² work) and after an extrapolation widened any entry.  The
 //! incremental paths can be disabled globally with
 //! [`set_incremental_close`][crate::set_incremental_close] — the differential
 //! harnesses use this to prove both modes produce identical verdicts.
@@ -286,57 +278,6 @@ impl Dbm {
         for row in after.chunks_exact_mut(n) {
             relax(row);
         }
-    }
-
-    /// Restores the canonical form after a widening *loosened* entries in row
-    /// and/or column `t` (every entry not involving `t` is still canonical,
-    /// and no entry is below its pre-widening value).  The stale sides are
-    /// re-tightened through single intermediates — sufficient because the
-    /// rest of the matrix is closed.
-    ///
-    /// No interior pivot on `t` is needed, which a generic "row/column `t` is
-    /// stale" repair would require: repairs only *lower* entries back toward
-    /// (never below) their pre-widening canonical values, so for every
-    /// interior pair `m[i][j] ≤ m[i][t]_old + m[t][j]_old ≤ m[i][t] + m[t][j]`
-    /// already holds.  The canonicity re-close assertions in the incremental
-    /// differential test exercise exactly this argument.
-    fn close_clock_idx(&mut self, t: usize, row_stale: bool, col_stale: bool) {
-        let n = self.dim;
-        for a in 0..n {
-            if a == t {
-                continue;
-            }
-            if row_stale {
-                let dta = self.m[t * n + a];
-                if !dta.is_infinity() {
-                    for j in 0..n {
-                        let via = dta + self.m[a * n + j];
-                        if via < self.m[t * n + j] {
-                            self.m[t * n + j] = via;
-                        }
-                    }
-                }
-            }
-            if col_stale {
-                let dat = self.m[a * n + t];
-                if !dat.is_infinity() {
-                    for i in 0..n {
-                        let via = self.m[i * n + a] + dat;
-                        if via < self.m[i * n + t] {
-                            self.m[i * n + t] = via;
-                        }
-                    }
-                }
-            }
-        }
-        // Widening only loosens the zone, so the repair cannot create a
-        // negative cycle; guard anyway so a misuse flags emptiness instead of
-        // silently corrupting queries.
-        if self.m[t * n + t] < Bound::LE_ZERO {
-            self.empty = true;
-            return;
-        }
-        self.m[t * n + t] = Bound::LE_ZERO;
     }
 
     /// Intersects the zone with the constraint `c.left − c.right ≺ c.bound`,
@@ -615,20 +556,15 @@ impl Dbm {
     /// test).  O(n²) and allocation-free, which makes it the filter that
     /// keeps zone subtraction from fragmenting pieces around zones it never
     /// touches.
-    pub(crate) fn surely_disjoint(&self, other: &Dbm) -> bool {
-        self.two_cycle_below(other, Bound::LE_ZERO)
-    }
-
-    /// `true` iff some opposing pair of bounds sums below `limit`:
-    /// `self[i,j] + other[j,i] < limit`.
-    fn two_cycle_below(&self, other: &Dbm, limit: Bound) -> bool {
+    fn surely_disjoint(&self, other: &Dbm) -> bool {
         let n = self.dim;
-        assert_eq!(n, other.dim, "dimension mismatch");
-        // Pass 1, O(n): opposing absolute bounds.  Zones on a passed list
-        // usually separate on a single clock's distance to the reference
-        // clock, so most positives never reach the full scan.
+        // Pass 1, O(n): opposing absolute bounds.  Zones usually separate on
+        // a single clock's distance to the reference clock, so most positives
+        // never reach the full scan.
         for t in 1..n {
-            if self.m[t] + other.m[t * n] < limit || self.m[t * n] + other.m[t] < limit {
+            if self.m[t] + other.m[t * n] < Bound::LE_ZERO
+                || self.m[t * n] + other.m[t] < Bound::LE_ZERO
+            {
                 return true;
             }
         }
@@ -637,56 +573,12 @@ impl Dbm {
         // diagonals contribute `(0,≤) + (0,≤)`, also never negative.
         for i in 0..n {
             for j in 0..n {
-                if self.m[i * n + j] + other.m[j * n + i] < limit {
+                if self.m[i * n + j] + other.m[j * n + i] < Bound::LE_ZERO {
                     return true;
                 }
             }
         }
         false
-    }
-
-    /// Splits `self \ other` into zones, one per facet of `other` that cuts
-    /// into the remainder (the part beyond the facet), invoking `on_piece`
-    /// for every non-empty piece.  Stops early — returning `false` — as soon
-    /// as `on_piece` does, which lets [`Dbm::try_merge`] abort on the first
-    /// uncovered piece.  Both operands must be non-empty and same-dimension.
-    pub(crate) fn split_off_difference<F: FnMut(Dbm) -> bool>(
-        &self,
-        other: &Dbm,
-        mut on_piece: F,
-    ) -> bool {
-        debug_assert!(!self.empty && !other.empty);
-        let mut rem = self.clone();
-        for i in 0..self.dim {
-            for j in 0..self.dim {
-                if i == j {
-                    continue;
-                }
-                let facet = other.at(i, j);
-                if facet.is_infinity() || rem.at(i, j) <= facet {
-                    // The remainder already satisfies this facet (canonical
-                    // bounds are tight), nothing to split off.
-                    continue;
-                }
-                // The part of the remainder beyond the facet: ¬(xi − xj ≺ c)
-                // is (xj − xi ≺' −c) with flipped strictness.
-                let mut piece = rem.clone();
-                piece.constrain(
-                    Clock(j as u32),
-                    Clock(i as u32),
-                    Bound::new(-facet.constant(), !facet.is_strict()),
-                );
-                if !piece.is_empty() && !on_piece(piece) {
-                    return false;
-                }
-                rem.constrain(Clock(i as u32), Clock(j as u32), facet);
-                if rem.is_empty() {
-                    return true;
-                }
-            }
-        }
-        // What is left of `rem` lies inside `other` and is discarded.
-        true
     }
 
     /// The set difference `self \ other` as a list of (possibly overlapping-
@@ -702,17 +594,34 @@ impl Dbm {
         assert_eq!(self.dim, other.dim, "dimension mismatch");
         // Disjoint operands: the difference is `self` itself.  Detecting
         // this up front costs one scan; missing it would split `self` into
-        // up to n² pieces that reassemble to `self` the hard way.  (Not
-        // inside `split_off_difference`: its other caller, `try_merge`,
-        // subtracts a zone from its own hull — never disjoint.)
+        // up to n² pieces that reassemble to `self` the hard way.
         if self.surely_disjoint(other) {
             return vec![self.clone()];
         }
         let mut pieces = Vec::new();
-        self.split_off_difference(other, |piece| {
-            pieces.push(piece);
-            true
-        });
+        let mut rem = self.clone();
+        for i in 0..self.dim {
+            for j in 0..self.dim {
+                let facet = other.at(i, j);
+                if i == j || facet.is_infinity() || rem.at(i, j) <= facet {
+                    // The remainder already satisfies this facet (canonical
+                    // bounds are tight), nothing to split off.
+                    continue;
+                }
+                // The part of the remainder beyond the facet: ¬(xi − xj ≺ c)
+                // is (xj − xi ≺' −c) with flipped strictness.
+                let mut piece = rem.clone();
+                piece.constrain(Clock(j as u32), Clock(i as u32), facet.negated());
+                if !piece.is_empty() {
+                    pieces.push(piece);
+                }
+                rem.constrain(Clock(i as u32), Clock(j as u32), facet);
+                if rem.is_empty() {
+                    return pieces;
+                }
+            }
+        }
+        // What is left of `rem` lies inside `other` and is discarded.
         pieces
     }
 
@@ -721,8 +630,21 @@ impl Dbm {
     ///
     /// Unlike UPPAAL's `-C` convex-hull over-approximation this never adds
     /// valuations, so replacing the two zones by the merged one preserves all
-    /// verdicts and suprema exactly.  The exactness check is
-    /// `hull \ self ⊆ other`, computed with [`Dbm::subtract`].
+    /// verdicts and suprema exactly.
+    ///
+    /// The test allocates nothing; only a successful merge builds the hull.
+    /// Write `A = self`, `B = other` and `H = max(A, B)` elementwise (the
+    /// canonical hull, read through the operands).  `H \ A` is the union,
+    /// over the facets `f = (i,j)` of `A` that `B` loosens, of the pieces
+    /// `H ∧ ¬f`, so `A ∪ B` is convex iff every piece lies inside `B`.  A
+    /// piece is `H` with the one edge `x_j − x_i ≺ ¬A[i][j]` tightened, whose
+    /// canonical entries are `min(H[k][l], H[k][j] + ¬A[i][j] + H[i][l])`
+    /// (the [`Dbm::close1`] propagation).  It is never empty, because the
+    /// canonical `H[i][j] = B[i][j] > A[i][j]` is attained in `H`, and only
+    /// the entries where `A[k][l] > B[k][l]` can break its inclusion in `B`.
+    /// Most attempts fail on the first such entry.  Zones with a gap between
+    /// them fail by themselves; zones that merely touch, such as
+    /// `[0,1) ∪ [1,2]`, merge.
     pub fn try_merge(&self, other: &Dbm) -> Option<Dbm> {
         if self.empty {
             return Some(other.clone());
@@ -730,23 +652,29 @@ impl Dbm {
         if other.empty {
             return Some(self.clone());
         }
-        // Gap pre-test, allocation-free: `self[i,j] + other[j,i] < (0,<)`
-        // leaves a gap along `xi − xj` that the hull fills and neither zone
-        // holds.  Not `surely_disjoint`'s `(0,≤)`: zones that merely touch,
-        // such as `[0,1) ∪ [1,2]`, may still merge.
-        if self.two_cycle_below(other, Bound::LT_ZERO) {
-            return None;
+        assert_eq!(self.dim, other.dim, "dimension mismatch");
+        let (n, a, b) = (self.dim, &self.m, &other.m);
+        let hull = |k: usize| a[k].max(b[k]);
+        for i in 0..n {
+            for j in 0..n {
+                let facet = a[i * n + j];
+                if facet.is_infinity() || b[i * n + j] <= facet {
+                    continue;
+                }
+                let beyond = facet.negated();
+                debug_assert!(hull(i * n + j) + beyond >= Bound::LE_ZERO);
+                for k in 0..n {
+                    let via_kj = hull(k * n + j) + beyond;
+                    for l in 0..n {
+                        let bkl = b[k * n + l];
+                        if a[k * n + l] > bkl && via_kj + hull(i * n + l) > bkl {
+                            return None;
+                        }
+                    }
+                }
+            }
         }
-        let hull = self.convex_hull(other);
-        // Fused subtraction + coverage check with early exit: split off the
-        // parts of the hull beyond each of `self`'s facets and require each
-        // to lie inside `other`.  Most failing attempts abort on the first
-        // piece, which keeps failed merges cheap on the explorer's hot path.
-        if hull.split_off_difference(self, |piece| other.includes(&piece)) {
-            Some(hull)
-        } else {
-            None
-        }
+        Some(self.convex_hull(other))
     }
 
     /// Element-wise intersection of two zones over the same clocks.
@@ -831,9 +759,14 @@ impl Dbm {
         }
     }
 
-    /// `true` iff this zone contains every valuation of `other`.
+    /// `true` iff this zone contains every valuation of `other`: one scan
+    /// for `self ≥ other` that stops at the first violation.
     pub fn includes(&self, other: &Dbm) -> bool {
-        matches!(self.relation(other), Relation::Equal | Relation::Superset)
+        assert_eq!(self.dim, other.dim, "dimension mismatch");
+        if other.empty {
+            return true;
+        }
+        !self.empty && self.m.iter().zip(&other.m).all(|(a, b)| a >= b)
     }
 
     /// `true` iff the concrete valuation (indexed by clock, entry 0 ignored)
@@ -865,79 +798,8 @@ impl Dbm {
     /// for every automaton produced by the architecture front-end.
     pub fn extrapolate_max_bounds(&mut self, max_bounds: &[i64]) -> &mut Self {
         // ExtraM is exactly ExtraLU with both constant tables equal: the two
-        // widening rules coincide.  One implementation keeps the incremental
-        // and batch paths in one place.
+        // widening rules coincide.
         self.extrapolate_lu(max_bounds, max_bounds)
-    }
-
-    /// Applies the ExtraLU widening rules to row and column `t` only: row
-    /// entries above the lower-bound cap `(l_t, ≤)` become `∞`, column
-    /// entries below the floor `(−u_t, <)` are raised to it (row 0 is
-    /// additionally kept at or below `(0, ≤)` so clocks stay non-negative).
-    /// Returns which sides changed — `(row, column)` — so the caller can
-    /// re-close only the stale side(s) of clock `t`.
-    fn widen_clock(&mut self, t: usize, lt: i64, ut: i64) -> (bool, bool) {
-        let n = self.dim;
-        let row_cap = Bound::weak(lt);
-        let col_floor = Bound::strict(-ut);
-        let mut row_changed = false;
-        for j in 0..n {
-            if j == t {
-                continue;
-            }
-            let b = self.m[t * n + j];
-            if !b.is_infinity() && b > row_cap {
-                self.m[t * n + j] = Bound::INFINITY;
-                row_changed = true;
-            }
-        }
-        let mut col_changed = false;
-        for i in 0..n {
-            if i == t {
-                continue;
-            }
-            let floor = if i == 0 {
-                col_floor.min(Bound::LE_ZERO)
-            } else {
-                col_floor
-            };
-            let b = self.m[i * n + t];
-            if !b.is_infinity() && b < floor {
-                self.m[i * n + t] = floor;
-                col_changed = true;
-            }
-        }
-        (row_changed, col_changed)
-    }
-
-    /// `true` iff no entry violates the ExtraLU widening rules: every finite
-    /// entry of a non-reference row `i` is at most `(l_i, ≤)`, and every
-    /// entry of column `j` is at least `(−u_j, <)` (row 0 is also capped at
-    /// `(0, ≤)`, which the widening never disturbs).  A matrix satisfying
-    /// this is a fixpoint of widen∘close, which is what bounds the number of
-    /// distinct extrapolated zones and hence guarantees the explorer
-    /// terminates.
-    fn is_lu_fixpoint(&self, l: &impl Fn(usize) -> i64, u: &impl Fn(usize) -> i64) -> bool {
-        let n = self.dim;
-        for i in 0..n {
-            let row_cap = Bound::weak(l(i));
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let b = self.m[i * n + j];
-                if b.is_infinity() {
-                    continue;
-                }
-                if i != 0 && b > row_cap {
-                    return false;
-                }
-                if b < Bound::strict(-u(j)) {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Lower/upper-bounds extrapolation (`ExtraLU`): like
@@ -945,67 +807,42 @@ impl Dbm {
     /// used in lower bounds (`lower[i]`, guards of the form `x ≥ c` / `x > c`)
     /// from those used in upper bounds (`upper[i]`, `x ≤ c` / `x < c` and
     /// invariants).  Coarser than `ExtraM`, still sound for diagonal-free
-    /// automata.
+    /// automata (Behrmann, Bouyer, Larsen, Pelánek, "Lower and upper bounds
+    /// in zone-based abstractions of timed automata", STTT 2006).
+    ///
+    /// Every finite entry of a non-reference row `i` above `(l_i, ≤)` becomes
+    /// `∞`, every entry of column `j` below `(−u_j, <)` is raised to it, and
+    /// one full [`Dbm::close`] follows if anything changed.  The result is a
+    /// fixpoint of the operator: every finite entry is bounded by the
+    /// constant tables, so only finitely many extrapolated zones exist per
+    /// location, which is what makes the explorer terminate.
     pub fn extrapolate_lu(&mut self, lower: &[i64], upper: &[i64]) -> &mut Self {
         if self.empty {
             return self;
         }
         let l = |i: usize| -> i64 { lower.get(i).copied().unwrap_or(0) };
         let u = |i: usize| -> i64 { upper.get(i).copied().unwrap_or(0) };
-        // Incremental path: widen one clock's row/column at a time and repair
-        // the canonical form with the O(n²) single-clock closure, keeping the
-        // matrix canonical between clocks.  Re-closing a widened clock can
-        // re-derive an entry of an *earlier* clock above its threshold, so
-        // one sweep alone is not always a fixpoint of widen∘close — and the
-        // explorer's termination argument needs the fixpoint property (it
-        // bounds every finite entry by the constant tables, giving finitely
-        // many extrapolated zones).  Iterating sweeps does not converge on
-        // such matrices (the same over-cap entries are re-derived each
-        // round), so after the sweep an O(n²) scan checks the fixpoint
-        // condition; on the rare violation we fall through to the batch
-        // widen + full close below, whose result is always a fixpoint.
-        // Verdicts and suprema are preserved either way.  The reference
-        // row/column rules must be trivial (zero constants for clock 0) for
-        // the per-clock split to cover every entry; every constant table the
-        // front-end produces satisfies that.
-        if incremental_close_enabled() && l(0) == 0 && u(0) == 0 {
-            for t in 1..self.dim {
-                let (row, col) = self.widen_clock(t, l(t), u(t));
-                if row || col {
-                    self.close_clock_idx(t, row, col);
-                    if self.empty {
-                        return self;
-                    }
-                }
-            }
-            if self.is_lu_fixpoint(&l, &u) {
-                return self;
-            }
-            // else: fall through to the batch path, which widens every
-            // remaining over-cap entry at once and restores canonical form
-            // with one full close.
-        }
-        // Batch path: widen every entry, then one full close.
+        let n = self.dim;
         let mut changed = false;
-        for i in 0..self.dim {
-            for j in 0..self.dim {
-                if i == j {
+        for i in 0..n {
+            let row_cap = Bound::weak(l(i));
+            for j in 0..n {
+                let b = self.m[i * n + j];
+                if i == j || b.is_infinity() {
                     continue;
                 }
-                let b = self.at(i, j);
-                if i != 0 && !b.is_infinity() && b > Bound::weak(l(i)) {
-                    *self.at_mut(i, j) = Bound::INFINITY;
+                if i != 0 && b > row_cap {
+                    self.m[i * n + j] = Bound::INFINITY;
                     changed = true;
-                } else if !b.is_infinity() && b < Bound::strict(-u(j)) {
-                    *self.at_mut(i, j) = Bound::strict(-u(j));
+                } else if b < Bound::strict(-u(j)) {
+                    self.m[i * n + j] = Bound::strict(-u(j));
                     changed = true;
                 }
             }
         }
         if changed {
-            for j in 1..self.dim {
-                let b = self.at(0, j).min(Bound::LE_ZERO);
-                *self.at_mut(0, j) = b;
+            for j in 1..n {
+                self.m[j] = self.m[j].min(Bound::LE_ZERO);
             }
             self.close();
         }
@@ -1024,19 +861,25 @@ impl Dbm {
 
 /// Merges `zone` with every zone of `zones` it forms an *exact* convex union
 /// with ([`Dbm::try_merge`]: no valuation is added, so verdicts and suprema
-/// hold), removing those zones and growing `zone` to the hull; returns how
-/// many it absorbed.  Attempts run newest first, where breadth-first search
-/// puts mergeable neighbours, and stop after `failure_budget` failures; a
-/// success refreshes the budget and restarts, so cascades run to the end.
-pub fn merge_into_antichain(zone: &mut Dbm, zones: &mut Vec<Dbm>, failure_budget: usize) -> usize {
+/// hold), removing those entries, handing each to `on_absorbed`, and growing
+/// `zone` to the hull; returns how many it absorbed.  Attempts run newest
+/// first, where breadth-first search puts mergeable neighbours, and stop
+/// after `failure_budget` failures; a success refreshes the budget and
+/// restarts, so cascades run to the end.
+pub fn merge_into_antichain<E: AsRef<Dbm>>(
+    zone: &mut Dbm,
+    zones: &mut Vec<E>,
+    failure_budget: usize,
+    mut on_absorbed: impl FnMut(E),
+) -> usize {
     let mut merged = 0;
     let mut budget = failure_budget;
     let mut i = zones.len();
     while i > 0 && budget > 0 {
         i -= 1;
-        if let Some(hull) = zone.try_merge(&zones[i]) {
+        if let Some(hull) = zone.try_merge(zones[i].as_ref()) {
             *zone = hull;
-            zones.swap_remove(i);
+            on_absorbed(zones.swap_remove(i));
             merged += 1;
             budget = failure_budget;
             i = zones.len();
@@ -1045,6 +888,12 @@ pub fn merge_into_antichain(zone: &mut Dbm, zones: &mut Vec<Dbm>, failure_budget
         }
     }
     merged
+}
+
+impl AsRef<Dbm> for Dbm {
+    fn as_ref(&self) -> &Dbm {
+        self
+    }
 }
 
 impl Hash for Dbm {
@@ -1558,7 +1407,7 @@ mod tests {
         // cascade collapses everything into [0,4].
         let mut zones = vec![interval(0, 1), interval(1, 2), interval(3, 4)];
         let mut zone = interval(2, 3);
-        let merged = merge_into_antichain(&mut zone, &mut zones, 64);
+        let merged = merge_into_antichain(&mut zone, &mut zones, 64, drop);
         assert_eq!(merged, 3);
         assert!(zones.is_empty());
         assert_eq!(zone, interval(0, 4));
@@ -1568,7 +1417,7 @@ mod tests {
     fn unmergeable_zones_are_left_alone() {
         let mut zones = vec![interval(0, 1), interval(10, 11)];
         let mut zone = interval(4, 5);
-        assert_eq!(merge_into_antichain(&mut zone, &mut zones, 64), 0);
+        assert_eq!(merge_into_antichain(&mut zone, &mut zones, 64, drop), 0);
         assert_eq!(zones.len(), 2);
         assert_eq!(zone, interval(4, 5));
     }

@@ -1,8 +1,7 @@
 //! Differential test for the incremental re-canonicalization paths: the same
 //! operation sequences executed with incremental close enabled and disabled
 //! must produce bit-identical matrices (the canonical form of a zone is
-//! unique), and the extrapolations — where the incremental widening is a
-//! deliberately independent abstraction — must stay extensive, canonical and
+//! unique), and the extrapolation must stay extensive, canonical and
 //! idempotent in both modes.
 //!
 //! The toggle is process-global, so everything lives in one `#[test]`
@@ -136,10 +135,9 @@ fn incremental_and_full_close_agree() {
         assert_eq!(fast_trace, slow_trace, "trace diverges (seed {seed})");
         assert_bit_identical(&fast, &slow, seed);
 
-        // Extrapolation: the per-clock widening is its own (equally sound)
-        // abstraction and need not match the batch result bit-for-bit; both
-        // modes must be extensive and canonical, and both must contain the
-        // un-extrapolated zone.
+        // Extrapolation: one batch widening followed by a full close in both
+        // modes (the toggle does not reach it); the result must be extensive
+        // and canonical, and must contain the un-extrapolated zone.
         let bounds: Vec<i64> = std::iter::once(0)
             .chain((1..=NUM_CLOCKS as u64).map(|i| ((seed * i) % 30) as i64))
             .collect();
@@ -153,13 +151,11 @@ fn incremental_and_full_close_agree() {
             let mut reclosed = e.clone();
             reclosed.close();
             assert_bit_identical(&reclosed, &e, seed);
-            // Both modes must yield a fixpoint of the widening (the
-            // incremental path verifies this and falls back to a batch
-            // widen + full close when the per-clock sweep alone is not one),
-            // so a second application must change nothing.  Termination of
-            // the explorer depends on this: fixpoints have every finite
-            // entry bounded by the constant tables, so only finitely many
-            // extrapolated zones exist per location.
+            // The result must be a fixpoint of the widening, so a second
+            // application must change nothing.  Termination of the explorer
+            // depends on this: fixpoints have every finite entry bounded by
+            // the constant tables, so only finitely many extrapolated zones
+            // exist per location.
             let once = e.clone();
             e.extrapolate_lu(&bounds, &bounds);
             assert_eq!(

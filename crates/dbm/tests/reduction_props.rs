@@ -89,7 +89,7 @@ fn check_merge_preserves_union(stored: &[Dbm], zone: &Dbm, point: &[i64]) {
     let before = stored.iter().any(|z| z.contains_point(point)) || zone.contains_point(point);
     let mut rest = stored.to_vec();
     let mut grown = zone.clone();
-    let absorbed = merge_into_antichain(&mut grown, &mut rest, 16);
+    let absorbed = merge_into_antichain(&mut grown, &mut rest, 16, drop);
     prop_assert_eq!(rest.len() + absorbed, stored.len());
     let after = rest.iter().any(|z| z.contains_point(point)) || grown.contains_point(point);
     prop_assert_eq!(after, before);
@@ -255,6 +255,43 @@ proptest! {
                 prop_assert!(beyond_a.iter().any(|p| !b.includes(p)));
             }
         }
+    }
+
+    /// The success branch of `try_merge`: a zone cut along a facet
+    /// `x_i − x_j ≺ c` into two halves that touch (the halves' bounds are
+    /// exact complements, or both weak at `c`) or overlap (the second half
+    /// starts `overlap` below `c`) merges back into the zone itself, in both
+    /// argument orders.
+    #[test]
+    fn try_merge_reassembles_a_zone_cut_along_a_facet(z in random_zone(),
+                                                      i in 0..=(NUM_CLOCKS as u32),
+                                                      j in 0..=(NUM_CLOCKS as u32),
+                                                      c in -20i64..50,
+                                                      overlap in 0i64..3,
+                                                      strict in any::<bool>(),
+                                                      other_strict in any::<bool>()) {
+        if i != j {
+            let (xi, xj) = (Clock(i), Clock(j));
+            let mut below = z.clone();
+            below.constrain(xi, xj, Bound::new(c, strict));
+            // ¬(x_i − x_j ≺ c) is x_j − x_i ≺' −c; at the cut itself a strict
+            // lower half needs a weak upper half, or the point x_i − x_j = c
+            // would fall between them.
+            let upper_strict = if overlap == 0 && strict { false } else { other_strict };
+            let mut above = z.clone();
+            above.constrain(xj, xi, Bound::new(overlap - c, upper_strict));
+            for merged in [below.try_merge(&above), above.try_merge(&below)] {
+                let merged = merged.expect("the halves of a zone merge");
+                prop_assert_eq!(merged.relation(&z), Relation::Equal);
+            }
+        }
+    }
+
+    /// Whether two zones have a convex union does not depend on the order in
+    /// which `try_merge` is asked.
+    #[test]
+    fn try_merge_is_symmetric(a in random_zone(), b in random_zone()) {
+        prop_assert_eq!(a.try_merge(&b).is_some(), b.try_merge(&a).is_some());
     }
 
     /// `merge_into_antichain` preserves the denoted set of the stored zones

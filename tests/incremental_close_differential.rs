@@ -1,19 +1,18 @@
 //! Differential test of the incremental DBM re-canonicalization toggle
 //! (`tempo_dbm::set_incremental_close`): every observable analysis result
-//! must be identical with the O(n²) single-constraint/single-clock repair
-//! paths enabled (the default) and with every operation falling back to the
-//! full O(n³) Floyd–Warshall closure.
+//! must be identical with the O(n²) single-constraint repair paths enabled
+//! (the default) and with every operation falling back to the full O(n³)
+//! Floyd–Warshall closure.
 //!
 //! The constraint-level operations (constrain, shift, intersect) produce the
 //! *unique* canonical form either way, so they are already covered
-//! bit-for-bit at the DBM level (`crates/dbm/tests/incremental_close.rs`).
-//! The extrapolation, however, uses a genuinely different widening in the two
-//! modes (per-clock single sweep vs batch-widen-then-close), so the explored
-//! zone graphs may legitimately differ — this harness proves the difference
-//! is invisible where it must be: WCRTs, lower bounds, deadline verdicts and
-//! clock suprema over the pseudo-random corpus, the TDMA and burst fixtures
-//! and Fischer, under the default search options and the reference ones
-//! (active-clock reduction and exact zone merging off).
+//! bit-for-bit at the DBM level (`crates/dbm/tests/incremental_close.rs`),
+//! and both modes extrapolate identically (one batch widen, then a full
+//! close).  This harness checks the end-to-end consequence: WCRTs, lower
+//! bounds, deadline verdicts and clock suprema agree over the pseudo-random
+//! corpus, the TDMA and burst fixtures and Fischer, under the default search
+//! options and the reference ones (active-clock reduction and exact zone
+//! merging off).
 //!
 //! The toggle is process-global, so the whole differential lives in a single
 //! `#[test]` function; this file is its own test binary and owns the toggle
