@@ -130,9 +130,11 @@ pub struct SuccessorGen<'s> {
     /// Location-dependent clock activity (static inactivity analysis with the
     /// same reset-kill backward propagation, see [`tempo_ta::activity`]),
     /// seeded with the query clocks exactly like the LU table.  Clocks dead in
-    /// a successor's discrete state are reset to the canonical value `0`
-    /// before the state is stored, so states that differ only in dead-clock
-    /// valuations hash and compare as equal — the active-clock reduction.
+    /// a successor's discrete state are pinned to the canonical value `0`
+    /// after the delay closure, just before extrapolation, so states whose
+    /// delayed zones differ only in dead-clock valuations hash and compare
+    /// as equal — the active-clock reduction.  Pinning before the delay would
+    /// let the clock advance again and keep the time since entry apart.
     activity: tempo_ta::ActivityTable,
     /// Constants applied at every location (query constants of targets
     /// without location atoms).
@@ -163,7 +165,8 @@ pub struct SuccessorGen<'s> {
 
 /// Merged per-clock data for one discrete location vector: the (lower, upper)
 /// extrapolation constants and the active-clock flags (element-wise maximum /
-/// union over every automaton's current location).
+/// union over every automaton's current location), plus what decides whether
+/// time may pass there.
 struct StateConsts {
     lower: Vec<i64>,
     upper: Vec<i64>,
@@ -171,6 +174,19 @@ struct StateConsts {
     active: Vec<bool>,
     /// Number of `false` entries in `active` (excluding entry 0).
     num_dead: usize,
+    /// Some automaton occupies an urgent or committed location.
+    urgent_location: bool,
+    /// The urgent channels that can synchronize from this location vector
+    /// if their data guards allow it (empty when `urgent_location` is set).
+    urgent_syncs: Vec<UrgentSync>,
+}
+
+/// The outgoing edges over one urgent channel at one location vector, as
+/// `(automaton, edge)` pairs.
+struct UrgentSync {
+    broadcast: bool,
+    senders: Vec<(usize, usize)>,
+    receivers: Vec<(usize, usize)>,
 }
 
 impl<'s> SuccessorGen<'s> {
@@ -338,7 +354,9 @@ impl<'s> SuccessorGen<'s> {
     /// element-wise maximum of the global query constants and every
     /// automaton's location-dependent LU constants, plus the union of the
     /// per-location active-clock sets (a clock stays live as long as *any*
-    /// automaton may still observe it).  Memoized per location vector.
+    /// automaton may still observe it), and the location kinds and
+    /// urgent-channel edges [`SuccessorGen::delay_allowed`] reads.  Memoized
+    /// per location vector.
     fn state_consts(&self, discrete: &DiscreteState) -> Rc<StateConsts> {
         if let Some(cached) = self.merged_cache.borrow().get(discrete.locations()) {
             return Rc::clone(cached);
@@ -362,11 +380,24 @@ impl<'s> SuccessorGen<'s> {
             }
         }
         let num_dead = active.iter().skip(1).filter(|a| !**a).count();
+        let urgent_location = self
+            .sys
+            .automata
+            .iter()
+            .zip(discrete.locations())
+            .any(|(a, loc)| a.location(*loc).kind != LocationKind::Normal);
+        let urgent_syncs = if urgent_location {
+            Vec::new()
+        } else {
+            self.urgent_syncs(discrete)
+        };
         let merged = Rc::new(StateConsts {
             lower,
             upper,
             active,
             num_dead,
+            urgent_location,
+            urgent_syncs,
         });
         self.merged_cache
             .borrow_mut()
@@ -429,71 +460,88 @@ impl<'s> SuccessorGen<'s> {
         Ok(())
     }
 
-    /// `true` iff time may elapse in the given discrete state: no automaton
-    /// occupies an urgent or committed location and no urgent-channel
-    /// synchronization is enabled.
-    pub fn delay_allowed(&self, discrete: &DiscreteState) -> Result<bool, EvalError> {
-        for (a, loc) in self.sys.automata.iter().zip(discrete.locations()) {
-            match a.location(*loc).kind {
-                LocationKind::Urgent | LocationKind::Committed => return Ok(false),
-                LocationKind::Normal => {}
-            }
-        }
-        // Urgent channels: a delay is forbidden as soon as a synchronization
-        // over an urgent channel is enabled (data guards only; clock guards on
-        // urgent edges are rejected at construction time).
+    /// Per urgent channel, the outgoing edges that send or receive on it at
+    /// `discrete`'s location vector; channels that cannot synchronize there
+    /// whatever the data guards say are left out.
+    fn urgent_syncs(&self, discrete: &DiscreteState) -> Vec<UrgentSync> {
+        let mut syncs = Vec::new();
         for (ci, ch) in self.sys.channels.iter().enumerate() {
             if !ch.kind.is_urgent() {
                 continue;
             }
             let channel = ChannelId(ci as u32);
-            let mut sender_auts: Vec<usize> = Vec::new();
-            let mut receiver_auts: Vec<usize> = Vec::new();
+            let mut sync = UrgentSync {
+                broadcast: ch.kind.is_broadcast(),
+                senders: Vec::new(),
+                receivers: Vec::new(),
+            };
             for (ai, a) in self.sys.automata.iter().enumerate() {
-                let loc = discrete.locations()[ai];
-                for (_, e) in a.outgoing(loc) {
+                for (ei, e) in a.outgoing(discrete.locations()[ai]) {
                     match e.sync {
-                        Sync::Send(c) if c == channel
-                            && e.guard.eval(discrete.vars())? => {
-                                sender_auts.push(ai);
-                            }
-                        Sync::Recv(c) if c == channel
-                            && e.guard.eval(discrete.vars())? => {
-                                receiver_auts.push(ai);
-                            }
+                        Sync::Send(c) if c == channel => sync.senders.push((ai, ei)),
+                        Sync::Recv(c) if c == channel => sync.receivers.push((ai, ei)),
                         _ => {}
                     }
                 }
             }
-            let enabled = if ch.kind.is_broadcast() {
-                !sender_auts.is_empty()
-            } else {
-                sender_auts.iter().any(|s| {
-                    receiver_auts.iter().any(|r| r != s)
-                })
-            };
-            if enabled {
-                return Ok(false);
+            let possible = sync.senders.iter().any(|&(s, _)| {
+                sync.broadcast || sync.receivers.iter().any(|&(r, _)| r != s)
+            });
+            if possible {
+                syncs.push(sync);
+            }
+        }
+        syncs
+    }
+
+    /// `true` iff time may elapse in the given discrete state: no automaton
+    /// occupies an urgent or committed location and no urgent-channel
+    /// synchronization is enabled.  Everything but the data guards comes
+    /// from the memoized `consts` of the state's location vector (clock
+    /// guards on urgent edges are rejected at construction time).
+    fn delay_allowed(
+        &self,
+        discrete: &DiscreteState,
+        consts: &StateConsts,
+    ) -> Result<bool, EvalError> {
+        if consts.urgent_location {
+            return Ok(false);
+        }
+        let enabled = |&(ai, ei): &(usize, usize)| {
+            self.sys.automata[ai].edges[ei].guard.eval(discrete.vars())
+        };
+        for sync in &consts.urgent_syncs {
+            for sender in &sync.senders {
+                if !enabled(sender)? {
+                    continue;
+                }
+                if sync.broadcast {
+                    return Ok(false);
+                }
+                for receiver in &sync.receivers {
+                    if receiver.0 != sender.0 && enabled(receiver)? {
+                        return Ok(false);
+                    }
+                }
             }
         }
         Ok(true)
     }
 
-    /// The initial symbolic state (reduced, delay-closed if permitted,
+    /// The initial symbolic state (delay-closed if permitted, reduced,
     /// extrapolated).
     pub fn initial_state(&self) -> Result<SymState, CheckError> {
         let discrete = DiscreteState::initial(self.sys);
         let consts = self.state_consts(&discrete);
         let mut zone = Dbm::zero(self.sys.num_clocks());
-        // All clocks start at the canonical value, so the reduction cannot
-        // change the initial zone; applying it anyway keeps the elimination
-        // count consistent with the transition path.
-        self.reduce_zone(&mut zone, &consts);
         self.apply_invariants(&mut zone, &discrete)?;
-        if !zone.is_empty() && self.delay_allowed(&discrete)? {
+        if !zone.is_empty() && self.delay_allowed(&discrete, &consts)? {
             zone.up();
             self.apply_invariants(&mut zone, &discrete)?;
         }
+        // The delay let the dead clocks advance with the others; pin them
+        // back exactly like the transition path does.
+        self.reduce_zone(&mut zone, &consts);
         self.extrapolate_zone(&mut zone, &consts);
         Ok(SymState::new(discrete, zone))
     }
@@ -552,31 +600,37 @@ impl<'s> SuccessorGen<'s> {
             }
         }
         // Steps 5–8 are the close/extrapolate phase: everything from here on
-        // re-canonicalizes the zone (reduction, invariants, delay closure,
+        // re-canonicalizes the zone (invariants, delay closure, reduction,
         // ExtraLU widening), as opposed to the guard/reset arithmetic above.
         // The span nests inside the explorer's `explore.successor_gen`, so a
         // trace shows how much of successor generation is canonicalization.
         let _span = tempo_obs::span!("explore.close_extrapolate");
-        // 5. active-clock reduction: clocks that are dead in the new discrete
-        //    state are reset to the canonical value, as if the transition had
-        //    reset them (sound because a dead clock is reset on every path
-        //    before it is next observed; see `tempo_ta::activity`).
         let consts = self.state_consts(&new_discrete);
-        self.reduce_zone(&mut zone, &consts);
-        // 6. invariants of the new discrete state.
+        // 5. invariants of the new discrete state (they read live clocks
+        //    only: a clock an invariant reads is active there).
         self.apply_invariants(&mut zone, &new_discrete)?;
         if zone.is_empty() {
             return Ok(None);
         }
-        // 7. delay closure, when permitted.
-        if self.delay_allowed(&new_discrete)? {
+        // 6. delay closure, when permitted.
+        if self.delay_allowed(&new_discrete, &consts)? {
             zone.up();
             self.apply_invariants(&mut zone, &new_discrete)?;
             if zone.is_empty() {
                 return Ok(None);
             }
         }
-        // 8. extrapolation.
+        // 7. active-clock reduction: clocks that are dead in the new discrete
+        //    state are pinned to the canonical value 0 *after* the delay, so
+        //    the stored zone has every dead clock at exactly 0 and depends
+        //    only on the delayed zone's live clocks; pinned before the delay,
+        //    a dead clock would advance again and record the time since
+        //    entry.  Sound because a dead clock is reset on every path before
+        //    it is next observed, and it stays dead while time passes in the
+        //    same discrete state (see `tempo_ta::activity`).
+        self.reduce_zone(&mut zone, &consts);
+        // 8. extrapolation; a pinned clock stays pinned (widening never
+        //    loosens `x ≤ 0` or `x ≥ 0`).
         self.extrapolate_zone(&mut zone, &consts);
         Ok(Some((new_discrete, zone)))
     }
@@ -828,7 +882,9 @@ mod tests {
         // state, hence x is still exactly 0.
         let x = sys.clock_by_name("x").unwrap().dbm_clock();
         assert_eq!(init.zone.sup(x), tempo_dbm::Bound::weak(0));
-        assert!(!gen.delay_allowed(&init.discrete).unwrap());
+        assert!(!gen
+            .delay_allowed(&init.discrete, &gen.state_consts(&init.discrete))
+            .unwrap());
 
         // Take the sync; now pending = 0 and the resource is busy for 5.
         let succ = gen.successors(&init).unwrap();
@@ -836,7 +892,9 @@ mod tests {
         let (s, label) = &succ[0];
         assert!(matches!(label, ActionLabel::Binary { .. }));
         assert_eq!(s.discrete.vars().get(sys.var_by_name("pending").unwrap()), 0);
-        assert!(gen.delay_allowed(&s.discrete).unwrap());
+        assert!(gen
+            .delay_allowed(&s.discrete, &gen.state_consts(&s.discrete))
+            .unwrap());
         assert_eq!(s.zone.sup(x), tempo_dbm::Bound::weak(5));
     }
 
@@ -945,6 +1003,66 @@ mod tests {
         assert_eq!(sys.automata[1].location(st.discrete.locations()[1]).name, "got");
         assert_eq!(sys.automata[2].location(st.discrete.locations()[2]).name, "got");
         assert_eq!(sys.automata[3].location(st.discrete.locations()[3]).name, "wait");
+    }
+
+    /// `x` is read on the way into `l1` and reset on the way out, so it is
+    /// dead at `l1`; `y` is read at `l1` and stays live.
+    fn dead_at_target_system() -> System {
+        let mut sb = SystemBuilder::new("late_pin");
+        let x = sb.add_clock("x");
+        let y = sb.add_clock("y");
+        let mut a = sb.automaton("a");
+        let l0 = a.location("l0").add();
+        let l1 = a.location("l1").add();
+        a.edge(l0, l1).guard_clock(x.ge(2)).add();
+        a.edge(l1, l0).guard_clock(y.ge(100)).reset(x).reset(y).add();
+        a.set_initial(l0);
+        a.build();
+        sb.build()
+    }
+
+    #[test]
+    fn dead_clock_is_exactly_zero_after_the_delay() {
+        let sys = dead_at_target_system();
+        let gen = SuccessorGen::new(&sys, &SearchOptions::default()).unwrap();
+        let x = sys.clock_by_name("x").unwrap().dbm_clock();
+        let y = sys.clock_by_name("y").unwrap().dbm_clock();
+        let init = gen.initial_state().unwrap();
+        let succ = gen.successors(&init).unwrap();
+        assert_eq!(succ.len(), 1);
+        let (s, _) = &succ[0];
+        assert!(gen.delay_allowed(&s.discrete, &gen.state_consts(&s.discrete)).unwrap());
+        // Time passed in `l1` (y is unbounded), yet the dead clock did not
+        // advance with it.
+        assert_eq!(s.zone.sup(y), tempo_dbm::Bound::INFINITY);
+        assert_eq!(s.zone.sup(x), tempo_dbm::Bound::weak(0));
+        assert_eq!(s.zone.inf(x), (0, false));
+    }
+
+    /// Two predecessors that entered `l1` at different times but whose
+    /// delayed zones agree on the live clock `y` yield one successor zone:
+    /// the pin comes after the delay, so the dead clock does not record the
+    /// time since entry.
+    #[test]
+    fn entry_time_does_not_split_successor_zones() {
+        let sys = dead_at_target_system();
+        let gen = SuccessorGen::new(&sys, &SearchOptions::default()).unwrap();
+        let x = sys.clock_by_name("x").unwrap().dbm_clock();
+        let y = sys.clock_by_name("y").unwrap().dbm_clock();
+        let pred = |y_max: i64| {
+            let mut zone = Dbm::universe(sys.num_clocks());
+            zone.constrain(tempo_dbm::Clock::REF, x, tempo_dbm::Bound::weak(-2));
+            zone.constrain(y, tempo_dbm::Clock::REF, tempo_dbm::Bound::weak(y_max));
+            SymState::new(DiscreteState::initial(&sys), zone)
+        };
+        let (early, late) = (pred(0), pred(4));
+        assert_ne!(early.zone, late.zone);
+        let succ_early = gen.successors(&early).unwrap();
+        let succ_late = gen.successors(&late).unwrap();
+        assert_eq!(succ_early.len(), 1);
+        assert_eq!(succ_late.len(), 1);
+        assert_eq!(succ_early[0].0.discrete, succ_late[0].0.discrete);
+        assert_eq!(succ_early[0].0.zone, succ_late[0].0.zone);
     }
 
     #[test]

@@ -18,15 +18,18 @@
 //!   propagation through the new edge ([`Dbm::close1`]);
 //! * operations that map canonical matrices to canonical matrices
 //!   ([`Dbm::up`], [`Dbm::down`], [`Dbm::free`], [`Dbm::reset`],
-//!   [`Dbm::copy_clock`], [`Dbm::convex_hull`]) need no re-closure at all.
+//!   [`Dbm::copy_clock`], [`Dbm::convex_hull`]) need no re-closure at all;
+//! * an extrapolation ([`Dbm::extrapolate_lu`]) only loosens entries, so it
+//!   relaxes just the widened ones, Floyd–Warshall style, in O(n) each.
 //!
 //! The full O(n³) Floyd–Warshall [`Dbm::close`] is still required after a
-//! sequence of [`Dbm::set_raw`] writes (no structure to exploit), after an
+//! sequence of [`Dbm::set_raw`] writes (no structure to exploit) and after an
 //! intersection that tightens many entries at once (per-entry propagation
-//! would exceed n·n² work) and after an extrapolation widened any entry.  The
-//! incremental paths can be disabled globally with
-//! [`set_incremental_close`][crate::set_incremental_close] — the differential
-//! harnesses use this to prove both modes produce identical verdicts.
+//! would exceed n·n² work).  The single-entry paths can be disabled globally
+//! with [`set_incremental_close`][crate::set_incremental_close] — the
+//! differential harnesses use this to prove both modes produce identical
+//! verdicts; the extrapolation path has no switch, `reduction_props` checks
+//! it against the full close directly.
 
 use crate::{Bound, Clock, Constraint};
 use std::fmt;
@@ -502,7 +505,9 @@ impl Dbm {
     /// agree on all live clocks therefore become equal once every dead clock
     /// is reset to the canonical value — which is what lets the explorer's
     /// passed-list inclusion checks and hashes merge states that differ only
-    /// in dead-clock valuations.  Preserves the canonical form.
+    /// in dead-clock valuations.  The checker pins after the delay closure
+    /// ([`Dbm::up`]): a clock pinned before it advances with the others and
+    /// records the time since entry again.  Preserves the canonical form.
     pub fn reset_to_canonical(&mut self, x: Clock) -> &mut Self {
         self.reset(x, 0)
     }
@@ -811,19 +816,33 @@ impl Dbm {
     /// in zone-based abstractions of timed automata", STTT 2006).
     ///
     /// Every finite entry of a non-reference row `i` above `(l_i, ≤)` becomes
-    /// `∞`, every entry of column `j` below `(−u_j, <)` is raised to it, and
-    /// one full [`Dbm::close`] follows if anything changed.  The result is a
-    /// fixpoint of the operator: every finite entry is bounded by the
-    /// constant tables, so only finitely many extrapolated zones exist per
-    /// location, which is what makes the explorer terminate.
+    /// `∞` and every entry of column `j` below `(−u_j, <)` is raised to it.
+    /// The result is a fixpoint of the operator: every finite entry is
+    /// bounded by the constant tables, so only finitely many extrapolated
+    /// zones exist per location, which is what makes the explorer terminate.
+    ///
+    /// Re-canonicalization relaxes only the widened entries.  Widening only
+    /// loosens the canonical input `D` to some `D' ≥ D`, and closure is
+    /// monotone, so `D = close(D) ≤ close(D') ≤ D'`: an untouched entry is
+    /// already at its final value and never needs relaxing, and a zone that
+    /// was non-empty stays non-empty.  Floyd–Warshall restricted to the
+    /// widened entries is then exact (every entry it reads through pivot `k`
+    /// is either final or a widened entry already relaxed through pivots
+    /// `< k`), costs `n` times the number of widened entries instead of
+    /// `n³`, and yields bit for bit what a full [`Dbm::close`] would.
     pub fn extrapolate_lu(&mut self, lower: &[i64], upper: &[i64]) -> &mut Self {
+        /// Widened entries tracked on the stack; a widening of more entries
+        /// than this falls back to the full close (same result, and at
+        /// that size no cheaper).
+        const TRACKED: usize = 64;
         if self.empty {
             return self;
         }
         let l = |i: usize| -> i64 { lower.get(i).copied().unwrap_or(0) };
         let u = |i: usize| -> i64 { upper.get(i).copied().unwrap_or(0) };
         let n = self.dim;
-        let mut changed = false;
+        let mut widened = [(0usize, 0usize); TRACKED];
+        let mut count = 0;
         for i in 0..n {
             let row_cap = Bound::weak(l(i));
             for j in 0..n {
@@ -831,20 +850,39 @@ impl Dbm {
                 if i == j || b.is_infinity() {
                     continue;
                 }
-                if i != 0 && b > row_cap {
-                    self.m[i * n + j] = Bound::INFINITY;
-                    changed = true;
+                let wide = if i != 0 && b > row_cap {
+                    Bound::INFINITY
                 } else if b < Bound::strict(-u(j)) {
-                    self.m[i * n + j] = Bound::strict(-u(j));
-                    changed = true;
+                    Bound::strict(-u(j))
+                } else {
+                    continue;
+                };
+                self.m[i * n + j] = wide;
+                if count < TRACKED {
+                    widened[count] = (i, j);
                 }
+                count += 1;
             }
         }
-        if changed {
-            for j in 1..n {
-                self.m[j] = self.m[j].min(Bound::LE_ZERO);
-            }
+        if count == 0 {
+            return self;
+        }
+        // A negative upper constant would leave `x_j > −u_j` below zero;
+        // clocks stay non-negative.
+        for j in 1..n {
+            self.m[j] = self.m[j].min(Bound::LE_ZERO);
+        }
+        if count > TRACKED {
             self.close();
+            return self;
+        }
+        for k in 0..n {
+            for &(i, j) in &widened[..count] {
+                let via = self.m[i * n + k] + self.m[k * n + j];
+                if via < self.m[i * n + j] {
+                    self.m[i * n + j] = via;
+                }
+            }
         }
         self
     }

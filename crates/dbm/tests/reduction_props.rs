@@ -4,7 +4,9 @@
 //! idempotent, and be monotone with respect to zone inclusion — the three
 //! laws the passed-list subsumption of the explorer relies on.  The exact
 //! union machinery behind the passed list's zone merging (`subtract`,
-//! `try_merge`, `merge_into_antichain`) must never add or lose a valuation.
+//! `try_merge`, `merge_into_antichain`) must never add or lose a valuation,
+//! and the ExtraLU widening (`extrapolate_lu`) must re-close to exactly what
+//! a full Floyd–Warshall close of the widened matrix gives.
 
 use proptest::prelude::*;
 use tempo_dbm::{merge_into_antichain, Bound, Clock, Dbm, Relation};
@@ -96,6 +98,47 @@ fn check_merge_preserves_union(stored: &[Dbm], zone: &Dbm, point: &[i64]) {
     if !zone.is_empty() {
         prop_assert!(grown.includes(zone));
     }
+}
+
+/// Per-clock extrapolation constants over the reference clock + NUM_CLOCKS
+/// real clocks; `-1` exercises the clamp back to non-negative clocks.
+fn lu_table() -> impl Strategy<Value = Vec<i64>> {
+    proptest::collection::vec(-1i64..40, NUM_CLOCKS + 1)
+}
+
+/// The ExtraLU oracle: the same widening rules written entry by entry with
+/// `set_raw`, then one full `close()`.  The tables cover every clock.
+fn widen_then_close(z: &Dbm, lower: &[i64], upper: &[i64]) -> Dbm {
+    let mut w = z.clone();
+    if w.is_empty() {
+        return w;
+    }
+    let mut changed = false;
+    for (i, &l) in lower.iter().enumerate() {
+        for (j, &u) in upper.iter().enumerate() {
+            let (ci, cj) = (Clock(i as u32), Clock(j as u32));
+            let b = w.get(ci, cj);
+            if i == j || b.is_infinity() {
+                continue;
+            }
+            if i != 0 && b > Bound::weak(l) {
+                w.set_raw(ci, cj, Bound::INFINITY);
+                changed = true;
+            } else if b < Bound::strict(-u) {
+                w.set_raw(ci, cj, Bound::strict(-u));
+                changed = true;
+            }
+        }
+    }
+    if changed {
+        for j in 1..w.dim() {
+            let cj = Clock(j as u32);
+            let b = w.get(Clock::REF, cj).min(Bound::LE_ZERO);
+            w.set_raw(Clock::REF, cj, b);
+        }
+        w.close();
+    }
+    w
 }
 
 fn is_canonical(z: &Dbm) -> bool {
@@ -332,4 +375,58 @@ proptest! {
             prop_assert!(r.contains_point(&zeroed));
         }
     }
+
+    /// `extrapolate_lu` relaxes only the entries it widened; the result must
+    /// be bit for bit the full close of the widened matrix, keep the
+    /// emptiness flag, and still include the input zone.
+    #[test]
+    fn extrapolate_lu_matches_widen_then_close(z in random_zone(), lower in lu_table(),
+                                               upper in lu_table()) {
+        let mut e = z.clone();
+        e.extrapolate_lu(&lower, &upper);
+        prop_assert_eq!(&e, &widen_then_close(&z, &lower, &upper));
+        prop_assert_eq!(e.is_empty(), z.is_empty());
+        prop_assert!(is_canonical(&e));
+        if !z.is_empty() {
+            prop_assert!(e.includes(&z));
+        }
+    }
+
+    /// With constants above every bound of the zone nothing widens, and the
+    /// zone comes back unchanged.
+    #[test]
+    fn extrapolate_lu_leaves_unwidened_zones_alone(z in random_zone()) {
+        let big = vec![1_000i64; NUM_CLOCKS + 1];
+        let mut e = z.clone();
+        e.extrapolate_lu(&big, &big);
+        prop_assert_eq!(&e, &z);
+        prop_assert_eq!(&e, &widen_then_close(&z, &big, &big));
+    }
+}
+
+/// A nine-clock staircase zone (`x1 ≥ x2 + 3 ≥ … ≥ x9 + 24`, `x1 ≤ 100`)
+/// extrapolated with zero lower constants and an upper constant of 30 on
+/// every third clock widens more entries than `extrapolate_lu` tracks on the
+/// stack, and the widened matrix is not closed; the full-close fallback must
+/// agree with the oracle too.
+#[test]
+fn extrapolate_lu_many_widened_entries_match_widen_then_close() {
+    let n = 9;
+    let mut z = Dbm::zero(n);
+    for k in 1..=n as u32 {
+        z.up();
+        z.reset(Clock(k), 0);
+    }
+    z.up();
+    for k in 1..n as u32 {
+        z.constrain(Clock(k + 1), Clock(k), Bound::weak(-3));
+    }
+    z.constrain(Clock(1), Clock::REF, Bound::weak(100));
+    assert!(!z.is_empty());
+    let lower = vec![0i64; n + 1];
+    let upper: Vec<i64> = (0..=n).map(|i| if i % 3 == 0 { 30 } else { 0 }).collect();
+    let mut e = z.clone();
+    e.extrapolate_lu(&lower, &upper);
+    assert_eq!(e, widen_then_close(&z, &lower, &upper));
+    assert!(e.includes(&z));
 }

@@ -38,28 +38,34 @@
 //! # Dead-clock canonicalization, and why it is sound under ExtraLU
 //!
 //! The checker uses the table to *canonicalize* every clock that is dead
-//! (not active) in a successor's discrete state: the clock is reset to the
-//! canonical value `0` (`Dbm::restrict_to_active`) as if the transition had
-//! reset it.  This explores a transformed network in which every edge
-//! additionally resets the clocks that are dead in its target state.  The
-//! transformation preserves all verdicts and all clock suprema observable at
-//! query states: a dead clock is, by definition, reset on every path before
-//! the next guard/invariant/query atom that reads it, so replacing its value
-//! by any other non-negative value (in particular `0`) yields a bisimilar
-//! state w.r.t. every observable behaviour.  Its payoff is that zones which
-//! agree on the live clocks become *identical* — the dead rows and columns of
-//! a canonical DBM after a reset are derived from the reference row/column —
-//! so the passed list merges whole families of states that location-dependent
-//! ExtraLU alone keeps apart.  ExtraLU with a per-location constant of `0`
-//! widens a dead clock's bounds against the reference clock, but it must keep
-//! the *difference* bounds `x − y ≤ c` with `c ≤ 0` and the strict/weak
-//! distinction of the lower bound, and exactly those leftovers fragment the
-//! observer- and environment-clock state spaces.
+//! (not active) in a successor's discrete state: after the invariants and
+//! the delay closure, the clock is pinned to the canonical value `0`
+//! (`Dbm::restrict_to_active`).  This explores a transformed network in
+//! which the clocks that are dead in a discrete state hold `0` there instead
+//! of advancing.  The transformation preserves all verdicts and all clock
+//! suprema observable at query states: a dead clock is, by definition, reset
+//! on every path before the next guard/invariant/query atom that reads it
+//! (so the invariants applied before the pin do not read it, and it stays
+//! dead while time passes in the same discrete state), and replacing its
+//! value by any other non-negative value (in particular `0`) yields a
+//! bisimilar state w.r.t. every observable behaviour.  Its payoff is that
+//! zones which agree on the live clocks become *identical* — the dead rows
+//! and columns of a canonical DBM after a reset are derived from the
+//! reference row/column — so the passed list merges whole families of states
+//! that location-dependent ExtraLU alone keeps apart.  ExtraLU with a
+//! per-location constant of `0` widens a dead clock's bounds against the
+//! reference clock, but it must keep the *difference* bounds `x − y ≤ c`
+//! with `c ≤ 0` and the strict/weak distinction of the lower bound, and
+//! exactly those leftovers fragment the observer- and environment-clock
+//! state spaces.  The pin comes after the
+//! delay, not before it: a clock pinned before the delay advances with the
+//! live clocks and records the time since the state was entered, which
+//! keeps apart zones that agree on every live clock.
 //!
 //! Soundness composes with extrapolation in the simple direction: the
-//! canonicalization is applied to the concrete successor zone *before*
-//! extrapolation, so the checker explores `ExtraLU(reduce(succ(Z)))` — an
-//! extrapolation (sound for the diagonal-free constraint language of this
+//! canonicalization is applied to the concrete, delay-closed successor zone
+//! *before* extrapolation, so the checker explores `ExtraLU(reduce(succ(Z)))`
+//! — an extrapolation (sound for the diagonal-free constraint language of this
 //! crate) of the exact semantics of the transformed network.  The two
 //! abstractions never disagree about a clock: a dead clock's activity does
 //! not depend on the LU constants, and a live clock is never touched by the
