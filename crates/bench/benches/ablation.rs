@@ -12,8 +12,7 @@ use tempo_arch::model::{
     ArchitectureModel, BusArbitration, EventModel, MeasurePoint, Requirement, Scenario,
     SchedulingPolicy, Step,
 };
-use tempo_arch::engine::Session;
-use tempo_arch::{AnalysisConfig, TimeValue};
+use tempo_arch::{AnalysisConfig, AnalysisDb, TimeValue};
 use tempo_check::{Explorer, SearchOptions};
 use tempo_ta::{ClockRef, System, SystemBuilder, Update, VarExprExt};
 
@@ -120,8 +119,8 @@ fn bench_queue_capacity(c: &mut Criterion) {
         let (model, cfg) = gateway(capacity);
         group.bench_function(format!("capacity_{capacity}"), |b| {
             b.iter(|| {
-                let session = Session::new(&model, cfg.clone()).unwrap();
-                black_box(session.wcrt("alarm latency").unwrap().wcrt)
+                let db = AnalysisDb::new(cfg.clone());
+                black_box(db.wcrt(&model, "alarm latency").unwrap().wcrt)
             })
         });
     }

@@ -5,8 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tempo_arch::casestudy::{radio_navigation, EventModelColumn, ScenarioCombo};
-use tempo_arch::engine::Session;
-use tempo_arch::{generate, AnalysisConfig, GeneratorOptions};
+use tempo_arch::{generate, AnalysisConfig, AnalysisDb, GeneratorOptions};
 use tempo_bench::quick_params;
 
 fn bench_case_study(c: &mut Criterion) {
@@ -32,10 +31,10 @@ fn bench_case_study(c: &mut Criterion) {
         group.bench_function(format!("wcrt/AL+TMC/{}", column.label()), |b| {
             let model = radio_navigation(ScenarioCombo::AddressLookupWithTmc, column, &params);
             b.iter(|| {
-                // A fresh session per iteration keeps generation inside the
-                // measured work, like the historical free-function path.
-                let session = Session::new(&model, AnalysisConfig::default()).unwrap();
-                black_box(session.wcrt("HandleTMC (+ AddressLookup)").unwrap())
+                // A fresh database per iteration keeps generation and
+                // exploration inside the measured work.
+                let db = AnalysisDb::new(AnalysisConfig::default());
+                black_box(db.wcrt(&model, "HandleTMC (+ AddressLookup)").unwrap())
             })
         });
     }
@@ -47,8 +46,8 @@ fn bench_case_study(c: &mut Criterion) {
             &params,
         );
         b.iter(|| {
-            let session = Session::new(&model, AnalysisConfig::default()).unwrap();
-            black_box(session.wcrt("K2A (ChangeVolume + HandleTMC)").unwrap())
+            let db = AnalysisDb::new(AnalysisConfig::default());
+            black_box(db.wcrt(&model, "K2A (ChangeVolume + HandleTMC)").unwrap())
         })
     });
     group.finish();

@@ -4,8 +4,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tempo_arch::casestudy::{radio_navigation, EventModelColumn, ScenarioCombo};
-use tempo_arch::engine::{Engine, Query, RunContext, Session};
-use tempo_arch::AnalysisConfig;
+use tempo_arch::engine::{Engine, Query, RunContext};
+use tempo_arch::{AnalysisConfig, AnalysisDb};
 use tempo_bench::quick_params;
 use tempo_sim::{simulate, SimConfig};
 
@@ -22,8 +22,8 @@ fn bench_techniques(c: &mut Criterion) {
 
     group.bench_function("timed_automata_exact", |b| {
         b.iter(|| {
-            let session = Session::new(&model, AnalysisConfig::default()).unwrap();
-            black_box(session.wcrt(requirement).unwrap())
+            let db = AnalysisDb::new(AnalysisConfig::default());
+            black_box(db.wcrt(&model, requirement).unwrap())
         })
     });
     group.bench_function("simulation_60s_3runs", |b| {

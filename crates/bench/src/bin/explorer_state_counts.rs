@@ -16,8 +16,7 @@
 //! output (default `BENCH_explorer.json` in the working directory).
 
 use tempo_arch::casestudy::{radio_navigation, CaseStudyParams, EventModelColumn, ScenarioCombo};
-use tempo_arch::engine::Session;
-use tempo_arch::{AnalysisConfig, WcrtReport};
+use tempo_arch::{AnalysisConfig, AnalysisDb, WcrtReport};
 use tempo_check::{SearchOptions, SearchOrder};
 
 struct Row {
@@ -126,7 +125,7 @@ fn main() {
                 },
                 ..AnalysisConfig::default()
             };
-            match Session::new(&model, cfg).and_then(|s| s.wcrt(requirement)) {
+            match AnalysisDb::new(cfg).wcrt(&model, requirement) {
                 Ok(report) => {
                     let wcrt = report
                         .wcrt_ms()

@@ -63,7 +63,7 @@ fn main() {
         // portfolio call — reconciled and bracket-checked.
         let pno_model = radio_navigation(combo, EventModelColumn::PeriodicUnknownOffset, &params);
         let portfolio = Portfolio::new()
-            .with_engine(Box::new(ta.clone()))
+            .with_engine(Box::new(TaEngine::with_config(cell_cfg.analysis_config())))
             .with_engine(Box::new(SimEngine::with_config(SimConfig {
                 horizon: tempo_arch::TimeValue::seconds(600),
                 runs: 5,

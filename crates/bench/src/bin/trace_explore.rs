@@ -27,8 +27,7 @@
 use std::process::exit;
 use std::sync::Arc;
 use tempo_arch::casestudy::{radio_navigation, CaseStudyParams, EventModelColumn, ScenarioCombo};
-use tempo_arch::engine::Session;
-use tempo_arch::{AnalysisConfig, WcrtReport};
+use tempo_arch::{AnalysisConfig, AnalysisDb, WcrtReport};
 use tempo_check::{SearchOptions, SearchOrder};
 use tempo_obs::{validate_jsonl, ChromeTraceSubscriber, JsonlSubscriber, MetricsRegistry};
 
@@ -70,8 +69,8 @@ fn sequential_cfg() -> AnalysisConfig {
 
 fn run_column(column: EventModelColumn, params: &CaseStudyParams) -> WcrtReport {
     let model = radio_navigation(ScenarioCombo::AddressLookupWithTmc, column, params);
-    Session::new(&model, sequential_cfg())
-        .and_then(|s| s.wcrt(REQUIREMENT))
+    AnalysisDb::new(sequential_cfg())
+        .wcrt(&model, REQUIREMENT)
         .unwrap_or_else(|e| {
             eprintln!("trace_explore: analysis failed on {}: {e}", column.label());
             exit(1);

@@ -10,8 +10,7 @@
 
 use std::time::Instant;
 use tempo_arch::casestudy::{radio_navigation, CaseStudyParams, EventModelColumn, ScenarioCombo};
-use tempo_arch::engine::Session;
-use tempo_arch::AnalysisConfig;
+use tempo_arch::{AnalysisConfig, AnalysisDb};
 use tempo_bench::quick_params;
 use tempo_check::{SearchOptions, SearchOrder};
 
@@ -59,7 +58,7 @@ fn main() {
                 };
                 let model = radio_navigation(combo, column, &params);
                 let start = Instant::now();
-                match Session::new(&model, cfg).and_then(|s| s.wcrt(requirement)) {
+                match AnalysisDb::new(cfg).wcrt(&model, requirement) {
                     Ok(report) => {
                         let value = match report.wcrt_ms() {
                             Some(ms) => format!("{ms:.3} ms (exact)"),

@@ -20,8 +20,8 @@
 use tempo_arch::casestudy::{
     radio_navigation, table1_rows, CaseStudyParams, EventModelColumn, ScenarioCombo,
 };
-use tempo_arch::engine::{EngineError, EngineReport, Estimate, Session};
-use tempo_arch::{AnalysisConfig, WcrtReport};
+use tempo_arch::engine::{EngineError, EngineReport, Estimate};
+use tempo_arch::{AnalysisConfig, AnalysisDb, WcrtReport};
 use tempo_check::{SearchOptions, SearchOrder};
 
 /// How a single Table-1 cell should be computed.
@@ -127,8 +127,8 @@ pub fn table1_cell(
 ) -> Cell {
     let model = radio_navigation(combo, column, params);
     let start = std::time::Instant::now();
-    let report = Session::new(&model, cell_cfg.analysis_config())
-        .and_then(|session| session.wcrt(requirement))
+    let report = AnalysisDb::new(cell_cfg.analysis_config())
+        .wcrt(&model, requirement)
         .map_err(|e| e.to_string());
     Cell {
         requirement,

@@ -287,19 +287,19 @@ impl<'s> Explorer<'s> {
     ///
     /// * `target`: stop (reporting reachability) as soon as a state matching
     ///   the target is found; `None` explores the full reachable zone graph.
-    /// * `queries`: the targets whose constants are being respected by
-    ///   extrapolation (may differ from `target`, e.g. the sup queries
-    ///   explore fully but must keep the observed clocks exact at the query
-    ///   locations; batched WCRT extraction passes one seed per observer).
+    /// * `query`: the target whose constants are being respected by
+    ///   extrapolation (may differ from `target`, e.g. the sup query explores
+    ///   fully but must keep the observed clock exact at the query
+    ///   locations).
     /// * `visit`: called once for every state popped from the waiting list.
     pub(crate) fn run<F: FnMut(&SymState)>(
         &self,
         target: Option<&TargetSpec>,
-        queries: &[QuerySeed],
+        query: Option<&QuerySeed>,
         mut visit: F,
     ) -> Result<(Option<Vec<TraceStep>>, bool, ExplorationStats), CheckError> {
         let start = Instant::now();
-        let gen = SuccessorGen::for_queries(self.sys, &self.opts, queries)?;
+        let gen = SuccessorGen::for_query(self.sys, &self.opts, query)?;
         let hook = &self.opts.hook;
         let deadline = hook.wall_clock_budget.map(|b| start + b);
         let progress_every = hook.effective_progress_every();
@@ -317,8 +317,8 @@ impl<'s> Explorer<'s> {
 
         let mut init = gen.initial_state()?;
         if init.zone.is_empty() || !gen.can_reach_query(&init.discrete) {
-            // Inconsistent initial invariants, or no query location atom is
-            // reachable at all: nothing relevant is reachable.
+            // Inconsistent initial invariants, or the query's location atoms
+            // are unreachable: nothing relevant is reachable.
             stats.clocks_eliminated = gen.clocks_eliminated();
             stats.duration = start.elapsed();
             return Ok((None, false, stats));
@@ -496,8 +496,7 @@ impl<'s> Explorer<'s> {
             target: target.clone(),
             consts: target.clock_constants(self.sys),
         };
-        let (trace, reachable, stats) =
-            self.run(Some(target), std::slice::from_ref(&seed), |_| {})?;
+        let (trace, reachable, stats) = self.run(Some(target), Some(&seed), |_| {})?;
         Ok(ReachReport {
             reachable,
             trace,
@@ -517,7 +516,7 @@ impl<'s> Explorer<'s> {
     /// Explores the entire reachable zone graph, invoking `visit` on every
     /// expanded state, and returns the exploration statistics.
     pub fn explore<F: FnMut(&SymState)>(&self, visit: F) -> Result<ExplorationStats, CheckError> {
-        let (_, _, stats) = self.run(None, &[], visit)?;
+        let (_, _, stats) = self.run(None, None, visit)?;
         Ok(stats)
     }
 

@@ -77,4 +77,4 @@ pub use explorer::{
 pub use state::{DiscreteState, SymState};
 pub use successor::ActionLabel;
 pub use target::TargetSpec;
-pub use wcrt::{BinarySearchReport, SupQuery, SupReport};
+pub use wcrt::{BinarySearchReport, SupReport};

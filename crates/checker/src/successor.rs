@@ -90,13 +90,9 @@ impl ActionLabel {
     }
 }
 
-/// Per location atom of one query, the set of locations of the atom's
-/// automaton from which the atom remains reachable.
-type QueryReach = Vec<(usize, Vec<bool>)>;
-
-/// One query of a (possibly batched) exploration: the target whose locations
-/// seed the extrapolation/activity tables, plus the clock constants that must
-/// stay observable there (target guard constants and WCRT caps).
+/// The query of an exploration: the target whose locations seed the
+/// extrapolation/activity tables, plus the clock constants that must stay
+/// observable there (target guard constants and the WCRT cap).
 #[derive(Clone, Debug)]
 pub struct QuerySeed {
     /// The query's goal states.
@@ -145,16 +141,14 @@ pub struct SuccessorGen<'s> {
     /// symbolic states, so memoizing the merge keeps the per-successor
     /// extrapolation and reduction allocation-free on the hot path.
     merged_cache: std::cell::RefCell<HashMap<Vec<tempo_ta::LocId>, Rc<StateConsts>>>,
-    /// Per query, per location atom, the set of locations of that automaton
-    /// from which the atom's location is reachable (location-graph
-    /// over-approximation).  A state is pruned iff for *every* query some
-    /// atom has become unreachable (a batched exploration serves several
-    /// queries at once, so a state matters as long as *any* of them can still
-    /// be satisfied): e.g. once every measuring observer reaches its terminal
+    /// Per location atom of the query, the set of locations of that
+    /// automaton from which the atom's location is reachable (location-graph
+    /// over-approximation).  A state is pruned iff some atom has become
+    /// unreachable: e.g. once the measuring observer reaches its terminal
     /// `done` location, the whole remaining run of the system is irrelevant
-    /// to the WCRT suprema and is not explored.  `None` disables pruning
-    /// (some query has no location atoms and can match anywhere).
-    query_reach: Option<Vec<QueryReach>>,
+    /// to the WCRT supremum and is not explored.  `None` disables pruning
+    /// (no query, or one without location atoms that can match anywhere).
+    query_reach: Option<Vec<(usize, Vec<bool>)>>,
     extrapolate: bool,
     reduce: bool,
     /// Running count of dead-clock canonicalizations applied (one per dead
@@ -191,58 +185,27 @@ struct UrgentSync {
 
 impl<'s> SuccessorGen<'s> {
     /// Creates a generator from search options alone; equivalent to
-    /// [`SuccessorGen::for_query`] without query constants.
+    /// [`SuccessorGen::for_query`] without a query.
     pub fn new(sys: &'s System, opts: &SearchOptions) -> Result<SuccessorGen<'s>, CheckError> {
-        SuccessorGen::for_query(sys, opts, &[], None)
+        SuccessorGen::for_query(sys, opts, None)
     }
 
-    /// Creates a generator for a single query; see
-    /// [`SuccessorGen::for_queries`].
-    pub fn for_query(
-        sys: &'s System,
-        opts: &SearchOptions,
-        query_clock_constants: &[(tempo_ta::ClockId, i64)],
-        query: Option<&crate::target::TargetSpec>,
-    ) -> Result<SuccessorGen<'s>, CheckError> {
-        match query {
-            Some(target) => {
-                let seed = QuerySeed {
-                    target: target.clone(),
-                    consts: query_clock_constants.to_vec(),
-                };
-                SuccessorGen::for_queries(sys, opts, std::slice::from_ref(&seed))
-            }
-            // Constants without a target apply everywhere (and disable
-            // pruning), exactly like a query without location atoms.
-            None if !query_clock_constants.is_empty() => {
-                let seed = QuerySeed {
-                    target: crate::target::TargetSpec::any(),
-                    consts: query_clock_constants.to_vec(),
-                };
-                SuccessorGen::for_queries(sys, opts, std::slice::from_ref(&seed))
-            }
-            None => SuccessorGen::for_queries(sys, opts, &[]),
-        }
-    }
-
-    /// Creates a generator serving one or more queries in a single
-    /// exploration (batched WCRT extraction runs one query per measuring
-    /// observer).
+    /// Creates a generator serving the given query (or none).
     ///
     /// * `opts.extra_clock_constants` are respected at every location, as
     ///   documented on that field, and their clocks are treated as active
     ///   everywhere.
-    /// * Each query's clock constants (target guard constants, WCRT caps)
-    ///   must survive extrapolation — and active-clock reduction — exactly
-    ///   wherever that query can observe them: when the query has location
+    /// * The query's clock constants (target guard constants, WCRT cap) must
+    ///   survive extrapolation — and active-clock reduction — exactly
+    ///   wherever the query can observe them: when the query has location
     ///   atoms they are seeded only at those locations and propagated
     ///   backward (precision is needed on paths that can still reach the
     ///   target, not after the clock's next reset), otherwise they apply
     ///   everywhere.
-    pub fn for_queries(
+    pub fn for_query(
         sys: &'s System,
         opts: &SearchOptions,
-        queries: &[QuerySeed],
+        query: Option<&QuerySeed>,
     ) -> Result<SuccessorGen<'s>, CheckError> {
         let global_clock_constants: &[(tempo_ta::ClockId, i64)] = &opts.extra_clock_constants;
         let extrapolate = opts.extrapolate;
@@ -289,8 +252,8 @@ impl<'s> SuccessorGen<'s> {
             }
         };
         apply_globally(global_clock_constants, &mut activity);
-        let mut seeded_locations = false;
-        for seed in queries {
+        let mut query_reach = None;
+        if let Some(seed) = query {
             if seed.target.locations.is_empty() {
                 // A query without location atoms can observe its clocks in
                 // every state: its constants apply everywhere.
@@ -302,33 +265,17 @@ impl<'s> SuccessorGen<'s> {
                         activity.seed(ai, li, *clock);
                     }
                 }
-                seeded_locations = true;
+                sys.propagate_lu_table(&mut lu);
+                sys.propagate_activity_table(&mut activity);
+                query_reach = Some(
+                    seed.target
+                        .locations
+                        .iter()
+                        .map(|&(ai, li)| (ai, sys.automata[ai].locations_reaching(li)))
+                        .collect(),
+                );
             }
         }
-        if seeded_locations {
-            sys.propagate_lu_table(&mut lu);
-            sys.propagate_activity_table(&mut activity);
-        }
-        // Pruning is only sound when *every* query has location atoms: a
-        // state is irrelevant iff no query can be satisfied from it anymore.
-        let query_reach = if !queries.is_empty()
-            && queries.iter().all(|s| !s.target.locations.is_empty())
-        {
-            Some(
-                queries
-                    .iter()
-                    .map(|s| {
-                        s.target
-                            .locations
-                            .iter()
-                            .map(|&(ai, li)| (ai, sys.automata[ai].locations_reaching(li)))
-                            .collect()
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
         Ok(SuccessorGen {
             sys,
             ranges: sys.var_ranges(),
@@ -425,19 +372,17 @@ impl<'s> SuccessorGen<'s> {
         self.eliminated.get()
     }
 
-    /// `false` iff the discrete state provably cannot satisfy *any* query's
-    /// location atoms anymore (for each query, some atom's automaton has left
-    /// the set of locations from which the atom is reachable); such states
-    /// need not be stored or expanded.  Always `true` when some query has no
-    /// location atoms (it can match anywhere).
+    /// `false` iff the discrete state provably cannot satisfy the query's
+    /// location atoms anymore (some atom's automaton has left the set of
+    /// locations from which the atom is reachable); such states need not be
+    /// stored or expanded.  Always `true` without a query or when the query
+    /// has no location atoms (it can match anywhere).
     pub fn can_reach_query(&self, discrete: &DiscreteState) -> bool {
         match &self.query_reach {
             None => true,
-            Some(groups) => groups.iter().any(|atoms| {
-                atoms
-                    .iter()
-                    .all(|(ai, reach)| reach[discrete.locations()[*ai].index()])
-            }),
+            Some(atoms) => atoms
+                .iter()
+                .all(|(ai, reach)| reach[discrete.locations()[*ai].index()]),
         }
     }
 

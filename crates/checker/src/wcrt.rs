@@ -50,22 +50,6 @@ impl SupReport {
     }
 }
 
-/// One clock-supremum query of a batched WCRT extraction: compute
-/// `sup { clock | reachable state matching target }` together with the other
-/// queries of the batch, in a *single* exploration of the zone graph.
-#[derive(Clone, Debug)]
-pub struct SupQuery {
-    /// The goal states at which the clock is observed (e.g. a measuring
-    /// observer's committed `seen` location).
-    pub target: TargetSpec,
-    /// The observed clock.
-    pub clock: ClockId,
-    /// Initial extrapolation cap for the observed clock.
-    pub initial_cap: i64,
-    /// Hard upper bound on the cap-doubling of the `*_auto` variants.
-    pub max_cap: i64,
-}
-
 /// Result of [`Explorer::binary_search_wcrt`].
 #[derive(Clone, Debug)]
 pub struct BinarySearchReport {
@@ -93,114 +77,47 @@ impl<'s> Explorer<'s> {
         clock: ClockId,
         cap: i64,
     ) -> Result<SupReport, CheckError> {
-        let query = SupQuery {
+        let mut consts = target.clock_constants(self.system());
+        consts.push((clock, cap));
+        let seed = QuerySeed {
             target: target.clone(),
-            clock,
-            initial_cap: cap,
-            max_cap: cap,
+            consts,
         };
-        let mut reports = self.sup_clocks_at(std::slice::from_ref(&query), &[cap])?;
-        Ok(reports.pop().expect("one report per query"))
-    }
-
-    /// Computes every query's clock supremum in **one** exploration of the
-    /// zone graph — the batched form of [`Explorer::sup_clock_at`] used by
-    /// multi-requirement WCRT extraction (one query per measuring observer).
-    /// Extrapolation keeps each query's clock exact at that query's own
-    /// target locations, and a state is pruned only once *no* query can be
-    /// satisfied from it anymore.  Every returned report shares the
-    /// statistics of the single exploration.
-    pub fn sup_clocks_at(
-        &self,
-        queries: &[SupQuery],
-        caps: &[i64],
-    ) -> Result<Vec<SupReport>, CheckError> {
-        assert_eq!(queries.len(), caps.len());
-        let seeds: Vec<QuerySeed> = queries
-            .iter()
-            .zip(caps)
-            .map(|(q, cap)| {
-                let mut consts = q.target.clock_constants(self.system());
-                consts.push((q.clock, *cap));
-                QuerySeed {
-                    target: q.target.clone(),
-                    consts,
-                }
-            })
-            .collect();
-        let mut accs: Vec<(Option<Bound>, bool)> = vec![(None, false); queries.len()];
+        let mut sup: Option<Bound> = None;
         let mut error: Option<tempo_ta::EvalError> = None;
-        let (_, _, stats) = self.run(None, &seeds, |state| {
+        let (_, _, stats) = self.run(None, Some(&seed), |state| {
             if error.is_some() {
                 return;
             }
-            for (query, acc) in queries.iter().zip(accs.iter_mut()) {
-                match query.target.matches(state) {
-                    Ok(true) => {
-                        let b = state.zone.sup(query.clock.dbm_clock());
-                        acc.0 = Some(match acc.0 {
-                            Some(s) => s.max(b),
-                            None => b,
-                        });
-                        acc.1 = true;
-                    }
-                    Ok(false) => {}
-                    Err(e) => {
-                        error = Some(e);
-                        return;
-                    }
+            match target.matches(state) {
+                Ok(true) => {
+                    let b = state.zone.sup(clock.dbm_clock());
+                    sup = Some(sup.map_or(b, |s| s.max(b)));
                 }
+                Ok(false) => {}
+                Err(e) => error = Some(e),
             }
         })?;
         if let Some(e) = error {
             return Err(e.into());
         }
-        Ok(accs
-            .into_iter()
-            .zip(caps)
-            .map(|((sup, matched), cap)| {
-                let sup = if matched { sup } else { None };
-                let cap_hit = match sup {
-                    Some(b) if b.is_infinity() => true,
-                    Some(b) => b.constant() >= *cap,
-                    None => false,
-                };
-                SupReport {
-                    sup,
-                    cap_hit,
-                    cap: *cap,
-                    stats: stats.clone(),
-                }
-            })
-            .collect())
-    }
-
-    /// Like [`Explorer::sup_clocks_at`] but automatically doubles the cap of
-    /// every query whose supremum touched it (up to its `max_cap`), re-running
-    /// the batched exploration until all suprema are exact or capped.
-    /// Truncated explorations (state limit or wall-clock budget) stop the
-    /// doubling: the supremum is only a lower bound there and a larger cap
-    /// cannot fix that.
-    pub fn sup_clocks_at_auto(&self, queries: &[SupQuery]) -> Result<Vec<SupReport>, CheckError> {
-        let mut caps: Vec<i64> = queries.iter().map(|q| q.initial_cap.max(1)).collect();
-        loop {
-            let reports = self.sup_clocks_at(queries, &caps)?;
-            let mut retry = false;
-            for (i, report) in reports.iter().enumerate() {
-                if report.cap_hit && !report.stats.truncated && caps[i] < queries[i].max_cap {
-                    caps[i] = caps[i].saturating_mul(2).min(queries[i].max_cap);
-                    retry = true;
-                }
-            }
-            if !retry {
-                return Ok(reports);
-            }
-        }
+        let cap_hit = match sup {
+            Some(b) if b.is_infinity() => true,
+            Some(b) => b.constant() >= cap,
+            None => false,
+        };
+        Ok(SupReport {
+            sup,
+            cap_hit,
+            cap,
+            stats,
+        })
     }
 
     /// Like [`Explorer::sup_clock_at`] but automatically doubles the cap (up
-    /// to `max_cap`) until the supremum no longer touches it, as
-    /// [`Explorer::sup_clocks_at_auto`] does for a batch.
+    /// to `max_cap`) until the supremum no longer touches it.  A truncated
+    /// exploration (state limit or wall-clock budget) stops the doubling: the
+    /// supremum is only a lower bound there and a larger cap cannot fix that.
     pub fn sup_clock_at_auto(
         &self,
         target: &TargetSpec,
@@ -424,8 +341,7 @@ mod tests {
     }
 
     /// Two independent jobs, each with its own observer clock captured in its
-    /// own committed location — the batched-sup shape of a multi-requirement
-    /// WCRT query.
+    /// own committed location.
     fn two_observed_jobs() -> System {
         let mut sb = SystemBuilder::new("two_jobs");
         for (name, lo, hi) in [("a", 3i64, 7i64), ("b", 2, 11)] {
@@ -442,32 +358,6 @@ mod tests {
             let _ = y;
         }
         sb.build()
-    }
-
-    #[test]
-    fn batched_sups_match_individual_sups() {
-        let sys = two_observed_jobs();
-        let ex = Explorer::new(&sys, SearchOptions::default()).unwrap();
-        let queries: Vec<SupQuery> = [("a", "y_a"), ("b", "y_b")]
-            .iter()
-            .map(|(name, clock)| SupQuery {
-                target: TargetSpec::location(&sys, &format!("job_{name}"), "seen").unwrap(),
-                clock: sys.clock_by_name(clock).unwrap(),
-                initial_cap: 2,
-                max_cap: 1_000,
-            })
-            .collect();
-        let batched = ex.sup_clocks_at_auto(&queries).unwrap();
-        assert_eq!(batched.len(), 2);
-        for (q, b) in queries.iter().zip(&batched) {
-            let single = ex
-                .sup_clock_at_auto(&q.target, q.clock, q.initial_cap, q.max_cap)
-                .unwrap();
-            assert_eq!(b.exact_value(), single.exact_value());
-            assert!(!b.cap_hit);
-        }
-        assert_eq!(batched[0].exact_value(), Some(7));
-        assert_eq!(batched[1].exact_value(), Some(11));
     }
 
     #[test]

@@ -201,17 +201,7 @@ pub fn analyze_generated(
     let initial_cap = deadline_ticks.saturating_mul(cfg.initial_cap_factor.max(1));
     let max_cap = deadline_ticks.saturating_mul(cfg.max_cap_factor.max(cfg.initial_cap_factor));
     let report = explorer.sup_clock_at_auto(&target, observer.clock, initial_cap, max_cap)?;
-    Ok(report_from_sup(&generated.quantizer, req, report))
-}
-
-/// Interprets a raw clock-supremum report as a [`WcrtReport`] for `req` —
-/// the single conversion shared by the one-requirement analysis above and
-/// the batched multi-requirement path of the engine layer's `Session`.
-pub(crate) fn report_from_sup(
-    quantizer: &crate::time::Quantizer,
-    req: &Requirement,
-    report: tempo_check::SupReport,
-) -> WcrtReport {
+    let quantizer = &generated.quantizer;
     let (wcrt, lower_bound) = if report.stats.truncated {
         // The exploration was cut short (bounded "structured testing" in the
         // sense of Section 4, or an expired wall-clock budget): the observed
@@ -239,20 +229,20 @@ pub(crate) fn report_from_sup(
         (None, Some(lb)) if lb >= req.deadline => Some(false),
         _ => None,
     };
-    WcrtReport {
+    Ok(WcrtReport {
         requirement: req.name.clone(),
         wcrt,
         lower_bound,
         deadline: req.deadline,
         meets_deadline,
         stats: report.stats,
-    }
+    })
 }
 
 /// Reproduces the paper's Property 1 procedure (binary search over `C`) for a
 /// requirement; mainly used to cross-check the supremum method behind
-/// [`Session::wcrt`](crate::engine::Session::wcrt) and to report the number
-/// of verification runs the manual method needs.
+/// [`AnalysisDb::wcrt`](crate::incremental::AnalysisDb::wcrt) and to report
+/// the number of verification runs the manual method needs.
 pub fn analyze_requirement_binary_search(
     model: &ArchitectureModel,
     requirement_name: &str,
@@ -289,7 +279,7 @@ pub fn analyze_requirement_binary_search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Session;
+    use crate::incremental::AnalysisDb;
     use crate::model::{
         EventModel, MeasurePoint, Scenario, SchedulingPolicy, Step,
     };
@@ -297,14 +287,14 @@ mod tests {
     /// One-shot WCRT through the engine layer (what the dropped
     /// `analyze_requirement` shim wrapped).
     fn wcrt(m: &ArchitectureModel, name: &str) -> Result<WcrtReport, ArchError> {
-        Session::new(m, AnalysisConfig::default())?.wcrt(name)
+        AnalysisDb::new(AnalysisConfig::default()).wcrt(m, name)
     }
 
     /// One-shot queue-bound check through the engine layer (what the dropped
     /// `check_queues_bounded` shim wrapped).
     fn queues_bounded(m: &ArchitectureModel) -> Result<(), ArchError> {
-        Session::new(m, AnalysisConfig::default())?
-            .queue_check()
+        AnalysisDb::new(AnalysisConfig::default())
+            .queue_check(m)
             .map(|_| ())
     }
 
@@ -442,11 +432,9 @@ mod tests {
     #[test]
     fn analyze_all_covers_every_requirement() {
         let m = two_task_model(SchedulingPolicy::FixedPriorityNonPreemptive);
-        // Per-requirement mode: one dedicated network and one report with its
-        // own statistics per requirement (the dropped `analyze_all` contract).
-        let mut session = Session::new(&m, AnalysisConfig::default()).unwrap();
-        session.set_batch_wcrt_all(false);
-        let reports = session.wcrt_all().unwrap();
+        // One dedicated network and one report with its own statistics per
+        // requirement (the dropped `analyze_all` contract).
+        let reports = AnalysisDb::new(AnalysisConfig::default()).wcrt_all(&m).unwrap();
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().all(|r| r.wcrt.is_some()));
         assert!(reports.iter().all(|r| r.meets_deadline == Some(true)));

@@ -17,11 +17,11 @@
 //! * [`RunContext`] — wall-clock/state budgets, cooperative cancellation and
 //!   progress reporting, threaded down into the model checker's explorer
 //!   through [`tempo_check::SearchHook`],
-//! * [`Session`] — a stateful handle binding one model: it validates once,
-//!   generates/compiles the timed-automata network **once** per query shape
-//!   and reuses it across queries (a multi-requirement [`Query::WcrtAll`]
-//!   generates a single multi-observer network and answers every requirement
-//!   in one exploration),
+//! * [`TaEngine`] — the exact engine.  It answers through its own
+//!   [`AnalysisDb`], the one cache and query dispatcher of the exact
+//!   analysis: one measuring observer and one exploration per requirement
+//!   (the paper's Fig. 9), with generated networks and complete answers
+//!   reused across queries,
 //! * [`Portfolio`] — fans a query across several engines, checks the paper's
 //!   bracket invariant (every lower bound ≤ every exact value ≤ every upper
 //!   bound, within a tolerance), and reconciles the answers into one
@@ -32,18 +32,15 @@
 //! lived on for a while as deprecated shims over this surface and have since
 //! been dropped; the engine API is the only entry point.
 
-use crate::analysis::{analyze_generated, report_from_sup, AnalysisConfig, ArchError, WcrtReport};
-use crate::generator::{generate, generate_measuring, GeneratedModel};
-use crate::model::{ArchitectureModel, Requirement};
+use crate::analysis::{AnalysisConfig, ArchError, WcrtReport};
+use crate::incremental::AnalysisDb;
+use crate::model::ArchitectureModel;
 use crate::time::TimeValue;
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tempo_check::{CheckError, Explorer, FaultPlan, FaultSite, SearchHook, SupQuery, TargetSpec};
+use tempo_check::{CheckError, FaultPlan, FaultSite, SearchHook};
 
 // Fault-injection vocabulary, re-exported so engine users can build a
 // [`RunContext`] with a fault plan without depending on `tempo_check`
@@ -555,19 +552,6 @@ impl From<ArchError> for EngineError {
     }
 }
 
-/// Overlays a [`RunContext`]'s budget and hooks onto an analysis
-/// configuration — the single translation shared by [`Session::run`] and the
-/// incremental database's query entry points.
-pub(crate) fn apply_run_context(cfg: &AnalysisConfig, ctx: &RunContext) -> AnalysisConfig {
-    let mut cfg = cfg.clone();
-    cfg.search.hook = ctx.search_hook();
-    if let Some(limit) = ctx.budget.max_states {
-        cfg.search.max_states = Some(cfg.search.max_states.map_or(limit, |l| l.min(limit)));
-        cfg.search.truncate_on_limit = true;
-    }
-    cfg
-}
-
 /// Polls the [`FaultSite::EngineEntry`] instrumentation point on behalf of an
 /// engine and translates the checker's fault vocabulary into engine errors.
 /// Returns `Ok(true)` when an injected budget exhaustion asks the engine to
@@ -718,31 +702,22 @@ pub trait Engine {
 }
 
 // ---------------------------------------------------------------------------
-// The timed-automata engine and its session
+// The timed-automata engine
 // ---------------------------------------------------------------------------
 
 /// The exact timed-automata engine (the paper's primary technique), wrapping
-/// the model checker behind the [`Engine`] trait.  Stateless per run; use a
-/// [`Session`] directly to reuse generated networks across several queries on
-/// the same model.
-#[derive(Clone, Debug)]
+/// the model checker behind the [`Engine`] trait.  It answers through its own
+/// [`AnalysisDb`], one measuring observer and one exploration per
+/// requirement, so repeated queries on a model (a portfolio run followed by
+/// per-requirement drill-downs, say) reuse generated networks and complete
+/// answers; [`TaEngine::db`] exposes the cache and its counters.
 pub struct TaEngine {
-    /// The analysis configuration (generator options, search options, cap
-    /// policy).
-    pub cfg: AnalysisConfig,
-    /// Whether [`Query::WcrtAll`] uses the batched multi-observer network
-    /// (one generation, one exploration for every requirement; default) or
-    /// falls back to one dedicated network per requirement — the latter keeps
-    /// individual state spaces smaller on heavyweight models.
-    pub batch_wcrt_all: bool,
+    db: AnalysisDb,
 }
 
 impl Default for TaEngine {
     fn default() -> Self {
-        TaEngine {
-            cfg: AnalysisConfig::default(),
-            batch_wcrt_all: true,
-        }
+        TaEngine::with_config(AnalysisConfig::default())
     }
 }
 
@@ -750,9 +725,13 @@ impl TaEngine {
     /// An engine with the given analysis configuration.
     pub fn with_config(cfg: AnalysisConfig) -> TaEngine {
         TaEngine {
-            cfg,
-            ..TaEngine::default()
+            db: AnalysisDb::new(cfg),
         }
+    }
+
+    /// The analysis database the engine answers through.
+    pub fn db(&self) -> &AnalysisDb {
+        &self.db
     }
 }
 
@@ -776,282 +755,9 @@ impl Engine for TaEngine {
         query: &Query,
         ctx: &RunContext,
     ) -> Result<EngineReport, EngineError> {
-        let mut session = Session::new(model, self.cfg.clone())?;
-        session.set_batch_wcrt_all(self.batch_wcrt_all);
-        session.run(query, ctx)
-    }
-}
-
-/// A stateful analysis handle binding one architecture model.
-///
-/// The session validates the model **once** at construction and caches every
-/// generated timed-automata network, so repeated queries (and multi-query
-/// workflows like a portfolio run followed by per-requirement drill-downs)
-/// never regenerate: a [`Query::WcrtAll`] generates a *single* network with
-/// one measuring observer per requirement and extracts every supremum in one
-/// exploration ([`Session::generations`] counts generator invocations, which
-/// the tests assert).
-pub struct Session<'m> {
-    model: &'m ArchitectureModel,
-    cfg: AnalysisConfig,
-    batch_wcrt_all: bool,
-    generations: Cell<usize>,
-    per_requirement: RefCell<HashMap<String, Rc<GeneratedModel>>>,
-    all_requirements: RefCell<Option<Rc<GeneratedModel>>>,
-    base: RefCell<Option<Rc<GeneratedModel>>>,
-}
-
-impl<'m> Session<'m> {
-    /// Validates the model and opens a session with the given configuration.
-    pub fn new(model: &'m ArchitectureModel, cfg: AnalysisConfig) -> Result<Session<'m>, ArchError> {
-        model.validate()?;
-        Ok(Session {
-            model,
-            cfg,
-            batch_wcrt_all: true,
-            generations: Cell::new(0),
-            per_requirement: RefCell::new(HashMap::new()),
-            all_requirements: RefCell::new(None),
-            base: RefCell::new(None),
-        })
-    }
-
-    /// The model under analysis.
-    pub fn model(&self) -> &ArchitectureModel {
-        self.model
-    }
-
-    /// The analysis configuration in effect.
-    pub fn config(&self) -> &AnalysisConfig {
-        &self.cfg
-    }
-
-    /// Selects the [`Query::WcrtAll`] strategy (see
-    /// [`TaEngine::batch_wcrt_all`]).
-    pub fn set_batch_wcrt_all(&mut self, batch: bool) {
-        self.batch_wcrt_all = batch;
-    }
-
-    /// How many times the session has invoked the generator so far — the
-    /// observable for "the network is generated once and reused".
-    pub fn generations(&self) -> usize {
-        self.generations.get()
-    }
-
-    fn record_generation<T>(&self, generated: T) -> Rc<T> {
-        self.generations.set(self.generations.get() + 1);
-        Rc::new(generated)
-    }
-
-    fn generated_for(&self, req: &Requirement) -> Result<Rc<GeneratedModel>, ArchError> {
-        if let Some(g) = self.per_requirement.borrow().get(&req.name) {
-            return Ok(Rc::clone(g));
-        }
-        let g = self.record_generation(generate(self.model, Some(req), &self.cfg.generator)?);
-        self.per_requirement
-            .borrow_mut()
-            .insert(req.name.clone(), Rc::clone(&g));
-        Ok(g)
-    }
-
-    fn generated_all(&self) -> Result<Rc<GeneratedModel>, ArchError> {
-        if let Some(g) = self.all_requirements.borrow().as_ref() {
-            return Ok(Rc::clone(g));
-        }
-        let g = self.record_generation(generate_measuring(
-            self.model,
-            &self.model.requirements,
-            &self.cfg.generator,
-        )?);
-        *self.all_requirements.borrow_mut() = Some(Rc::clone(&g));
-        Ok(g)
-    }
-
-    fn generated_base(&self) -> Result<Rc<GeneratedModel>, ArchError> {
-        if let Some(g) = self.base.borrow().as_ref() {
-            return Ok(Rc::clone(g));
-        }
-        let g = self.record_generation(generate(self.model, None, &self.cfg.generator)?);
-        *self.base.borrow_mut() = Some(Rc::clone(&g));
-        Ok(g)
-    }
-
-    fn requirement(&self, name: &str) -> Result<Requirement, ArchError> {
-        self.model
-            .requirement_by_name(name)
-            .cloned()
-            .ok_or_else(|| ArchError::UnknownRequirement {
-                name: name.to_string(),
-            })
-    }
-
-    /// The WCRT of one requirement (cached generation, fresh exploration).
-    pub fn wcrt(&self, requirement: &str) -> Result<WcrtReport, ArchError> {
-        self.wcrt_with(requirement, &self.cfg)
-    }
-
-    fn wcrt_with(&self, requirement: &str, cfg: &AnalysisConfig) -> Result<WcrtReport, ArchError> {
-        let req = self.requirement(requirement)?;
-        let generated = self.generated_for(&req)?;
-        analyze_generated(&generated, &req, cfg)
-    }
-
-    /// The WCRTs of every requirement.  With batching enabled (default) this
-    /// generates one multi-observer network and runs **one** exploration for
-    /// all requirements; otherwise it analyses each requirement on its own
-    /// dedicated network.
-    pub fn wcrt_all(&self) -> Result<Vec<WcrtReport>, ArchError> {
-        self.wcrt_all_with(&self.cfg)
-    }
-
-    fn wcrt_all_with(&self, cfg: &AnalysisConfig) -> Result<Vec<WcrtReport>, ArchError> {
-        if !self.batch_wcrt_all {
-            return self
-                .model
-                .requirements
-                .iter()
-                .map(|r| self.wcrt_with(&r.name, cfg))
-                .collect();
-        }
-        if self.model.requirements.is_empty() {
-            return Ok(Vec::new());
-        }
-        let generated = self.generated_all()?;
-        let explorer = Explorer::new(&generated.system, cfg.search.clone())?;
-        let mut queries = Vec::with_capacity(self.model.requirements.len());
-        for (observer, req) in generated.observers.iter().zip(&self.model.requirements) {
-            debug_assert_eq!(observer.requirement, req.name);
-            let target = TargetSpec::location(
-                &generated.system,
-                &observer.automaton,
-                &observer.seen_location,
-            )?;
-            let deadline_ticks = generated.quantizer.to_ticks(req.deadline).max(1);
-            queries.push(SupQuery {
-                target,
-                clock: observer.clock,
-                initial_cap: deadline_ticks.saturating_mul(cfg.initial_cap_factor.max(1)),
-                max_cap: deadline_ticks
-                    .saturating_mul(cfg.max_cap_factor.max(cfg.initial_cap_factor)),
-            });
-        }
-        let sups = explorer.sup_clocks_at_auto(&queries)?;
-        Ok(self
-            .model
-            .requirements
-            .iter()
-            .zip(sups)
-            .map(|(req, sup)| report_from_sup(&generated.quantizer, req, sup))
-            .collect())
-    }
-
-    /// Whether every event queue stays within capacity: `Some(true)` proven
-    /// bounded, `Some(false)` an overflow is reachable, `None` undecided
-    /// (the exploration was truncated by a budget).
-    pub fn queues_bounded(&self) -> Result<Option<bool>, ArchError> {
-        self.queues_bounded_with(&self.cfg)
-    }
-
-    /// Raw form of [`Session::queues_bounded`]: explores the functional
-    /// (observer-free) network and surfaces a reachable overflow as the
-    /// [`ArchError::QueueOverflow`] error, like the historical (since
-    /// dropped) `check_queues_bounded` free function did.
-    pub fn queue_check(&self) -> Result<tempo_check::ExplorationStats, ArchError> {
-        self.queue_check_with(&self.cfg)
-    }
-
-    fn queue_check_with(
-        &self,
-        cfg: &AnalysisConfig,
-    ) -> Result<tempo_check::ExplorationStats, ArchError> {
-        let generated = self.generated_base()?;
-        let explorer = Explorer::new(&generated.system, cfg.search.clone())?;
-        explorer.explore(|_| {}).map_err(ArchError::from)
-    }
-
-    fn queues_bounded_with(&self, cfg: &AnalysisConfig) -> Result<Option<bool>, ArchError> {
-        match self.queue_check_with(cfg) {
-            Ok(stats) if stats.truncated => Ok(None),
-            Ok(_) => Ok(Some(true)),
-            Err(ArchError::QueueOverflow { .. }) => Ok(Some(false)),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The configuration with the run context's budget and hooks applied.
-    fn effective_config(&self, ctx: &RunContext) -> AnalysisConfig {
-        apply_run_context(&self.cfg, ctx)
-    }
-
-    /// Answers a typed [`Query`] — the session-level form of
-    /// [`Engine::run`].
-    pub fn run(&self, query: &Query, ctx: &RunContext) -> Result<EngineReport, EngineError> {
-        let started = Instant::now();
-        let mut cfg = self.effective_config(ctx);
-        if poll_entry_fault(ctx)? {
-            // Injected budget exhaustion: degrade exactly as if the
-            // wall-clock budget had expired on entry — the exploration
-            // truncates immediately and the answers are sound lower bounds.
-            cfg.search.hook.wall_clock_budget = Some(Duration::ZERO);
-        }
-        let (estimates, verdict, states_stored, truncated) = match query {
-            Query::Wcrt { requirement } => {
-                let report = self.wcrt_with(requirement, &cfg)?;
-                let states = report.stats.stored_cumulative;
-                let truncated = report.stats.truncated;
-                (
-                    vec![RequirementEstimate::from_wcrt(&report)],
-                    None,
-                    Some(states),
-                    truncated,
-                )
-            }
-            Query::Supremum { requirement } => {
-                let report = self.wcrt_with(requirement, &cfg)?;
-                let states = report.stats.stored_cumulative;
-                let truncated = report.stats.truncated;
-                let mut estimate = RequirementEstimate::from_wcrt(&report);
-                estimate.meets_deadline = None;
-                (vec![estimate], None, Some(states), truncated)
-            }
-            Query::DeadlineCheck { requirement } => {
-                let report = self.wcrt_with(requirement, &cfg)?;
-                let states = report.stats.stored_cumulative;
-                let truncated = report.stats.truncated;
-                let verdict = report.meets_deadline;
-                (
-                    vec![RequirementEstimate::from_wcrt(&report)],
-                    verdict,
-                    Some(states),
-                    truncated,
-                )
-            }
-            Query::WcrtAll => {
-                let reports = self.wcrt_all_with(&cfg)?;
-                let states = reports.iter().map(|r| r.stats.stored_cumulative).max();
-                let truncated = reports.iter().any(|r| r.stats.truncated);
-                (
-                    reports.iter().map(RequirementEstimate::from_wcrt).collect(),
-                    None,
-                    states,
-                    truncated,
-                )
-            }
-            Query::QueueBounds => {
-                let verdict = self.queues_bounded_with(&cfg)?;
-                // An undecided verdict means the exploration truncated.
-                (Vec::new(), verdict, None, verdict.is_none())
-            }
-        };
-        Ok(EngineReport {
-            engine: "timed-automata".into(),
-            query: query.clone(),
-            estimates,
-            verdict,
-            wall_time: started.elapsed(),
-            states_stored,
-            truncated,
-        })
+        let mut report = self.db.run(model, query, ctx)?;
+        report.engine = self.name().into();
+        Ok(report)
     }
 }
 
@@ -1616,7 +1322,7 @@ impl Engine for Portfolio {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{EventModel, MeasurePoint, Scenario, SchedulingPolicy, Step};
+    use crate::model::{EventModel, MeasurePoint, Requirement, Scenario, SchedulingPolicy, Step};
 
     fn two_task_model() -> ArchitectureModel {
         let mut m = ArchitectureModel::new("engine-test");
@@ -1691,53 +1397,30 @@ mod tests {
     }
 
     #[test]
-    fn session_batches_wcrt_all_into_one_generation() {
-        let model = two_task_model();
-        let session = Session::new(&model, AnalysisConfig::default()).unwrap();
-        let batched = session.wcrt_all().unwrap();
-        assert_eq!(session.generations(), 1, "WcrtAll must generate once");
-        assert_eq!(batched.len(), 2);
-        // Re-running any WCRT query reuses caches; only the dedicated
-        // per-requirement network adds one more generation.
-        let again = session.wcrt_all().unwrap();
-        assert_eq!(session.generations(), 1);
-        let single = session.wcrt("hi-rt").unwrap();
-        assert_eq!(session.generations(), 2);
-        let _ = session.wcrt("hi-rt").unwrap();
-        assert_eq!(session.generations(), 2);
-        // The batched multi-observer extraction is exact: it agrees with the
-        // dedicated single-observer analysis.
-        assert_eq!(batched[0].wcrt, single.wcrt);
-        assert_eq!(again[1].wcrt, batched[1].wcrt);
-        assert_eq!(batched[0].wcrt, Some(TimeValue::millis(2)));
-        assert_eq!(batched[1].wcrt, Some(TimeValue::millis(12)));
-    }
-
-    #[test]
     fn session_answers_typed_queries() {
         let model = two_task_model();
-        let session = Session::new(&model, AnalysisConfig::default()).unwrap();
+        let engine = TaEngine::default();
         let ctx = RunContext::default();
-        let wcrt = session.run(&Query::wcrt("hi-rt"), &ctx).unwrap();
+        let wcrt = engine.run(&model, &Query::wcrt("hi-rt"), &ctx).unwrap();
         assert_eq!(wcrt.estimates.len(), 1);
         assert_eq!(
             wcrt.estimates[0].estimate,
             Estimate::Exact(TimeValue::millis(2))
         );
-        let deadline = session.run(&Query::deadline_check("lo-rt"), &ctx).unwrap();
+        let deadline = engine.run(&model, &Query::deadline_check("lo-rt"), &ctx).unwrap();
         assert_eq!(deadline.verdict, Some(true));
-        let queues = session.run(&Query::QueueBounds, &ctx).unwrap();
+        let queues = engine.run(&model, &Query::QueueBounds, &ctx).unwrap();
         assert_eq!(queues.verdict, Some(true));
-        let unknown = session.run(&Query::wcrt("nope"), &ctx);
+        let unknown = engine.run(&model, &Query::wcrt("nope"), &ctx);
         assert!(matches!(unknown, Err(EngineError::UnknownRequirement(_))));
     }
 
     #[test]
     fn wall_clock_budget_yields_well_formed_lower_bound() {
         let model = two_task_model();
-        let session = Session::new(&model, AnalysisConfig::default()).unwrap();
+        let engine = TaEngine::default();
         let ctx = RunContext::with_wall_clock(Duration::ZERO);
-        let report = session.run(&Query::wcrt("hi-rt"), &ctx).unwrap();
+        let report = engine.run(&model, &Query::wcrt("hi-rt"), &ctx).unwrap();
         // Nothing useful was explored, but the answer is a well-formed lower
         // bound rather than an error.
         assert!(matches!(
@@ -1746,7 +1429,7 @@ mod tests {
         ));
         // A generous budget yields the exact value.
         let ctx = RunContext::with_wall_clock(Duration::from_secs(60));
-        let report = session.run(&Query::wcrt("hi-rt"), &ctx).unwrap();
+        let report = engine.run(&model, &Query::wcrt("hi-rt"), &ctx).unwrap();
         assert_eq!(
             report.estimates[0].estimate,
             Estimate::Exact(TimeValue::millis(2))
@@ -1756,13 +1439,13 @@ mod tests {
     #[test]
     fn cancellation_maps_to_engine_error() {
         let model = two_task_model();
-        let session = Session::new(&model, AnalysisConfig::default()).unwrap();
+        let engine = TaEngine::default();
         let ctx = RunContext {
             cancel: Some(Arc::new(AtomicBool::new(true))),
             ..RunContext::default()
         };
         assert!(ctx.is_cancelled());
-        let err = session.run(&Query::wcrt("hi-rt"), &ctx).unwrap_err();
+        let err = engine.run(&model, &Query::wcrt("hi-rt"), &ctx).unwrap_err();
         assert!(matches!(err, EngineError::Cancelled));
     }
 
@@ -1776,6 +1459,7 @@ mod tests {
         let report = engine
             .run(&model, &Query::WcrtAll, &RunContext::default())
             .unwrap();
+        assert_eq!(report.engine, "timed-automata");
         assert_eq!(report.estimates.len(), 2);
         assert!(report.estimates.iter().all(|e| e.estimate.is_exact()));
         assert!(report.states_stored.unwrap() > 0);

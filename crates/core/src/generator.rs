@@ -61,12 +61,8 @@ pub struct GeneratedModel {
     pub system: System,
     /// The quantization used for all clock constants.
     pub quantizer: Quantizer,
-    /// Observer handles, present when a requirement was selected (the first
-    /// observer when several were; see [`GeneratedModel::observers`]).
+    /// Observer handles, present when a requirement was selected.
     pub observer: Option<ObserverRefs>,
-    /// One observer per measured requirement, in requirement order
-    /// ([`generate_measuring`] adds several; [`generate`] at most one).
-    pub observers: Vec<ObserverRefs>,
 }
 
 /// Identifies a consumer step: which scenario and which step index.
@@ -84,29 +80,6 @@ struct StepRef {
 pub fn generate(
     model: &ArchitectureModel,
     measure: Option<&Requirement>,
-    opts: &GeneratorOptions,
-) -> Result<GeneratedModel, ModelError> {
-    match measure {
-        Some(req) => generate_measuring(model, std::slice::from_ref(req), opts),
-        None => generate_measuring(model, &[], opts),
-    }
-}
-
-/// Translates an architecture model into a network of timed automata with one
-/// measuring observer **per given requirement** — the batched form used by
-/// the engine layer's `Session`, which generates the network once and answers
-/// a multi-requirement WCRT query in a single exploration.
-///
-/// Observers are passive (they only receive broadcast notifications and their
-/// committed `seen` detour takes zero time), so each observer's measured
-/// response-time supremum is the same as in a dedicated single-observer
-/// network; the engine differential tests assert this.  The price of batching
-/// is a larger product state space (each observer's arming choice multiplies
-/// the discrete states), which is why the per-requirement [`generate`] path
-/// remains the default for the heavyweight case-study columns.
-pub fn generate_measuring(
-    model: &ArchitectureModel,
-    measure: &[Requirement],
     opts: &GeneratorOptions,
 ) -> Result<GeneratedModel, ModelError> {
     model.validate()?;
@@ -130,57 +103,38 @@ pub fn generate_measuring(
     }
 
     // Observation (stimulus/completion) broadcast channels for the measured
-    // requirements; channels are shared when several observers watch the same
-    // stimulus stream or step completion.
-    let mut stim_channels: Vec<(usize, ChannelId)> = Vec::new();
+    // requirement.  Validation puts `from` strictly before `to`, so the two
+    // channels are always distinct.
+    let mut stim_channel: Option<(usize, ChannelId)> = None;
     let mut done_channels: Vec<(StepRef, ChannelId)> = Vec::new();
-    let mut observers: Vec<ObserverRefs> = Vec::new();
-    for (oi, req) in measure.iter().enumerate() {
+    let observer = measure.map(|req| {
         let sid = req.scenario.0;
-        let done_channel = |sb: &mut SystemBuilder,
-                                done_channels: &mut Vec<(StepRef, ChannelId)>,
-                                step: usize| {
-            let key = StepRef { scenario: sid, step };
-            if let Some((_, ch)) = done_channels.iter().find(|(r, _)| *r == key) {
-                *ch
-            } else {
-                let ch = sb.add_channel(
-                    format!("done_{}_{}", model.scenarios[sid].name, step),
-                    ChannelKind::Broadcast,
-                );
-                done_channels.push((key, ch));
-                ch
-            }
+        let mut done_channel = |sb: &mut SystemBuilder, step: usize| {
+            let ch = sb.add_channel(
+                format!("done_{}_{}", model.scenarios[sid].name, step),
+                ChannelKind::Broadcast,
+            );
+            done_channels.push((StepRef { scenario: sid, step }, ch));
+            ch
         };
         let to_step = match req.to {
             MeasurePoint::AfterStep(i) => i,
             MeasurePoint::Stimulus => unreachable!("validated"),
         };
-        let end_ch = done_channel(&mut sb, &mut done_channels, to_step);
+        let end_ch = done_channel(&mut sb, to_step);
         let start_ch = match req.from {
             MeasurePoint::Stimulus => {
-                if let Some((_, ch)) = stim_channels.iter().find(|(s, _)| *s == sid) {
-                    *ch
-                } else {
-                    let ch = sb.add_channel(
-                        format!("stim_{}", model.scenarios[sid].name),
-                        ChannelKind::Broadcast,
-                    );
-                    stim_channels.push((sid, ch));
-                    ch
-                }
+                let ch = sb.add_channel(
+                    format!("stim_{}", model.scenarios[sid].name),
+                    ChannelKind::Broadcast,
+                );
+                stim_channel = Some((sid, ch));
+                ch
             }
-            MeasurePoint::AfterStep(i) => done_channel(&mut sb, &mut done_channels, i),
+            MeasurePoint::AfterStep(i) => done_channel(&mut sb, i),
         };
-        // A single observer keeps the legacy names so existing queries,
-        // figures and tests stay byte-for-byte identical.
-        let suffix = if measure.len() == 1 {
-            String::new()
-        } else {
-            format!("_{oi}")
-        };
-        observers.push(build_observer(&mut sb, req, &suffix, start_ch, end_ch, cap));
-    }
+        build_observer(&mut sb, req, start_ch, end_ch, cap)
+    });
 
     // ---- the always-ready listener for the urgent channel --------------------
     {
@@ -273,10 +227,7 @@ pub fn generate_measuring(
 
     // ---- per-scenario environment automata -------------------------------------
     for (si, s) in model.scenarios.iter().enumerate() {
-        let stim = stim_channels
-            .iter()
-            .find(|(sid, _)| *sid == si)
-            .map(|(_, ch)| *ch);
+        let stim = stim_channel.filter(|(sid, _)| *sid == si).map(|(_, ch)| ch);
         build_environment(&mut sb, &quantizer, si, &s.name, &s.stimulus, queues[si][0], stim, cap);
     }
 
@@ -284,8 +235,7 @@ pub fn generate_measuring(
     Ok(GeneratedModel {
         system,
         quantizer,
-        observer: observers.first().cloned(),
-        observers,
+        observer,
     })
 }
 
@@ -780,15 +730,14 @@ fn build_environment(
 fn build_observer(
     sb: &mut SystemBuilder,
     requirement: &Requirement,
-    suffix: &str,
     start_ch: ChannelId,
     end_ch: ChannelId,
     cap: i64,
 ) -> ObserverRefs {
-    let y = sb.add_clock(format!("y_obs{suffix}"));
-    let n = sb.add_var(format!("n_obs{suffix}"), 0, 4 * cap.max(4), 0);
-    let m = sb.add_var(format!("m_obs{suffix}"), -1, 4 * cap.max(4), -1);
-    let mut a = sb.automaton(format!("observer{suffix}"));
+    let y = sb.add_clock("y_obs");
+    let n = sb.add_var("n_obs", 0, 4 * cap.max(4), 0);
+    let m = sb.add_var("m_obs", -1, 4 * cap.max(4), -1);
+    let mut a = sb.automaton("observer");
     let idle = a.location("idle").add();
     let armed = a.location("armed").add();
     let seen = a.location("seen").committed(true).add();
@@ -832,16 +781,15 @@ fn build_observer(
         .update(Update::add(n, -1))
         .add();
     // `n` is zeroed on the way out so a finished observer occupies a single
-    // discrete state: in a batched multi-observer network the exploration
-    // continues while other observers still measure, and a frozen counter
-    // would fragment it for no reason (in a single-observer network every
-    // post-`done` state is pruned by the query-location analysis anyway).
+    // discrete state.  The WCRT query never stores a post-`done` state (the
+    // query-location analysis prunes them), so this only keeps a plain
+    // exploration of the measured network from fragmenting.
     a.edge(seen, done).update(Update::assign(n, 0)).add();
     a.set_initial(idle);
     a.build();
 
     ObserverRefs {
-        automaton: format!("observer{suffix}"),
+        automaton: "observer".into(),
         seen_location: "seen".into(),
         clock: y,
         requirement: requirement.name.clone(),
@@ -1071,7 +1019,7 @@ mod tests {
     #[test]
     fn tdma_wcrt_includes_waiting_for_the_slot() {
         use crate::analysis::AnalysisConfig;
-        use crate::engine::Session;
+        use crate::incremental::AnalysisDb;
         // Two scenarios, each sending a 1 ms message over a TDMA bus with
         // 2 ms slots (cycle = 4 ms).  The worst case for scenario `a` is an
         // arrival just after its send window closed: it waits one full cycle
@@ -1110,9 +1058,8 @@ mod tests {
             });
         }
         let cfg = AnalysisConfig::default();
-        let wcrt_a = Session::new(&m, cfg.clone())
-            .unwrap()
-            .wcrt("a latency")
+        let wcrt_a = AnalysisDb::new(cfg.clone())
+            .wcrt(&m, "a latency")
             .unwrap()
             .wcrt
             .expect("exact");
@@ -1121,9 +1068,8 @@ mod tests {
         // message: the TDMA bound must dominate it.
         let mut fcfs = m.clone();
         fcfs.buses[0].arbitration = BusArbitration::FcfsNd;
-        let wcrt_fcfs = Session::new(&fcfs, cfg)
-            .unwrap()
-            .wcrt("a latency")
+        let wcrt_fcfs = AnalysisDb::new(cfg)
+            .wcrt(&fcfs, "a latency")
             .unwrap()
             .wcrt
             .expect("exact");

@@ -79,8 +79,7 @@
 
 use crate::analysis::{analyze_generated, AnalysisConfig, ArchError, WcrtReport};
 use crate::engine::{
-    apply_run_context, poll_entry_fault, EngineError, EngineReport, Query, RequirementEstimate,
-    RunContext,
+    poll_entry_fault, EngineError, EngineReport, Query, RequirementEstimate, RunContext,
 };
 use crate::generator::{generate, GeneratedModel};
 use crate::model::{ArchitectureModel, Requirement};
@@ -246,6 +245,19 @@ fn network_key(model: &ArchitectureModel, observed: Option<&Requirement>, cfg: &
     h.finish()
 }
 
+/// Overlays a [`RunContext`]'s budget and hooks onto an analysis
+/// configuration — the single translation behind the database's query
+/// entry points.
+fn apply_run_context(cfg: &AnalysisConfig, ctx: &RunContext) -> AnalysisConfig {
+    let mut cfg = cfg.clone();
+    cfg.search.hook = ctx.search_hook();
+    if let Some(limit) = ctx.budget.max_states {
+        cfg.search.max_states = Some(cfg.search.max_states.map_or(limit, |l| l.min(limit)));
+        cfg.search.truncate_on_limit = true;
+    }
+    cfg
+}
+
 /// Hit/miss/invalidation counters of an [`AnalysisDb`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DbStats {
@@ -303,10 +315,10 @@ struct DbInner {
 }
 
 /// A memoizing analysis database (see the module docs for the cone
-/// discipline).
+/// discipline) — the one cache and query dispatcher of the exact analysis;
+/// [`TaEngine`](crate::engine::TaEngine) answers through one.
 ///
-/// Unlike a [`Session`](crate::engine::Session), which borrows one model, the
-/// database is model-agnostic and thread-safe: sweep workers share one
+/// The database is model-agnostic and thread-safe: sweep workers share one
 /// `&AnalysisDb` and feed it a different [`ArchitectureModel`] per design
 /// point, so neighboring points reuse each other's untouched queries.
 pub struct AnalysisDb {
@@ -387,12 +399,9 @@ impl AnalysisDb {
         self.wcrt_with(model, requirement, &self.cfg)
     }
 
-    /// The WCRTs of every requirement, one cache entry each.
-    ///
-    /// Deliberately *not* the batched multi-observer exploration of
-    /// [`Session::wcrt_all`](crate::engine::Session::wcrt_all): one network
-    /// per requirement keeps the cache granularity per-query, which is the
-    /// whole point — after an edit only the affected requirements re-explore.
+    /// The WCRTs of every requirement, one network, exploration and cache
+    /// entry each, so after an edit only the affected requirements
+    /// re-explore.
     pub fn wcrt_all(&self, model: &ArchitectureModel) -> Result<Vec<WcrtReport>, ArchError> {
         model.validate()?;
         model
@@ -462,8 +471,9 @@ impl AnalysisDb {
         Ok(report)
     }
 
-    /// Verifies that no event queue can overflow (memoized form of
-    /// [`Session::queue_check`](crate::engine::Session::queue_check)).
+    /// Verifies that no event queue can overflow: explores the functional
+    /// (observer-free) network and surfaces a reachable overflow as
+    /// [`ArchError::QueueOverflow`].
     pub fn queue_check(&self, model: &ArchitectureModel) -> Result<ExplorationStats, ArchError> {
         model.validate()?;
         self.queue_check_with(model, &self.cfg)
@@ -528,10 +538,11 @@ impl AnalysisDb {
     }
 
     /// Answers a typed [`Query`] with the context's budgets and cancellation
-    /// applied — the memoized counterpart of
-    /// [`Session::run`](crate::engine::Session::run).  Cache hits are free
-    /// and bypass the budget; answers computed under an exhausted budget are
-    /// truncated and therefore never cached.
+    /// applied — the only function that turns a query into an exact
+    /// [`EngineReport`].  A cancelled context is refused on entry, even for
+    /// a query the cache could answer.  Cache hits are free and bypass the
+    /// budget; answers computed under an exhausted budget are truncated and
+    /// therefore never cached.
     pub fn run(
         &self,
         model: &ArchitectureModel,
@@ -540,41 +551,30 @@ impl AnalysisDb {
     ) -> Result<EngineReport, EngineError> {
         let started = Instant::now();
         model.validate().map_err(ArchError::from)?;
+        if ctx.is_cancelled() {
+            return Err(EngineError::Cancelled);
+        }
         let mut cfg = apply_run_context(&self.cfg, ctx);
         if poll_entry_fault(ctx)? {
+            // Injected budget exhaustion: degrade exactly as if the
+            // wall-clock budget had expired on entry — the exploration
+            // truncates immediately and the answers are sound lower bounds.
             cfg.search.hook.wall_clock_budget = Some(std::time::Duration::ZERO);
         }
         let (estimates, verdict, states_stored, truncated) = match query {
-            Query::Wcrt { requirement } => {
+            Query::Wcrt { requirement }
+            | Query::Supremum { requirement }
+            | Query::DeadlineCheck { requirement } => {
                 let report = self.wcrt_with(model, requirement, &cfg)?;
-                let states = report.stats.stored_cumulative;
-                let truncated = report.stats.truncated;
-                (
-                    vec![RequirementEstimate::from_wcrt(&report)],
-                    None,
-                    Some(states),
-                    truncated,
-                )
-            }
-            Query::Supremum { requirement } => {
-                let report = self.wcrt_with(model, requirement, &cfg)?;
-                let states = report.stats.stored_cumulative;
-                let truncated = report.stats.truncated;
-                let mut estimate = RequirementEstimate::from_wcrt(&report);
-                estimate.meets_deadline = None;
-                (vec![estimate], None, Some(states), truncated)
-            }
-            Query::DeadlineCheck { requirement } => {
-                let report = self.wcrt_with(model, requirement, &cfg)?;
-                let states = report.stats.stored_cumulative;
-                let truncated = report.stats.truncated;
-                let verdict = report.meets_deadline;
-                (
-                    vec![RequirementEstimate::from_wcrt(&report)],
-                    verdict,
-                    Some(states),
-                    truncated,
-                )
+                let mut row = RequirementEstimate::from_wcrt(&report);
+                let mut verdict = None;
+                match query {
+                    Query::Supremum { .. } => row.meets_deadline = None,
+                    Query::DeadlineCheck { .. } => verdict = report.meets_deadline,
+                    _ => {}
+                }
+                let stats = &report.stats;
+                (vec![row], verdict, Some(stats.stored_cumulative), stats.truncated)
             }
             Query::WcrtAll => {
                 let reports: Vec<WcrtReport> = model
@@ -593,6 +593,7 @@ impl AnalysisDb {
             }
             Query::QueueBounds => {
                 let verdict = self.queues_bounded_with(model, &cfg)?;
+                // An undecided verdict means the exploration truncated.
                 (Vec::new(), verdict, None, verdict.is_none())
             }
         };
@@ -748,14 +749,15 @@ mod tests {
 
     #[test]
     fn run_matches_session_and_reuses_the_cache() {
-        use crate::engine::Session;
         let m = two_island_model();
-        let db = AnalysisDb::new(AnalysisConfig::default());
+        let cfg = AnalysisConfig::default();
+        let db = AnalysisDb::new(cfg.clone());
         let via_db = db.run(&m, &Query::WcrtAll, &RunContext::default()).unwrap();
-        let session = Session::new(&m, AnalysisConfig::default()).unwrap();
-        let via_session = session.run(&Query::WcrtAll, &RunContext::default()).unwrap();
-        assert_eq!(via_db.estimates.len(), via_session.estimates.len());
-        for (a, b) in via_db.estimates.iter().zip(&via_session.estimates) {
+        assert_eq!(via_db.estimates.len(), m.requirements.len());
+        for (a, req) in via_db.estimates.iter().zip(&m.requirements) {
+            // The uncached reference: a fresh network and exploration.
+            let generated = generate(&m, Some(req), &cfg.generator).unwrap();
+            let b = RequirementEstimate::from_wcrt(&analyze_generated(&generated, req, &cfg).unwrap());
             assert_eq!(a.requirement, b.requirement);
             assert_eq!(a.estimate, b.estimate);
             assert_eq!(a.meets_deadline, b.meets_deadline);
@@ -768,6 +770,25 @@ mod tests {
         let stats = db.stats();
         assert_eq!(stats.misses, 3, "two WCRT queries + one queue check");
         assert!(stats.hits >= 1);
+    }
+
+    #[test]
+    fn warm_query_with_a_cancelled_context_is_cancelled() {
+        let m = two_island_model();
+        let db = AnalysisDb::new(AnalysisConfig::default());
+        let warm = db.run(&m, &Query::wcrt("r0"), &RunContext::default()).unwrap();
+        assert!(warm.estimates[0].estimate.is_exact());
+        let cancelled = RunContext {
+            cancel: Some(std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true))),
+            ..RunContext::default()
+        };
+        for query in [Query::wcrt("r0"), Query::WcrtAll, Query::QueueBounds] {
+            assert!(
+                matches!(db.run(&m, &query, &cancelled), Err(EngineError::Cancelled)),
+                "{query}: a cancelled context must not be answered from the cache"
+            );
+        }
+        assert_eq!(db.stats().counts(), (0, 1, 0, 1), "cancelled queries touch no cache");
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //!   the paper's patterns (resource, bus, environment and observer automata),
 //! * [`analysis`] — the WCRT analysis driver (one-pass supremum extraction
 //!   and the paper's binary-search procedure),
-//! * [`engine`] — the typed query surface ([`engine::Session`], [`engine::Query`],
-//!   [`engine::Portfolio`]) every workload flows through,
-//! * [`incremental`] — the memoizing [`incremental::AnalysisDb`]: derived
-//!   artifacts keyed by input-cone content hashes, for interactive-latency
+//! * [`engine`] — the typed query surface ([`engine::Query`],
+//!   [`engine::Engine`], [`engine::Portfolio`]) every workload flows through,
+//! * [`incremental`] — the memoizing [`incremental::AnalysisDb`], the one
+//!   cache and query dispatcher of the exact analysis: derived artifacts
+//!   keyed by input-cone content hashes, for interactive-latency
 //!   design-space exploration,
 //! * [`casestudy`] — the in-car radio navigation system of the paper.
 //!
@@ -53,8 +54,8 @@
 //! });
 //!
 //! // Exact WCRT via the timed-automata analysis.
-//! let session = Session::new(&model, AnalysisConfig::default()).unwrap();
-//! let report = session.wcrt("sensor latency").unwrap();
+//! let db = AnalysisDb::new(AnalysisConfig::default());
+//! let report = db.wcrt(&model, "sensor latency").unwrap();
 //! assert_eq!(report.wcrt, Some(TimeValue::millis(2)));
 //! assert_eq!(report.meets_deadline, Some(true));
 //! ```
@@ -77,11 +78,11 @@ pub use analysis::{
 };
 pub use engine::{
     BoundKind, Budget, Capabilities, ComparisonReport, Engine, EngineError, EngineReport,
-    Estimate, Portfolio, Query, RequirementEstimate, RunContext, Session, TaEngine,
+    Estimate, Portfolio, Query, RequirementEstimate, RunContext, TaEngine,
 };
 pub use explore::{DesignPoint, Sweep, SweepOutcome, SweepRow};
 pub use incremental::{AnalysisDb, DbStats};
-pub use generator::{generate, generate_measuring, GeneratedModel, GeneratorOptions, ObserverRefs};
+pub use generator::{generate, GeneratedModel, GeneratorOptions, ObserverRefs};
 pub use model::{
     ArchitectureModel, Bus, BusArbitration, BusId, EventModel, MeasurePoint, ModelError,
     Processor, ProcessorId, Requirement, Scenario, ScenarioId, SchedulingPolicy, Step,
@@ -99,7 +100,7 @@ pub mod prelude {
         EventModelColumn, ScenarioCombo,
     };
     pub use crate::engine::{
-        Engine, EngineReport, Estimate, Portfolio, Query, RunContext, Session, TaEngine,
+        Engine, EngineReport, Estimate, Portfolio, Query, RunContext, TaEngine,
     };
     pub use crate::generator::{generate, GeneratorOptions};
     pub use crate::model::{

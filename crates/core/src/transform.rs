@@ -116,7 +116,7 @@ pub fn fragment_transfers(
 mod tests {
     use super::*;
     use crate::analysis::AnalysisConfig;
-    use crate::engine::Session;
+    use crate::incremental::AnalysisDb;
     use crate::model::{BusArbitration, EventModel, SchedulingPolicy};
     use crate::time::TimeValue;
 
@@ -224,15 +224,13 @@ mod tests {
         let cfg = AnalysisConfig::default();
         let whole = contention_model(BusArbitration::FixedPriority);
         let fragmented = fragment_transfers(&whole, BusId(0), 20).unwrap();
-        let wcrt_whole = Session::new(&whole, cfg.clone())
-            .unwrap()
-            .wcrt("alarm latency")
+        let wcrt_whole = AnalysisDb::new(cfg.clone())
+            .wcrt(&whole, "alarm latency")
             .unwrap()
             .wcrt
             .expect("exact");
-        let wcrt_frag = Session::new(&fragmented, cfg)
-            .unwrap()
-            .wcrt("alarm latency")
+        let wcrt_frag = AnalysisDb::new(cfg)
+            .wcrt(&fragmented, "alarm latency")
             .unwrap()
             .wcrt
             .expect("exact");

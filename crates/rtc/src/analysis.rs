@@ -278,16 +278,12 @@ mod tests {
         ] {
             let m = two_task_model(policy);
             for name in ["hi-rt", "lo-rt"] {
-                let exact = tempo_arch::engine::Session::new(
-                    &m,
-                    tempo_arch::AnalysisConfig::default(),
-                )
-                .unwrap()
-                .wcrt(name)
-                .unwrap()
-                .wcrt
-                .unwrap()
-                .as_millis_f64();
+                let exact = tempo_arch::AnalysisDb::new(tempo_arch::AnalysisConfig::default())
+                    .wcrt(&m, name)
+                    .unwrap()
+                    .wcrt
+                    .unwrap()
+                    .as_millis_f64();
                 let bound = analyze_requirement_impl(&m, name).unwrap().wcrt_ms();
                 assert!(
                     bound + 1e-6 >= exact,

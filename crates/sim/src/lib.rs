@@ -90,16 +90,12 @@ mod tests {
             };
             let reports = simulate(&m, &cfg).unwrap();
             for report in &reports {
-                let exact = tempo_arch::engine::Session::new(
-                    &m,
-                    tempo_arch::AnalysisConfig::default(),
-                )
-                .unwrap()
-                .wcrt(&report.requirement)
-                .unwrap()
-                .wcrt
-                .unwrap()
-                .as_millis_f64();
+                let exact = tempo_arch::AnalysisDb::new(tempo_arch::AnalysisConfig::default())
+                    .wcrt(&m, &report.requirement)
+                    .unwrap()
+                    .wcrt
+                    .unwrap()
+                    .as_millis_f64();
                 let observed = report.max_response_ms();
                 assert!(
                     observed <= exact + 1e-6,

@@ -368,15 +368,11 @@ mod tests {
         ] {
             let m = simple_model(policy);
             for name in ["hi-rt", "lo-rt"] {
-                let exact = tempo_arch::engine::Session::new(
-                    &m,
-                    tempo_arch::AnalysisConfig::default(),
-                )
-                .unwrap()
-                .wcrt(name)
-                .unwrap()
-                .wcrt
-                .unwrap();
+                let exact = tempo_arch::AnalysisDb::new(tempo_arch::AnalysisConfig::default())
+                    .wcrt(&m, name)
+                    .unwrap()
+                    .wcrt
+                    .unwrap();
                 let bound = analyze_requirement_impl(&m, name).unwrap().wcrt_bound;
                 assert!(
                     bound >= exact,

@@ -70,7 +70,7 @@ fn gateway(arbitration: BusArbitration) -> ArchitectureModel {
 
 fn report(label: &str, model: &ArchitectureModel) {
     let cfg = AnalysisConfig::default();
-    match Session::new(model, cfg).and_then(|s| s.wcrt("alarm latency")) {
+    match AnalysisDb::new(cfg).wcrt(model, "alarm latency") {
         Ok(rep) => println!(
             "{label:<42} alarm WCRT = {:>8.3} ms   deadline met: {:?}   ({} symbolic states)",
             rep.wcrt_ms().unwrap_or(f64::NAN),

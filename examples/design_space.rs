@@ -36,9 +36,9 @@ fn main() {
             &params,
         );
         print!("{:<28}", variant.label());
-        let session = Session::new(&model, cfg.clone()).expect("valid model");
+        let db = AnalysisDb::new(cfg.clone());
         for requirement in ["AddressLookup (+ HandleTMC)", "HandleTMC (+ AddressLookup)"] {
-            match session.wcrt(requirement) {
+            match db.wcrt(&model, requirement) {
                 Ok(rep) => print!(
                     "  {}: {:>9.3} ms{}",
                     requirement.split(' ').next().unwrap_or(requirement),

@@ -76,11 +76,11 @@ fn main() {
         deadline: TimeValue::millis(20),
     });
 
-    // 4. Analyse: open a session (the model is validated and translated into
-    //    a network of timed automata once) and extract the exact worst-case
-    //    response times with the checker.
-    let session = Session::new(&model, AnalysisConfig::default()).expect("valid model");
-    for report in session.wcrt_all().expect("analysis succeeds") {
+    // 4. Analyse: the analysis database validates the model, translates it
+    //    into one network of timed automata per requirement and extracts the
+    //    exact worst-case response times with the checker.
+    let db = AnalysisDb::new(AnalysisConfig::default());
+    for report in db.wcrt_all(&model).expect("analysis succeeds") {
         println!(
             "{:<20} WCRT = {:>8.3} ms   deadline = {:>6.1} ms   met = {:?}   ({} symbolic states)",
             report.requirement,

@@ -59,7 +59,7 @@ fn main() {
         for (requirement, combo) in tempo::arch::casestudy::table1_rows() {
             let model = radio_navigation(combo, column, &params);
             let start = std::time::Instant::now();
-            match Session::new(&model, cfg.clone()).and_then(|s| s.wcrt(requirement)) {
+            match AnalysisDb::new(cfg.clone()).wcrt(&model, requirement) {
                 Ok(report) => {
                     let value = match report.wcrt_ms() {
                         Some(ms) => format!("{ms:.3}"),

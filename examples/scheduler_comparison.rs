@@ -1,7 +1,7 @@
 //! Design-space exploration example: how the scheduling policy of the
 //! processors changes the worst-case response times of the radio-navigation
 //! case study (the Fig. 4 vs. Fig. 5 modeling choice of the paper) — driven
-//! through the unified engine API: one [`Session`] per candidate
+//! through the unified engine API: one exact [`TaEngine`] for every candidate
 //! architecture, typed [`Query`]s, and a state budget carried by the
 //! [`RunContext`] so intractable corners degrade to lower bounds instead of
 //! failing.
@@ -19,6 +19,7 @@ fn main() {
     let combo = ScenarioCombo::AddressLookupWithTmc;
     let column = EventModelColumn::Sporadic;
     let ctx = RunContext::with_max_states(400_000);
+    let engine = TaEngine::default();
 
     println!("Scheduling-policy exploration on the radio navigation case study");
     println!("({combo:?}, {} event streams)\n", column.label());
@@ -34,16 +35,9 @@ fn main() {
     ] {
         let params = CaseStudyParams::default().with_policy(policy);
         let model = radio_navigation(combo, column, &params);
-        let session = match Session::new(&model, AnalysisConfig::default()) {
-            Ok(s) => s,
-            Err(e) => {
-                println!("{:<34} invalid model: {e}", format!("{policy:?}"));
-                continue;
-            }
-        };
         let mut cells = Vec::new();
         for requirement in ["AddressLookup (+ HandleTMC)", "HandleTMC (+ AddressLookup)"] {
-            let cell = match session.run(&Query::wcrt(requirement), &ctx) {
+            let cell = match engine.run(&model, &Query::wcrt(requirement), &ctx) {
                 // One formatting convention for every estimate kind:
                 // "= 79.075" exact, "≥ 61.921" truncated lower bound.
                 Ok(report) => report.estimates[0].estimate.to_string(),

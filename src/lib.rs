@@ -8,8 +8,8 @@
 //! |-------|----------|--------|
 //! | [`tempo_dbm`]   | difference bound matrices (zones) | — |
 //! | [`tempo_ta`]    | networks of timed automata with bounded integers, urgent/broadcast channels and committed locations | — |
-//! | [`tempo_check`] | UPPAAL-style zone-graph model checker (reachability, safety, batched WCRT suprema, budget/cancel hooks) | — |
-//! | [`tempo_arch`]  | the paper's contribution: architecture models → timed automata → exact WCRTs; the [`Query`](arch::engine::Query)/[`Engine`](arch::engine::Engine)/[`Session`](arch::engine::Session)/[`Portfolio`](arch::engine::Portfolio) surface | `TaEngine` (exact) |
+//! | [`tempo_check`] | UPPAAL-style zone-graph model checker (reachability, safety, WCRT suprema, budget/cancel hooks) | — |
+//! | [`tempo_arch`]  | the paper's contribution: architecture models → timed automata → exact WCRTs; the [`Query`](arch::engine::Query)/[`Engine`](arch::engine::Engine)/[`AnalysisDb`](arch::incremental::AnalysisDb)/[`Portfolio`](arch::engine::Portfolio) surface | `TaEngine` (exact) |
 //! | [`tempo_rtc`]   | Modular Performance Analysis / real-time calculus baseline | `RtcEngine` (upper bounds) |
 //! | [`tempo_symta`] | SymTA/S-style compositional busy-window analysis baseline | `SymtaEngine` (upper bounds) |
 //! | [`tempo_sim`]   | discrete-event simulation baseline (POOSL/SHESIM stand-in) | `SimEngine` (lower bounds) |
@@ -23,8 +23,9 @@
 //! ## Quick start
 //!
 //! Describe an architecture once, then ask typed [`Query`](arch::engine::Query)s
-//! through a [`Session`](arch::engine::Session) (which validates and compiles
-//! the timed-automata network once and reuses it across queries) or fan a
+//! through an [`AnalysisDb`](arch::incremental::AnalysisDb) (which generates
+//! one timed-automata network per requirement and memoizes every complete
+//! answer, so repeated queries are cache hits) or fan a
 //! query across **all four techniques** with a portfolio, getting the paper's
 //! `simulation ≤ exact ≤ SymTA/S ≈ MPA` bracket checked for free:
 //!
@@ -47,11 +48,12 @@
 //!     deadline: TimeValue::millis(5),
 //! });
 //!
-//! // One session, many queries: the network is generated once per shape.
-//! let session = Session::new(&model, AnalysisConfig::default()).unwrap();
-//! let report = session.run(&Query::WcrtAll, &RunContext::default()).unwrap();
+//! // One database, many queries: a repeat generates and explores nothing.
+//! let db = AnalysisDb::new(AnalysisConfig::default());
+//! let report = db.run(&model, &Query::WcrtAll, &RunContext::default()).unwrap();
 //! assert_eq!(report.estimates[0].estimate, Estimate::Exact(TimeValue::millis(1)));
-//! assert_eq!(session.generations(), 1);
+//! db.run(&model, &Query::WcrtAll, &RunContext::default()).unwrap();
+//! assert_eq!(db.stats().generations, 1);
 //!
 //! // The same question to every technique, bracket-checked and reconciled.
 //! let portfolio = tempo::engine::standard_portfolio();
@@ -179,8 +181,8 @@
 //! let registry = Arc::new(MetricsRegistry::new());
 //! tempo::obs::install(registry.clone());
 //!
-//! let session = Session::new(&model, AnalysisConfig::default()).unwrap();
-//! session.run(&Query::WcrtAll, &RunContext::default()).unwrap();
+//! let db = AnalysisDb::new(AnalysisConfig::default());
+//! db.run(&model, &Query::WcrtAll, &RunContext::default()).unwrap();
 //! tempo::obs::uninstall();
 //!
 //! let snapshot = registry.snapshot();
@@ -203,8 +205,8 @@
 //! its own property-tested parser/printer pair.  One shared
 //! [`AnalysisDb`](arch::incremental::AnalysisDb) per analysis configuration
 //! outlives individual requests, so repeated and concurrent clients hit warm
-//! input cones; `query_batch` collapses to a single batched `WcrtAll`
-//! exploration when the batch covers a model's requirement set.  Admission
+//! input cones; `query_batch` collapses to a single `WcrtAll` run when the
+//! batch covers a model's requirement set.  Admission
 //! is controlled (bounded worker pool + queue, typed `overloaded` rejection,
 //! cancellation by request id), long runs stream tagged `progress` frames,
 //! and every [`EngineError`](arch::engine::EngineError) crosses the wire as

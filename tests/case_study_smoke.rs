@@ -47,8 +47,9 @@ fn address_lookup_row_is_insensitive_to_radio_station_burstiness() {
     let mut values = Vec::new();
     for column in EventModelColumn::all() {
         let model = radio_navigation(ScenarioCombo::AddressLookupWithTmc, column, &quick_params());
-        let session = Session::new(&model, cfg.clone()).unwrap();
-        let report = session.wcrt("AddressLookup (+ HandleTMC)").unwrap();
+        let report = AnalysisDb::new(cfg.clone())
+            .wcrt(&model, "AddressLookup (+ HandleTMC)")
+            .unwrap();
         assert!(
             !report.stats.truncated,
             "column {column:?} truncated ({} states)",
@@ -121,7 +122,7 @@ fn bur_column_completes_under_400k_stored_states() {
         EventModelColumn::Burst,
         &quick_params(),
     );
-    let report = Session::new(&bur, cfg.clone()).unwrap().wcrt(requirement).unwrap();
+    let report = AnalysisDb::new(cfg.clone()).wcrt(&bur, requirement).unwrap();
     assert!(!report.stats.truncated, "bur truncated");
     assert!(
         report.stats.stored_cumulative < 400_000,
@@ -142,7 +143,7 @@ fn bur_column_completes_under_400k_stored_states() {
         EventModelColumn::PeriodicJitter,
         &quick_params(),
     );
-    let pj_report = Session::new(&pj, cfg).unwrap().wcrt(requirement).unwrap();
+    let pj_report = AnalysisDb::new(cfg).wcrt(&pj, requirement).unwrap();
     assert_eq!(report.wcrt, pj_report.wcrt, "bur and pj disagree on the quick workload");
     let wcrt = report.wcrt.expect("exact WCRT");
     assert!(wcrt < TimeValue::millis(200), "deadline violated: {wcrt}");
@@ -162,8 +163,8 @@ fn synchronous_offsets_never_increase_the_tmc_wcrt() {
         EventModelColumn::PeriodicUnknownOffset,
         &params,
     );
-    let r_po = Session::new(&po, cfg.clone()).unwrap().wcrt("HandleTMC (+ AddressLookup)").unwrap();
-    let r_pno = Session::new(&pno, cfg).unwrap().wcrt("HandleTMC (+ AddressLookup)").unwrap();
+    let r_po = AnalysisDb::new(cfg.clone()).wcrt(&po, "HandleTMC (+ AddressLookup)").unwrap();
+    let r_pno = AnalysisDb::new(cfg).wcrt(&pno, "HandleTMC (+ AddressLookup)").unwrap();
     let (po_ms, pno_ms) = (r_po.wcrt_ms().unwrap(), r_pno.wcrt_ms().unwrap());
     assert!(
         po_ms <= pno_ms + 1e-9,
@@ -176,7 +177,7 @@ fn all_requirements_of_the_quick_case_study_meet_their_deadlines() {
     let cfg = quick_cfg();
     for (requirement, combo) in tempo::arch::casestudy::table1_rows() {
         let model = radio_navigation(combo, EventModelColumn::Sporadic, &quick_params());
-        let report = Session::new(&model, cfg.clone()).unwrap().wcrt(requirement).unwrap();
+        let report = AnalysisDb::new(cfg.clone()).wcrt(&model, requirement).unwrap();
         assert!(!report.stats.truncated, "{requirement}: truncated");
         let w = report.wcrt.expect("un-truncated searches yield exact WCRTs");
         assert!(

@@ -1,13 +1,15 @@
 //! Shared fixtures of the root-level integration tests: the pseudo-random
 //! architecture generator of the differential harnesses, the TDMA and burst
-//! fixtures, and the reference search configuration.  Used by `reduction_differential.rs` (exactness of the
-//! state-collapse machinery), `engine_session.rs` (exactness of batched
-//! multi-observer WCRT extraction) and `engine_portfolio.rs` (the paper's
-//! bracket invariant across all four engines).
+//! fixtures, the reference search configuration and the uncached reference
+//! WCRT.  Used by `reduction_differential.rs` (exactness of the
+//! state-collapse machinery), `incremental_differential.rs` (the cache is
+//! invisible) and `engine_portfolio.rs` (the paper's bracket invariant
+//! across all four engines).
 #![allow(dead_code)]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tempo::arch::analyze_generated;
 use tempo::arch::prelude::*;
 
 /// Every scheduling policy the checker supports.
@@ -43,6 +45,18 @@ pub fn reference_config() -> AnalysisConfig {
         search: reference_search(),
         ..AnalysisConfig::default()
     }
+}
+
+/// The uncached reference WCRT of one requirement: a freshly generated
+/// network and one exploration, with no analysis database in between.
+pub fn reference_wcrt(model: &ArchitectureModel, req: &str, cfg: &AnalysisConfig) -> WcrtReport {
+    let req = model
+        .requirement_by_name(req)
+        .unwrap_or_else(|| panic!("{}: no requirement `{req}`", model.name));
+    let generated = generate(model, Some(req), &cfg.generator)
+        .unwrap_or_else(|e| panic!("{}/{}: {e}", model.name, req.name));
+    analyze_generated(&generated, req, cfg)
+        .unwrap_or_else(|e| panic!("{}/{}: {e}", model.name, req.name))
 }
 
 /// A small pseudo-random architecture: two processors and a bus, two

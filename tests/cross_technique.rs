@@ -132,9 +132,9 @@ fn simulation_never_exceeds_exact_and_exact_never_exceeds_analytic_bounds() {
 fn binary_search_reproduces_sup_based_wcrt() {
     let model = shared_cpu_model(SchedulingPolicy::FixedPriorityPreemptive, default_lo());
     let cfg = AnalysisConfig::default();
-    let session = Session::new(&model, cfg.clone()).unwrap();
+    let db = AnalysisDb::new(cfg.clone());
     for requirement in ["hi-e2e", "lo-e2e"] {
-        let sup = session.wcrt(requirement).unwrap();
+        let sup = db.wcrt(&model, requirement).unwrap();
         let bs = analyze_requirement_binary_search(&model, requirement, &cfg).unwrap();
         assert_eq!(sup.wcrt, bs.wcrt, "{requirement}");
     }
@@ -205,9 +205,8 @@ fn wcrt_is_monotone_in_event_model_burstiness() {
     let mut previous = 0.0f64;
     for (i, lo_model) in models.into_iter().enumerate() {
         let model = tiny_model(lo_model);
-        let wcrt = Session::new(&model, cfg.clone())
-            .unwrap()
-            .wcrt("lo-e2e")
+        let wcrt = AnalysisDb::new(cfg.clone())
+            .wcrt(&model, "lo-e2e")
             .unwrap()
             .wcrt_ms()
             .unwrap();
@@ -229,14 +228,13 @@ fn generated_networks_validate_and_queues_stay_bounded() {
         let generated = generate(&model, Some(&model.requirements[0]), &GeneratorOptions::default())
             .expect("generation succeeds");
         assert!(generated.system.validate().is_ok());
-        // The typed query surface and the raw session form agree.
-        let session = Session::new(&model, AnalysisConfig::default()).unwrap();
-        let report = session
-            .run(&Query::QueueBounds, &RunContext::default())
+        // The typed query surface and the raw queue check agree.
+        let db = AnalysisDb::new(AnalysisConfig::default());
+        let report = db
+            .run(&model, &Query::QueueBounds, &RunContext::default())
             .unwrap();
         assert_eq!(report.verdict, Some(true), "{policy:?}");
-        session
-            .queue_check()
+        db.queue_check(&model)
             .expect("queues stay bounded in a schedulable system");
     }
 }
@@ -246,8 +244,8 @@ fn priority_inversion_visible_under_non_preemptive_scheduling() {
     let np = shared_cpu_model(SchedulingPolicy::FixedPriorityNonPreemptive, default_lo());
     let pre = shared_cpu_model(SchedulingPolicy::FixedPriorityPreemptive, default_lo());
     let cfg = AnalysisConfig::default();
-    let hi_np = Session::new(&np, cfg.clone()).unwrap().wcrt("hi-e2e").unwrap().wcrt_ms().unwrap();
-    let hi_pre = Session::new(&pre, cfg).unwrap().wcrt("hi-e2e").unwrap().wcrt_ms().unwrap();
+    let hi_np = AnalysisDb::new(cfg.clone()).wcrt(&np, "hi-e2e").unwrap().wcrt_ms().unwrap();
+    let hi_pre = AnalysisDb::new(cfg).wcrt(&pre, "hi-e2e").unwrap().wcrt_ms().unwrap();
     assert!(
         hi_np >= hi_pre,
         "blocking should not make the preemptive WCRT larger: np {hi_np} vs pre {hi_pre}"

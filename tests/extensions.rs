@@ -101,9 +101,8 @@ fn architecture_variants_order_as_expected() {
             EventModelColumn::Sporadic,
             &params,
         );
-        Session::new(&model, cfg.clone())
-            .unwrap()
-            .wcrt("AddressLookup (+ HandleTMC)")
+        AnalysisDb::new(cfg.clone())
+            .wcrt(&model, "AddressLookup (+ HandleTMC)")
             .unwrap()
             .wcrt
             .expect("exact")

@@ -35,13 +35,13 @@ fn digest(model: &ArchitectureModel, search: &SearchOptions) -> Vec<RequirementD
         search: search.clone(),
         ..AnalysisConfig::default()
     };
-    let session = Session::new(model, cfg).unwrap_or_else(|e| panic!("{}: {e}", model.name));
+    let db = AnalysisDb::new(cfg);
     model
         .requirements
         .iter()
         .map(|req| {
-            let report = session
-                .wcrt(&req.name)
+            let report = db
+                .wcrt(model, &req.name)
                 .unwrap_or_else(|e| panic!("{}/{}: {e}", model.name, req.name));
             (
                 req.name.clone(),

@@ -3,28 +3,28 @@
 //!
 //! Three obligations:
 //!
-//! * a cold [`AnalysisDb`] answers exactly like a fresh [`Session`] for every
+//! * a cold [`AnalysisDb`] answers exactly like the uncached reference
+//!   analysis (a fresh network and exploration per requirement) for every
 //!   model of the pseudo-random corpus plus the TDMA and burst fixtures,
 //! * after a single-field edit, re-running every query against the *same*
-//!   database still matches a fresh session on the edited model, and the
+//!   database still matches the uncached reference on the edited model, and the
 //!   hit/miss counters prove that queries whose input cone the edit did not
 //!   touch were answered from the cache (not silently recomputed),
 //! * a no-op "edit" (rebuilding the identical model) invalidates nothing.
 
 mod common;
 
-use common::{burst_model, random_model, tdma_model};
+use common::{burst_model, random_model, reference_wcrt, tdma_model};
 use tempo::arch::prelude::*;
 
-/// Cold-database/fresh-session agreement on everything a user can observe.
-fn assert_matches_fresh_session(db: &AnalysisDb, model: &ArchitectureModel) {
-    let session = Session::new(model, db.config().clone()).unwrap();
+/// Database/uncached-reference agreement on everything a user can observe.
+fn assert_matches_reference(db: &AnalysisDb, model: &ArchitectureModel) {
     for req in &model.requirements {
         let incremental = db.wcrt(model, &req.name).unwrap();
-        let fresh = session.wcrt(&req.name).unwrap();
+        let fresh = reference_wcrt(model, &req.name, db.config());
         assert_eq!(
             incremental.wcrt, fresh.wcrt,
-            "{}/{}: incremental WCRT differs from a fresh session",
+            "{}/{}: incremental WCRT differs from the uncached reference",
             model.name, req.name
         );
         assert_eq!(
@@ -48,7 +48,7 @@ fn cold_database_matches_fresh_sessions_across_the_corpus() {
     models.push(burst_model());
     let mut expected_misses = 0u64;
     for model in &models {
-        assert_matches_fresh_session(&db, model);
+        assert_matches_reference(&db, model);
         expected_misses += model.requirements.len() as u64;
     }
     let stats = db.stats();
@@ -113,7 +113,7 @@ fn disjoint_cones_model() -> ArchitectureModel {
 fn single_field_edit_matches_fresh_run_and_untouched_queries_hit() {
     let db = AnalysisDb::new(AnalysisConfig::default());
     let original = disjoint_cones_model();
-    assert_matches_fresh_session(&db, &original);
+    assert_matches_reference(&db, &original);
     assert_eq!(db.stats().misses, 2);
 
     // One field changes: the second subsystem's work step grows from 3 ms to
@@ -125,7 +125,7 @@ fn single_field_edit_matches_fresh_run_and_untouched_queries_hit() {
     }
 
     db.reset_stats();
-    assert_matches_fresh_session(&db, &edited);
+    assert_matches_reference(&db, &edited);
     let stats = db.stats();
     assert_eq!(
         stats.hits, 1,
@@ -147,13 +147,13 @@ fn single_field_edit_matches_fresh_run_and_untouched_queries_hit() {
 fn noop_edit_invalidates_nothing() {
     let db = AnalysisDb::new(AnalysisConfig::default());
     let model = disjoint_cones_model();
-    assert_matches_fresh_session(&db, &model);
+    assert_matches_reference(&db, &model);
 
     // "Editing" the model into identical content must hit on every query:
     // the cone hash sees content, not identity.
     let rebuilt = disjoint_cones_model();
     db.reset_stats();
-    assert_matches_fresh_session(&db, &rebuilt);
+    assert_matches_reference(&db, &rebuilt);
     let stats = db.stats();
     assert_eq!(stats.hits, 2, "identical content must answer from the cache");
     assert_eq!(stats.misses, 0);

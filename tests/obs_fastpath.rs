@@ -31,8 +31,8 @@ fn no_subscriber_exploration_dispatches_nothing() {
     let before = tempo::obs::dispatch_count();
 
     let model = burst_model();
-    let session = Session::new(&model, AnalysisConfig::default()).unwrap();
-    let report = session.wcrt(&model.requirements[0].name).unwrap();
+    let db = AnalysisDb::new(AnalysisConfig::default());
+    let report = db.wcrt(&model, &model.requirements[0].name).unwrap();
     assert!(report.stats.states_explored > 0, "the fixture must explore");
 
     assert_eq!(
@@ -74,8 +74,9 @@ fn progress_stream_populates_waiting() {
         },
         ..AnalysisConfig::default()
     };
-    let session = Session::new(&model, cfg).unwrap();
-    session.wcrt(&model.requirements[0].name).unwrap();
+    AnalysisDb::new(cfg)
+        .wcrt(&model, &model.requirements[0].name)
+        .unwrap();
 
     assert!(
         calls.load(Ordering::SeqCst) > 0,

@@ -41,8 +41,8 @@ fn cfg2(reduction: bool, merging: bool) -> AnalysisConfig {
 /// and reference stored-state counts.
 fn assert_storage_backends_match(model: &ArchitectureModel, requirement: &str) -> (usize, usize) {
     let run = |label: &str, cfg: AnalysisConfig| {
-        Session::new(model, cfg)
-            .and_then(|s| s.wcrt(requirement))
+        AnalysisDb::new(cfg)
+            .wcrt(model, requirement)
             .unwrap_or_else(|e| panic!("{}/{requirement} with {label}: {e}", model.name))
     };
     let default = run("default", AnalysisConfig::default());
@@ -72,11 +72,11 @@ fn cfg(reduction: bool) -> AnalysisConfig {
 /// Asserts that the two analyses of `requirement` agree on everything a user
 /// can observe, and returns the (reduced, unreduced) stored-state counts.
 fn assert_requirement_matches(model: &ArchitectureModel, requirement: &str) -> (usize, usize) {
-    let on = Session::new(model, cfg(true))
-        .and_then(|s| s.wcrt(requirement))
+    let on = AnalysisDb::new(cfg(true))
+        .wcrt(model, requirement)
         .unwrap_or_else(|e| panic!("{}/{requirement} with reduction: {e}", model.name));
-    let off = Session::new(model, cfg(false))
-        .and_then(|s| s.wcrt(requirement))
+    let off = AnalysisDb::new(cfg(false))
+        .wcrt(model, requirement)
         .unwrap_or_else(|e| panic!("{}/{requirement} without reduction: {e}", model.name));
     assert_eq!(
         on.wcrt, off.wcrt,
@@ -196,8 +196,8 @@ fn exact_zone_merging_is_wcrt_preserving() {
     for seed in [1u64, 4, 6] {
         let model = random_model(seed);
         for req in ["r0", "r1"] {
-            let with = Session::new(&model, cfg2(true, true)).unwrap().wcrt(req).unwrap();
-            let without = Session::new(&model, cfg2(true, false)).unwrap().wcrt(req).unwrap();
+            let with = AnalysisDb::new(cfg2(true, true)).wcrt(&model, req).unwrap();
+            let without = AnalysisDb::new(cfg2(true, false)).wcrt(&model, req).unwrap();
             assert_eq!(with.wcrt, without.wcrt, "{}/{req}: merging changed the WCRT", model.name);
             assert_eq!(with.lower_bound, without.lower_bound, "{}/{req}", model.name);
             assert_eq!(without.stats.zones_merged, 0);
