@@ -1,6 +1,6 @@
 //! # tempo-bench — regeneration of the paper's tables and figures
 //!
-//! Binaries (run with `cargo run --release -p tempo-bench --bin <name>`):
+//! Binaries (run with `cargo run --release -p tempo_bench --bin <name>`):
 //!
 //! * `table1` — Table 1: WCRT of the five requirements under the five event
 //!   model columns, computed with the timed-automata analysis,
@@ -10,10 +10,14 @@
 //! * `figures` — DOT dumps of the generated automata corresponding to
 //!   Figs. 4–9,
 //! * `verification_times` — the Section 4 observations about exploration cost
-//!   per event-model column.
+//!   per event-model column,
+//! * `bench_counts` — state counts and per-engine estimates on the quick case
+//!   study, written to the committed `BENCH_explorer.json` and
+//!   `BENCH_engines.json`.
 //!
-//! Criterion benches (run with `cargo bench`): `dbm_ops`, `checker`,
-//! `case_study`, `techniques`.
+//! Criterion bench (run with `cargo bench`): `dbm_ops`.  End-to-end
+//! performance is measured by perfbench (`perfbench/`), which drives the
+//! `tempo-serve` daemon.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -188,7 +192,7 @@ pub fn fischer(n: usize, strict_wait: bool) -> tempo_ta::System {
 }
 
 /// A scaled-down variant of the case-study parameters used by the `--quick`
-/// modes and by the criterion benches: the user streams are slowed down by
+/// modes and by `bench_counts`: the user streams are slowed down by
 /// `factor`, which shrinks the zone graph while keeping the structure (and the
 /// qualitative orderings) intact.
 pub fn quick_params(factor: u64) -> CaseStudyParams {

@@ -7,23 +7,22 @@
 //! a network of timed automata automatically.
 
 use crate::time::TimeValue;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a processor in an [`ArchitectureModel`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProcessorId(pub usize);
 
 /// Index of a bus in an [`ArchitectureModel`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BusId(pub usize);
 
 /// Index of a scenario in an [`ArchitectureModel`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ScenarioId(pub usize);
 
 /// Scheduling policy of a processor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SchedulingPolicy {
     /// Non-deterministic, non-preemptive scheduling (the basic automaton of
     /// Fig. 4): any pending operation may be served next; service runs to
@@ -39,7 +38,7 @@ pub enum SchedulingPolicy {
 }
 
 /// Arbitration policy of a communication bus.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BusArbitration {
     /// Non-deterministic choice among pending messages; transfers are never
     /// preempted (the automaton of Fig. 6, resembling e.g. RS-485).
@@ -64,7 +63,7 @@ pub enum BusArbitration {
 }
 
 /// A processing resource of the deployment diagram.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Processor {
     /// Name, e.g. `"MMI"`.
     pub name: String,
@@ -75,7 +74,7 @@ pub struct Processor {
 }
 
 /// A communication resource of the deployment diagram.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Bus {
     /// Name, e.g. `"BUS"`.
     pub name: String,
@@ -87,7 +86,7 @@ pub struct Bus {
 
 /// One step of a scenario (one lifeline activation or message of the sequence
 /// diagram).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Step {
     /// Execution of an operation on a processor.
     Execute {
@@ -121,7 +120,7 @@ impl Step {
 
 /// The event (arrival) model of a scenario's external stimulus — the five
 /// models of Fig. 7 and Fig. 8.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum EventModel {
     /// Strictly periodic events with a known offset `F` for the first event
     /// (Fig. 7a); `offset = 0` models fully synchronous environments (the
@@ -216,7 +215,7 @@ impl EventModel {
 
 /// A scenario: an external stimulus plus the chain of steps it triggers
 /// (a UML sequence diagram annotated with performance data).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Scenario {
     /// Name, e.g. `"ChangeVolume"`.
     pub name: String,
@@ -230,7 +229,7 @@ pub struct Scenario {
 }
 
 /// A point in a scenario between which a latency requirement is measured.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MeasurePoint {
     /// The instant the external stimulus is generated.
     Stimulus,
@@ -240,7 +239,7 @@ pub enum MeasurePoint {
 }
 
 /// An end-to-end (or partial) latency requirement on a scenario.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Requirement {
     /// Name, e.g. `"Vol K2V"`.
     pub name: String,
@@ -255,7 +254,7 @@ pub struct Requirement {
 }
 
 /// The complete architecture model handed to the analyses.
-#[derive(Clone, Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct ArchitectureModel {
     /// Model name.
     pub name: String,

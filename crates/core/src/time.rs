@@ -7,13 +7,12 @@
 //! [`Quantizer`] chooses a common denominator so every duration of a model
 //! becomes an exact integer number of *ticks*.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
 /// An exact, non-negative rational number of microseconds.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimeValue {
     /// Numerator (µs).
     num: i128,

@@ -186,7 +186,7 @@ pub struct SpanSnapshot {
 }
 
 /// A point-in-time copy of a [`MetricsRegistry`], with accessors and a
-/// hand-rolled JSON rendering (the offline build's serde is a no-op stub).
+/// hand-rolled JSON rendering (the offline build has no serde).
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Counter totals by name.

@@ -1,10 +1,10 @@
 //! Structural validation of a captured JSONL trace
 //! ([`JsonlSubscriber`](crate::JsonlSubscriber) output): every line must
 //! parse, spans must balance per thread (strict LIFO nesting, matching ids),
-//! and timestamps must be monotone per thread.  CI runs this over the trace
-//! the `trace_explore` bench emits so the export format cannot rot, and the
-//! chaos harness runs it over fault-injected runs to prove panics and budget
-//! expiries still produce well-formed traces.
+//! and timestamps must be monotone per thread.  The unit tests run it over a
+//! live subscriber's stream so the export format cannot rot, and
+//! `tests/trace_chaos.rs` runs it over fault-injected runs to prove panics
+//! and budget expiries still produce well-formed traces.
 
 use std::collections::HashMap;
 

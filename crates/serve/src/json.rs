@@ -1,7 +1,7 @@
 //! A dependency-free JSON value, parser and canonical printer.
 //!
-//! The vendored `serde` is a no-op derive stub (the build environment has no
-//! crates.io access), so the wire protocol carries its own JSON layer.  Two
+//! The workspace has no serde (the build environment has no crates.io
+//! access), so the wire protocol carries its own JSON layer.  Two
 //! deliberate choices make it fit the analysis wire format:
 //!
 //! * **Integers and floats are distinct variants.**  [`JsonValue::Int`] holds

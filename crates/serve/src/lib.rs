@@ -26,7 +26,8 @@
 //! * [`protocol`] — request/response/progress framing.
 //! * [`server`] — admission control (bounded worker pool + queue cap, typed
 //!   `overloaded` rejection), cancellation, cache-aware batching
-//!   (`query_batch` collapses to one `WcrtAll` when the batch covers the
+//!   (`query_batch` collapses to one `WcrtAll` query, answered with one
+//!   cached exploration per requirement, when the batch covers the
 //!   requirement set), progress streaming, and `stats` with database,
 //!   admission and metrics-registry snapshots.
 //! * [`client`] — a blocking reference client, used by the differential

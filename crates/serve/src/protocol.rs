@@ -72,8 +72,9 @@ pub enum Request {
     },
     /// A batch of queries against one loaded model, answered in one response.
     /// When every query is a `wcrt` and together they cover the model's
-    /// requirement set exactly, the server collapses the batch into a single
-    /// `WcrtAll` run.
+    /// requirement set exactly, the server collapses the batch into one
+    /// `WcrtAll` query (one cached exploration per requirement) and reports
+    /// `batched: true`.
     QueryBatch {
         /// Request id.
         id: u64,

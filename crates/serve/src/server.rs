@@ -682,8 +682,8 @@ impl ServerState {
         )
     }
 
-    /// Runs a batch, collapsing to one `WcrtAll` when the queries are all
-    /// `wcrt` and together cover the model's requirement set exactly.
+    /// Runs a batch, collapsing it into one `WcrtAll` query when the queries
+    /// are all `wcrt` and together cover the model's requirement set exactly.
     fn run_batch(
         &self,
         entry: &ModelEntry,
@@ -709,10 +709,12 @@ impl ServerState {
         (false, results)
     }
 
-    /// The cache-aware collapse: one `WcrtAll` run answers the whole batch.
-    /// Returns `None` when the batch shape does not allow it or the collapsed
-    /// run fails (the caller then falls back to per-query execution, which
-    /// reports per-query errors).
+    /// The cache-aware collapse: one `WcrtAll` query answers the whole batch.
+    /// The database answers it with one cached exploration per requirement,
+    /// the same cones the per-query path would look up.  Returns `None` when
+    /// the batch shape does not allow it or the collapsed run fails (the
+    /// caller then falls back to per-query execution, which reports
+    /// per-query errors).
     fn try_collapsed(
         &self,
         entry: &ModelEntry,

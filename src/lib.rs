@@ -117,9 +117,11 @@
 //! assert_eq!(db.stats().hits, 3);
 //! ```
 //!
-//! The `sweep_incremental` bench binary scales this to a ~thousand-point
-//! design space and records the cold/warm/edited hit rates and the speedup
-//! over from-scratch re-analysis in `BENCH_sweep.json`.
+//! `tests/incremental_differential.rs` counts the collapse exactly on a
+//! two-island grid: a cold `g × g` sweep explores its `2g` distinct cones
+//! once, a warm re-run explores nothing, and an edit to one island
+//! re-explores only that island's `g` cones.  Perfbench's `sweep_edit`
+//! workload measures the same loop end to end through `tempo-serve`.
 //!
 //! ## Robustness: fault isolation and fault injection
 //!
@@ -151,12 +153,15 @@
 //! The engines are instrumented end to end with [`tempo_obs`] (re-exported
 //! as [`obs`]): per-phase spans in the explorer (successor generation,
 //! closure + extrapolation, store insertion), store counters (subsumption
-//! hits, hull short-circuits, evictions, merges), per-engine portfolio spans
-//! with retry/degradation events, and analysis-database
-//! hit/miss/invalidation events carrying the input-cone hashes.  With **no subscriber installed the whole layer costs one relaxed
-//! atomic load per site** — the `trace_explore` bench asserts the
-//! no-subscriber wall stays inside the uninstrumented envelope.  Install a
-//! subscriber to collect:
+//! hits, evictions, merges), per-engine portfolio spans with
+//! retry/degradation events, and analysis-database hit/miss/invalidation
+//! events carrying the input-cone hashes.  With **no subscriber installed
+//! the whole layer costs one relaxed atomic load per site**:
+//! `tests/obs_fastpath.rs` asserts a full exploration dispatches nothing,
+//! and perfbench's `table1_cold` `wall_s` bound keeps the uninstrumented
+//! wall from regressing.  `tests/phase_attribution.rs` asserts the named
+//! explorer phases attribute at least 90% of the exploration wall.  Install
+//! a subscriber to collect:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -194,8 +199,9 @@
 //! Two more subscribers ship in the box: [`obs::JsonlSubscriber`] captures
 //! the raw event stream (machine-checkable with [`obs::validate_jsonl`]) and
 //! [`obs::ChromeTraceSubscriber`] exports an `about:tracing` / Perfetto
-//! timeline.  The `trace_explore` bench binary runs a Table 1 column under
-//! each and writes `BENCH_trace.json` with the phase-time breakdown.
+//! timeline.  `tests/trace_chaos.rs` validates the JSONL stream of
+//! fault-injected runs, and perfbench's `--trace 1` prints the per-layer
+//! split of a whole workload.
 //!
 //! ## Serving: analysis as a service
 //!
@@ -205,8 +211,9 @@
 //! its own property-tested parser/printer pair.  One shared
 //! [`AnalysisDb`](arch::incremental::AnalysisDb) per analysis configuration
 //! outlives individual requests, so repeated and concurrent clients hit warm
-//! input cones; `query_batch` collapses to a single `WcrtAll` run when the
-//! batch covers a model's requirement set.  Admission
+//! input cones; `query_batch` collapses to one `WcrtAll` query (one cached
+//! exploration per requirement) when the batch covers a model's requirement
+//! set.  Admission
 //! is controlled (bounded worker pool + queue, typed `overloaded` rejection,
 //! cancellation by request id), long runs stream tagged `progress` frames,
 //! and every [`EngineError`](arch::engine::EngineError) crosses the wire as
@@ -259,10 +266,10 @@
 //! conn.join().unwrap();
 //! ```
 //!
-//! The `serve_throughput` bench binary drives a loopback daemon over the
-//! 1024-point sweep workload and asserts the warm pass (all cache hits) is
-//! at least an order of magnitude faster than the cold pass, writing
-//! `BENCH_serve.json`.
+//! `tests/serve_differential.rs` also asserts through the `stats` op that a
+//! warm pass and a repeated full-cover batch re-explore nothing.  Perfbench
+//! (`perfbench/`) drives a loopback daemon end to end and bounds the
+//! latency of warm and post-edit queries (`warm_repeat`, `sweep_edit`).
 #![forbid(unsafe_code)]
 
 /// Difference bound matrices (clock zones).

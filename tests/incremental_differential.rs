@@ -10,7 +10,9 @@
 //!   database still matches the uncached reference on the edited model, and the
 //!   hit/miss counters prove that queries whose input cone the edit did not
 //!   touch were answered from the cache (not silently recomputed),
-//! * a no-op "edit" (rebuilding the identical model) invalidates nothing.
+//! * a no-op "edit" (rebuilding the identical model) invalidates nothing,
+//! * a design-space sweep collapses onto its distinct cones: the hit/miss
+//!   counts of a cold pass, a warm re-run and a one-island edit are exact.
 
 mod common;
 
@@ -164,4 +166,46 @@ fn noop_edit_invalidates_nothing() {
         (0, 0),
         "a fully warm run must spend no generation or exploration time"
     );
+}
+
+#[test]
+fn sweep_explores_each_distinct_cone_exactly_once() {
+    // A g × g grid over the two islands' stimulus periods asks 2g² WCRT
+    // queries.  `r0`'s cone sees only `s0`'s period and `r1`'s only `s1`'s
+    // (whole-millisecond periods keep the 1 ms tick), so the grid holds 2g
+    // distinct cones.
+    const G: u64 = 4;
+    let sweep_of = |model: ArchitectureModel| {
+        let periods = || (0..G as i128).map(|i| TimeValue::millis(20 + i));
+        Sweep::new(model)
+            .vary_stimulus_period("s0", periods())
+            .vary_stimulus_period("s1", periods())
+    };
+    let db = AnalysisDb::new(AnalysisConfig::default());
+    let ctx = RunContext::default();
+    // One worker: concurrent workers can both miss on the same cone.
+    let run = |sweep: &Sweep| {
+        db.reset_stats();
+        sweep.run_with(&db, 1, &ctx).unwrap();
+        db.stats()
+    };
+
+    let sweep = sweep_of(disjoint_cones_model());
+    let cold = run(&sweep);
+    assert_eq!(cold.misses, 2 * G, "cold: one exploration per distinct cone");
+    assert_eq!(cold.hits, 2 * G * G - 2 * G, "cold: every repeat of a cone hits");
+
+    let warm = run(&sweep);
+    assert_eq!(warm.misses, 0, "an identical re-run must re-explore nothing");
+    assert_eq!(warm.hits, 2 * G * G);
+
+    // Editing island 1 (on the 1 ms grid) changes its g cones and no other.
+    let mut edited = disjoint_cones_model();
+    match &mut edited.scenarios[1].steps[1] {
+        Step::Execute { instructions, .. } => *instructions = 5_000,
+        step => panic!("fixture changed: expected an Execute step, got {step:?}"),
+    }
+    let after_edit = run(&sweep_of(edited));
+    assert_eq!(after_edit.misses, G, "only island 1's cones re-explore");
+    assert_eq!(after_edit.hits, 2 * G * G - G);
 }

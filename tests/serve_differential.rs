@@ -74,6 +74,23 @@ fn direct_keys(model: &ArchitectureModel, queries: &[Query]) -> Vec<String> {
         .collect()
 }
 
+/// One `DbStats` counter (`hits`, `misses`, ...) summed over the server's
+/// shared databases, read through the `stats` op.
+fn db_stat<R, W>(client: &mut Client<R, W>, key: &str) -> i128
+where
+    R: std::io::BufRead,
+    W: std::io::Write,
+{
+    let stats = client.stats().unwrap().unwrap();
+    stats
+        .get("dbs")
+        .and_then(JsonValue::as_array)
+        .unwrap()
+        .iter()
+        .filter_map(|d| d.get("stats")?.get(key)?.as_i128())
+        .sum()
+}
+
 #[test]
 fn wire_answers_are_byte_identical_cold_and_warm() {
     let models = [random_model(11), random_model(12), tdma_model(), burst_model()];
@@ -95,6 +112,7 @@ fn wire_answers_are_byte_identical_cold_and_warm() {
                 model.name
             );
         }
+        let cold_misses = db_stat(&mut client, "misses");
         // Warm pass: same answers, now from the shared database's cache.
         for (q, want) in queries.iter().zip(&expected) {
             let report = client
@@ -108,17 +126,16 @@ fn wire_answers_are_byte_identical_cold_and_warm() {
                 model.name
             );
         }
+        assert_eq!(
+            db_stat(&mut client, "misses"),
+            cold_misses,
+            "the warm pass over {} re-explored a cone",
+            model.name
+        );
     }
     // The warm pass hit the cache rather than re-exploring.
-    let stats = client.stats().unwrap().unwrap();
-    let hits: i128 = stats
-        .get("dbs")
-        .and_then(JsonValue::as_array)
-        .unwrap()
-        .iter()
-        .filter_map(|d| d.get("stats")?.get("hits")?.as_i128())
-        .sum();
-    assert!(hits > 0, "warm pass produced no cache hits: {stats}");
+    let hits = db_stat(&mut client, "hits");
+    assert!(hits > 0, "warm pass produced no cache hits");
     client.shutdown().unwrap().unwrap();
     drop(client);
     conn.join().unwrap();
@@ -151,6 +168,28 @@ fn batches_collapse_when_they_cover_the_requirement_set() {
         let report = r.get("report").unwrap();
         assert_eq!(&wire::wire_answer_key(report), want);
     }
+
+    // The same full-cover batch again: still collapsed, same answers, and
+    // answered from the cache without a single new exploration.
+    let misses = db_stat(&mut client, "misses");
+    let repeat = client
+        .query_batch(&model.name, &per_req, &QueryOpts::default())
+        .unwrap()
+        .unwrap();
+    assert_eq!(
+        repeat.get("batched").and_then(JsonValue::as_bool),
+        Some(true)
+    );
+    let results = repeat.get("results").and_then(JsonValue::as_array).unwrap();
+    assert_eq!(results.len(), per_req.len());
+    for (r, want) in results.iter().zip(&expected) {
+        assert_eq!(&wire::wire_answer_key(r.get("report").unwrap()), want);
+    }
+    assert_eq!(
+        db_stat(&mut client, "misses"),
+        misses,
+        "a repeated full-cover batch re-explored a cone"
+    );
 
     // A strict subset does not collapse; per-query execution still matches.
     let subset = &per_req[..1];
