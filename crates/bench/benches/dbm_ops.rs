@@ -2,7 +2,7 @@
 //! time: canonicalization, constraining, delay, reset and inclusion.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tempo_dbm::{set_incremental_close, Bound, Clock, Dbm};
+use tempo_dbm::{Bound, Clock, Dbm};
 
 fn sample_zone(n: usize) -> Dbm {
     let mut z = Dbm::zero(n);
@@ -17,7 +17,8 @@ fn sample_zone(n: usize) -> Dbm {
 /// A delayed zone with per-clock upper bounds only: non-empty at every
 /// dimension (unlike [`sample_zone`], whose lower bounds contradict the
 /// all-clocks-equal diagonal from dimension 11 up), and tight enough that
-/// constraining `x1` genuinely tightens and forces a re-canonicalization.
+/// constraining `x1` genuinely tightens and forces the incremental
+/// re-canonicalization (`close1`).
 fn delay_zone(n: usize) -> Dbm {
     let mut z = Dbm::zero(n);
     z.up();
@@ -39,10 +40,11 @@ fn bench_dbm(c: &mut Criterion) {
                 black_box(w.is_empty())
             })
         });
+        let delayed = delay_zone(n);
         group.bench_function(format!("constrain/{n}_clocks"), |b| {
             b.iter(|| {
-                let mut w = z.clone();
-                w.constrain(Clock(1), Clock(2), Bound::weak(3));
+                let mut w = delayed.clone();
+                w.constrain(Clock(1), Clock::REF, Bound::weak(5));
                 black_box(w.is_empty())
             })
         });
@@ -62,33 +64,9 @@ fn bench_dbm(c: &mut Criterion) {
             let k: Vec<i64> = (0..=n as i64).map(|i| i * 5).collect();
             b.iter(|| {
                 let mut w = z.clone();
-                w.extrapolate_max_bounds(&k);
+                w.extrapolate_lu(&k, &k);
                 black_box(w.is_empty())
             })
-        });
-        // A single-constraint tightening that actually fires (unlike the
-        // diagonal constraint above, which the sample zone already
-        // satisfies), re-canonicalized through the O(n²) incremental repair
-        // (`close1`, the default) vs a full O(n³) re-close — the ratio is
-        // the payoff of the incremental path on the explorer's hottest
-        // operation.
-        let delayed = delay_zone(n);
-        group.bench_function(format!("constrain_incremental/{n}_clocks"), |b| {
-            set_incremental_close(true);
-            b.iter(|| {
-                let mut w = delayed.clone();
-                w.constrain(Clock(1), Clock::REF, Bound::weak(5));
-                black_box(w.is_empty())
-            })
-        });
-        group.bench_function(format!("constrain_full_close/{n}_clocks"), |b| {
-            set_incremental_close(false);
-            b.iter(|| {
-                let mut w = delayed.clone();
-                w.constrain(Clock(1), Clock::REF, Bound::weak(5));
-                black_box(w.is_empty())
-            });
-            set_incremental_close(true);
         });
     }
     group.finish();

@@ -14,7 +14,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tempo_ta::{ClockId, System};
+use tempo_ta::System;
 
 /// Exploration order of the waiting list, corresponding to UPPAAL's
 /// breadth-first, depth-first and random-depth-first options (the paper uses
@@ -126,9 +126,6 @@ pub struct SearchOptions {
     pub order: SearchOrder,
     /// RNG seed used by [`SearchOrder::RandomDfs`].
     pub seed: u64,
-    /// Whether to apply maximum-bounds extrapolation (disable only for
-    /// debugging; exploration may then diverge).
-    pub extrapolate: bool,
     /// Whether to apply active-clock reduction: clocks that a static
     /// inactivity analysis proves dead in a discrete state (reset before
     /// their next read in every guard, invariant and query atom) are reset to
@@ -154,9 +151,6 @@ pub struct SearchOptions {
     /// explorations yield *lower bounds* on suprema (the paper's `df`/`rdf`
     /// "structured testing" usage).
     pub truncate_on_limit: bool,
-    /// Additional per-clock constants merged into the extrapolation bounds
-    /// (e.g. query constants).
-    pub extra_clock_constants: Vec<(ClockId, i64)>,
     /// Wall-clock budget, cancellation and progress reporting (see
     /// [`SearchHook`]; the default hook does nothing).
     pub hook: SearchHook,
@@ -167,12 +161,10 @@ impl Default for SearchOptions {
         SearchOptions {
             order: SearchOrder::Bfs,
             seed: 0x7e4d0,
-            extrapolate: true,
             active_clock_reduction: true,
             exact_zone_merging: true,
             max_states: None,
             truncate_on_limit: false,
-            extra_clock_constants: Vec::new(),
             hook: SearchHook::default(),
         }
     }

@@ -105,10 +105,10 @@ struct FaultRule {
 
 /// A seeded, deterministic schedule of injected faults.
 ///
-/// See the [module documentation](self) for the overall picture.  A plan is
-/// shared behind an `Arc` by every engine and retry of a run; the per-site
-/// visit counters are atomic, so each rule fires exactly once whichever
-/// thread reaches it.
+/// A plan names the instrumented [`FaultSite`]s and the [`FaultKind`] each
+/// rule injects; every rule is one-shot.  A plan is shared behind an `Arc`
+/// by every engine and retry of a run; the per-site visit counters are
+/// atomic, so each rule fires exactly once whichever thread reaches it.
 pub struct FaultPlan {
     seed: u64,
     rules: Vec<FaultRule>,

@@ -149,7 +149,6 @@ pub struct SuccessorGen<'s> {
     /// to the WCRT supremum and is not explored.  `None` disables pruning
     /// (no query, or one without location atoms that can match anywhere).
     query_reach: Option<Vec<(usize, Vec<bool>)>>,
-    extrapolate: bool,
     reduce: bool,
     /// Running count of dead-clock canonicalizations applied (one per dead
     /// clock per computed symbolic state); reported as
@@ -192,23 +191,18 @@ impl<'s> SuccessorGen<'s> {
 
     /// Creates a generator serving the given query (or none).
     ///
-    /// * `opts.extra_clock_constants` are respected at every location, as
-    ///   documented on that field, and their clocks are treated as active
-    ///   everywhere.
-    /// * The query's clock constants (target guard constants, WCRT cap) must
-    ///   survive extrapolation — and active-clock reduction — exactly
-    ///   wherever the query can observe them: when the query has location
-    ///   atoms they are seeded only at those locations and propagated
-    ///   backward (precision is needed on paths that can still reach the
-    ///   target, not after the clock's next reset), otherwise they apply
-    ///   everywhere.
+    /// The query's clock constants (target guard constants, WCRT cap) must
+    /// survive extrapolation — and active-clock reduction — exactly wherever
+    /// the query can observe them: when the query has location atoms they
+    /// are seeded only at those locations and propagated backward (precision
+    /// is needed on paths that can still reach the target, not after the
+    /// clock's next reset), otherwise they apply everywhere and their clocks
+    /// are treated as active everywhere.
     pub fn for_query(
         sys: &'s System,
         opts: &SearchOptions,
         query: Option<&QuerySeed>,
     ) -> Result<SuccessorGen<'s>, CheckError> {
-        let global_clock_constants: &[(tempo_ta::ClockId, i64)] = &opts.extra_clock_constants;
-        let extrapolate = opts.extrapolate;
         sys.validate()?;
         // Restriction checks that keep the semantics implementable with plain
         // zones: no clock guards on urgent synchronizations or broadcast
@@ -235,29 +229,21 @@ impl<'s> SuccessorGen<'s> {
         let dim = sys.num_clocks() + 1;
         let mut global_lower = vec![0i64; dim];
         let mut global_upper = vec![0i64; dim];
-        let mut apply_globally = |constants: &[(tempo_ta::ClockId, i64)],
-                                  activity: &mut tempo_ta::ActivityTable| {
-            for (clock, value) in constants {
-                let idx = clock.dbm_clock().index();
-                if idx < dim {
-                    if *value > global_lower[idx] {
-                        global_lower[idx] = *value;
-                    }
-                    if *value > global_upper[idx] {
-                        global_upper[idx] = *value;
-                    }
-                    // A globally observed clock must never be canonicalized.
-                    activity.seed_everywhere(*clock);
-                }
-            }
-        };
-        apply_globally(global_clock_constants, &mut activity);
         let mut query_reach = None;
         if let Some(seed) = query {
             if seed.target.locations.is_empty() {
                 // A query without location atoms can observe its clocks in
                 // every state: its constants apply everywhere.
-                apply_globally(&seed.consts, &mut activity);
+                for &(clock, value) in &seed.consts {
+                    let idx = clock.dbm_clock().index();
+                    if idx < dim {
+                        global_lower[idx] = global_lower[idx].max(value);
+                        global_upper[idx] = global_upper[idx].max(value);
+                        // A globally observed clock must never be
+                        // canonicalized.
+                        activity.seed_everywhere(clock);
+                    }
+                }
             } else {
                 for &(ai, li) in &seed.target.locations {
                     for (clock, value) in &seed.consts {
@@ -285,7 +271,6 @@ impl<'s> SuccessorGen<'s> {
             global_lower,
             global_upper,
             merged_cache: std::cell::RefCell::new(HashMap::new()),
-            extrapolate,
             reduce: opts.active_clock_reduction,
             eliminated: Cell::new(0),
         })
@@ -362,9 +347,7 @@ impl<'s> SuccessorGen<'s> {
     }
 
     fn extrapolate_zone(&self, zone: &mut Dbm, consts: &StateConsts) {
-        if self.extrapolate {
-            zone.extrapolate_lu(&consts.lower, &consts.upper);
-        }
+        zone.extrapolate_lu(&consts.lower, &consts.upper);
     }
 
     /// Total number of dead-clock canonicalizations this generator applied.

@@ -7,6 +7,7 @@ use crate::model::{ArchitectureModel, ModelError, Requirement};
 use crate::time::TimeValue;
 use std::fmt;
 use tempo_check::{CheckError, ExplorationStats, Explorer, SearchOptions, TargetSpec};
+use tempo_ta::{EvalError, System};
 
 /// The kind of named model entity a reference failed to resolve to — used by
 /// [`ArchError::UnknownEntity`] so callers (and error messages) can tell a
@@ -51,10 +52,13 @@ pub enum ArchError {
         /// The requested name.
         name: String,
     },
-    /// A queue counter overflowed during exploration, meaning the chosen
-    /// queue capacity is too small or a resource is overloaded.
+    /// A bounded variable of the generated network left its declared range
+    /// during exploration: an event queue counter (`q_…`) outgrew the queue
+    /// capacity, or another counter such as a preemption accumulator
+    /// (`D_…`) outgrew the bound the generator gave it.  Either the bound is
+    /// too small or a resource is overloaded.
     QueueOverflow {
-        /// Description of the overflowing variable.
+        /// The message, naming the variable by its declared name.
         detail: String,
     },
 }
@@ -70,11 +74,7 @@ impl fmt::Display for ArchError {
             ArchError::UnknownEntity { kind, name } => {
                 write!(f, "unknown {kind} `{name}`")
             }
-            ArchError::QueueOverflow { detail } => write!(
-                f,
-                "an event queue overflowed ({detail}); increase the queue capacity or check \
-                 whether the resource is overloaded"
-            ),
+            ArchError::QueueOverflow { detail } => f.write_str(detail),
         }
     }
 }
@@ -87,15 +87,30 @@ impl From<ModelError> for ArchError {
     }
 }
 
-impl From<CheckError> for ArchError {
-    fn from(e: CheckError) -> Self {
-        match &e {
-            CheckError::Eval(tempo_ta::EvalError::OutOfRange { var, value, max, .. }) => {
-                ArchError::QueueOverflow {
-                    detail: format!("variable {var} reached {value}, max {max}"),
-                }
+impl ArchError {
+    /// Maps a checker error raised while exploring `sys`: a variable leaving
+    /// its declared range becomes [`ArchError::QueueOverflow`], named by its
+    /// declaration in `sys`; every other error stays [`ArchError::Check`].
+    pub(crate) fn from_check(e: CheckError, sys: &System) -> ArchError {
+        match e {
+            CheckError::Eval(EvalError::OutOfRange {
+                var, value, max, ..
+            }) => {
+                let name = &sys.vars[var.index()].name;
+                let detail = if name.starts_with("q_") {
+                    format!(
+                        "event queue {name} overflowed (reached {value}, max {max}); increase \
+                         the queue capacity or check whether the resource is overloaded"
+                    )
+                } else {
+                    format!(
+                        "variable {name} left its declared range (reached {value}, max {max}); \
+                         check whether the resource is overloaded"
+                    )
+                };
+                ArchError::QueueOverflow { detail }
             }
-            _ => ArchError::Check(e),
+            e => ArchError::Check(e),
         }
     }
 }
@@ -191,16 +206,20 @@ pub fn analyze_generated(
         .observer
         .as_ref()
         .expect("generated model has an observer for the measured requirement");
-    let explorer = Explorer::new(&generated.system, cfg.search.clone())?;
+    let check = |e| ArchError::from_check(e, &generated.system);
+    let explorer = Explorer::new(&generated.system, cfg.search.clone()).map_err(check)?;
     let target = TargetSpec::location(
         &generated.system,
         &observer.automaton,
         &observer.seen_location,
-    )?;
+    )
+    .map_err(check)?;
     let deadline_ticks = generated.quantizer.to_ticks(req.deadline).max(1);
     let initial_cap = deadline_ticks.saturating_mul(cfg.initial_cap_factor.max(1));
     let max_cap = deadline_ticks.saturating_mul(cfg.max_cap_factor.max(cfg.initial_cap_factor));
-    let report = explorer.sup_clock_at_auto(&target, observer.clock, initial_cap, max_cap)?;
+    let report = explorer
+        .sup_clock_at_auto(&target, observer.clock, initial_cap, max_cap)
+        .map_err(check)?;
     let quantizer = &generated.quantizer;
     let (wcrt, lower_bound) = if report.stats.truncated {
         // The exploration was cut short (bounded "structured testing" in the
@@ -256,15 +275,19 @@ pub fn analyze_requirement_binary_search(
         .clone();
     let generated = generate(model, Some(&req), &cfg.generator)?;
     let observer = generated.observer.as_ref().expect("observer present");
-    let explorer = Explorer::new(&generated.system, cfg.search.clone())?;
+    let check = |e| ArchError::from_check(e, &generated.system);
+    let explorer = Explorer::new(&generated.system, cfg.search.clone()).map_err(check)?;
     let target = TargetSpec::location(
         &generated.system,
         &observer.automaton,
         &observer.seen_location,
-    )?;
+    )
+    .map_err(check)?;
     let deadline_ticks = generated.quantizer.to_ticks(req.deadline).max(1);
     let hi = deadline_ticks.saturating_mul(cfg.max_cap_factor.max(2));
-    let bs = explorer.binary_search_wcrt(&target, observer.clock, 0, hi)?;
+    let bs = explorer
+        .binary_search_wcrt(&target, observer.clock, 0, hi)
+        .map_err(check)?;
     let wcrt = generated.quantizer.from_ticks(bs.wcrt.max(0));
     Ok(WcrtReport {
         requirement: req.name.clone(),
@@ -350,10 +373,56 @@ mod tests {
         let m = single_task_model(10, 20_000);
         let err = wcrt(&m, "rt").unwrap_err();
         assert!(matches!(err, ArchError::QueueOverflow { .. }), "{err}");
+        assert!(err.to_string().starts_with("event queue q_task_"), "{err}");
         assert!(queues_bounded(&m).is_err());
         // The healthy variant passes the queue check.
         let ok = single_task_model(10, 2_000);
         assert!(queues_bounded(&ok).is_ok());
+    }
+
+    /// A sporadic 1 ms task every ≥ 2 ms preempts a 10 ms task more often
+    /// than the queue capacity the preemption accumulator `D_CPU` is sized
+    /// for (10 + 8 · 1 ms).  The error names `D_CPU`, not a queue.
+    #[test]
+    fn preemption_accumulator_overflow_names_the_variable() {
+        let mut m = ArchitectureModel::new("preempted");
+        let cpu = m.add_processor("CPU", 1, SchedulingPolicy::FixedPriorityPreemptive);
+        let task = |name: &str, stimulus, priority, instructions| Scenario {
+            name: name.into(),
+            stimulus,
+            priority,
+            steps: vec![Step::Execute {
+                operation: name.into(),
+                instructions,
+                on: cpu,
+            }],
+        };
+        let min_interarrival = TimeValue::millis(2);
+        m.add_scenario(task(
+            "hi",
+            EventModel::Sporadic { min_interarrival },
+            0,
+            1_000,
+        ));
+        let period = TimeValue::millis(100);
+        let lo = m.add_scenario(task("lo", EventModel::Periodic { period }, 1, 10_000));
+        m.add_requirement(crate::model::Requirement {
+            name: "lo-rt".into(),
+            scenario: lo,
+            from: MeasurePoint::Stimulus,
+            to: MeasurePoint::AfterStep(0),
+            deadline: period,
+        });
+        let errors = [
+            wcrt(&m, "lo-rt").unwrap_err(),
+            queues_bounded(&m).unwrap_err(),
+        ];
+        for err in errors {
+            assert!(matches!(err, ArchError::QueueOverflow { .. }), "{err}");
+            let message = err.to_string();
+            assert!(message.contains("D_CPU"), "{message}");
+            assert!(!message.contains("queue"), "{message}");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! Verhoef, Lieverse, ISoLA 2004) that the paper explicitly builds on:
 //! MMI 22 MIPS, RAD 11 MIPS, NAV 113 MIPS, bus 72 kbit/s.  Operation WCETs
 //! and message sizes come from the sequence diagrams reproduced in the paper.
-//! See EXPERIMENTS.md for the impact of this substitution.
+//! Reproduced WCRTs can therefore differ from the paper's Table 1 values.
 
 use crate::model::{
     ArchitectureModel, BusArbitration, EventModel, MeasurePoint, Requirement, Scenario,

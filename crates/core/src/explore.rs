@@ -11,11 +11,10 @@
 //! threads, since the points are independent.
 //!
 //! Since PR 7 the sweep is a thin driver over the incremental
-//! [`AnalysisDb`](crate::incremental::AnalysisDb): queries whose input cone
-//! is unchanged between design points (or between successive sweeps over an
-//! edited model, via [`Sweep::run_with`]) answer from cache instead of
-//! re-exploring, and [`Sweep::run_with`] threads a
-//! [`RunContext`](crate::engine::RunContext) — budgets, cancellation,
+//! [`AnalysisDb`]: queries whose input cone is unchanged between design
+//! points (or between successive sweeps over an edited model, via
+//! [`Sweep::run_with`]) answer from cache instead of re-exploring, and
+//! [`Sweep::run_with`] threads a [`RunContext`] — budgets, cancellation,
 //! progress — into every exploration.
 //!
 //! ```

@@ -500,13 +500,15 @@ impl AnalysisDb {
             tempo_obs::event!("db.miss", query = "queues", cone = cone);
         }
         let generated = self.network(model, None)?;
-        let explorer = tempo_check::Explorer::new(&generated.system, cfg.search.clone())?;
+        let check = |e| ArchError::from_check(e, &generated.system);
+        let explorer =
+            tempo_check::Explorer::new(&generated.system, cfg.search.clone()).map_err(check)?;
         let explore_started = Instant::now();
         let outcome = explorer.explore(|_| {});
         let explore_nanos = u64::try_from(explore_started.elapsed().as_nanos())
             .unwrap_or(u64::MAX)
             .max(1);
-        let result = outcome.map_err(ArchError::from);
+        let result = outcome.map_err(check);
         let cacheable = match &result {
             Ok(stats) if !stats.truncated => Some(QueueOutcome::Bounded(stats.clone())),
             Err(ArchError::QueueOverflow { detail }) => {

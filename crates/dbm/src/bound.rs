@@ -180,13 +180,6 @@ impl Bound {
         self.0
     }
 
-    /// Rebuilds a bound from its raw encoding.  Only values produced by
-    /// [`Bound::raw`] are meaningful.
-    #[inline]
-    pub fn from_raw(raw: i64) -> Bound {
-        Bound(raw)
-    }
-
     /// `true` iff a valuation difference equal to `d` satisfies this bound.
     #[inline]
     pub fn admits(self, d: i64) -> bool {
@@ -315,7 +308,7 @@ mod tests {
     #[test]
     fn extreme_constants_round_trip_and_order() {
         // The four corners of the encoding are representable, round-trip
-        // through constant()/is_strict()/raw(), and sit in the tightness
+        // through constant()/is_strict(), and sit in the tightness
         // order exactly where the lexicographic (m, ≺) order puts them.
         let corners = [
             Bound::strict(-MAX_CONST),
@@ -324,7 +317,6 @@ mod tests {
             Bound::weak(MAX_CONST),
         ];
         for b in corners {
-            assert_eq!(Bound::from_raw(b.raw()), b);
             assert_eq!(Bound::new(b.constant(), b.is_strict()), b);
         }
         assert!(corners[0] < corners[1]);

@@ -1,4 +1,4 @@
-//! Clock indices and clock sets.
+//! Clock indices.
 
 use std::fmt;
 
@@ -48,73 +48,6 @@ impl fmt::Display for Clock {
     }
 }
 
-/// A small set of clocks, used for multi-clock resets.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ClockSet {
-    bits: Vec<u64>,
-}
-
-impl ClockSet {
-    /// Creates an empty clock set able to hold clocks `0..=max_clock`.
-    pub fn new(num_clocks: usize) -> Self {
-        ClockSet {
-            bits: vec![0; num_clocks / 64 + 1],
-        }
-    }
-
-    /// Inserts a clock.
-    pub fn insert(&mut self, c: Clock) {
-        let i = c.index();
-        if i / 64 >= self.bits.len() {
-            self.bits.resize(i / 64 + 1, 0);
-        }
-        self.bits[i / 64] |= 1 << (i % 64);
-    }
-
-    /// Removes a clock.
-    pub fn remove(&mut self, c: Clock) {
-        let i = c.index();
-        if i / 64 < self.bits.len() {
-            self.bits[i / 64] &= !(1 << (i % 64));
-        }
-    }
-
-    /// Membership test.
-    pub fn contains(&self, c: Clock) -> bool {
-        let i = c.index();
-        i / 64 < self.bits.len() && self.bits[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    /// `true` iff no clock is in the set.
-    pub fn is_empty(&self) -> bool {
-        self.bits.iter().all(|&w| w == 0)
-    }
-
-    /// Number of clocks in the set.
-    pub fn len(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Iterates over the member clocks in increasing index order.
-    pub fn iter(&self) -> impl Iterator<Item = Clock> + '_ {
-        self.bits.iter().enumerate().flat_map(|(w, &bits)| {
-            (0..64)
-                .filter(move |b| bits & (1 << b) != 0)
-                .map(move |b| Clock((w * 64 + b) as u32))
-        })
-    }
-}
-
-impl FromIterator<Clock> for ClockSet {
-    fn from_iter<T: IntoIterator<Item = Clock>>(iter: T) -> Self {
-        let mut set = ClockSet::new(0);
-        for c in iter {
-            set.insert(c);
-        }
-        set
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,31 +58,5 @@ mod tests {
         assert!(!Clock(3).is_reference());
         assert_eq!(Clock(3).index(), 3);
         assert_eq!(Clock::from(7), Clock(7));
-    }
-
-    #[test]
-    fn clock_set_basic() {
-        let mut s = ClockSet::new(4);
-        assert!(s.is_empty());
-        s.insert(Clock(1));
-        s.insert(Clock(3));
-        s.insert(Clock(70)); // forces growth
-        assert!(s.contains(Clock(1)));
-        assert!(!s.contains(Clock(2)));
-        assert!(s.contains(Clock(70)));
-        assert_eq!(s.len(), 3);
-        let collected: Vec<_> = s.iter().collect();
-        assert_eq!(collected, vec![Clock(1), Clock(3), Clock(70)]);
-        s.remove(Clock(1));
-        assert!(!s.contains(Clock(1)));
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn clock_set_from_iter() {
-        let s: ClockSet = [Clock(2), Clock(5)].into_iter().collect();
-        assert!(s.contains(Clock(2)));
-        assert!(s.contains(Clock(5)));
-        assert_eq!(s.len(), 2);
     }
 }

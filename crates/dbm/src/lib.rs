@@ -12,25 +12,25 @@
 //! where every entry is a [`Bound`]: either `∞` or a pair of an integer
 //! constant and a strictness flag (`<` or `≤`).
 //!
-//! The operations provided are exactly those needed by forward symbolic
-//! reachability of timed automata (Bengtsson & Yi, *Timed Automata: Semantics,
-//! Algorithms and Tools*):
+//! The operations provided are exactly those the checker's forward symbolic
+//! reachability runs (Bengtsson & Yi, *Timed Automata: Semantics,
+//! Algorithms and Tools*), plus the oracles its tests compare them against:
 //!
-//! * [`Dbm::close`] — full canonicalization (all-pairs shortest paths) and
-//!   [`Dbm::close1`] — its O(n²) incremental form after a single tightened
-//!   entry (see the [`matrix`](Dbm) module docs for the canonical-form
-//!   invariant and when the full close is still required),
 //! * [`Dbm::up`] — delay (future) operator,
-//! * [`Dbm::down`] — past operator,
-//! * [`Dbm::constrain`] — intersection with a single difference constraint,
-//! * [`Dbm::reset`] / [`Dbm::free`] / [`Dbm::copy_clock`] / [`Dbm::shift`] —
-//!   clock updates,
+//! * [`Dbm::constrain`] / [`Dbm::and`] — intersection with one difference
+//!   constraint, re-closed incrementally with [`Dbm::close1`],
+//! * [`Dbm::reset`] / [`Dbm::free`] and the dead-clock pinning
+//!   [`Dbm::reset_to_canonical`] / [`Dbm::restrict_to_active`] — clock
+//!   updates,
+//! * [`Dbm::extrapolate_lu`] — the ExtraLU finiteness abstraction,
 //! * [`Dbm::relation`] / [`Dbm::includes`] — zone inclusion,
-//! * [`Dbm::extrapolate_max_bounds`] / [`Dbm::extrapolate_lu`] — finiteness
-//!   abstractions,
 //! * [`Dbm::try_merge`] / [`merge_into_antichain`] — exact convex unions,
 //!   which the checker's passed list uses to replace zones by their hull
-//!   without adding a valuation.
+//!   without adding a valuation,
+//! * [`Dbm::close`] (full Floyd–Warshall after [`Dbm::set_raw`] writes),
+//!   [`Dbm::subtract`], [`Dbm::convex_hull`] and [`Dbm::contains_point`] —
+//!   the independent oracles (see the [`matrix`](Dbm) module docs for the
+//!   canonical-form invariant).
 //!
 //! All bounds are kept in `i64`, which is ample for the nanosecond-resolution
 //! model-time units produced by the architecture front-end.
@@ -57,8 +57,6 @@ mod constraint;
 mod matrix;
 
 pub use bound::Bound;
-pub use clock::{Clock, ClockSet};
+pub use clock::Clock;
 pub use constraint::{Constraint, RelOp};
-pub use matrix::{
-    incremental_close_enabled, merge_into_antichain, set_incremental_close, Dbm, Relation,
-};
+pub use matrix::{merge_into_antichain, Dbm, Relation};

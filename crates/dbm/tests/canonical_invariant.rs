@@ -14,7 +14,7 @@ fn operations_preserve_canonical_form() {
         let mut z = Dbm::zero(3);
         let mut history: Vec<String> = Vec::new();
         for _ in 0..12 {
-            let desc = match rng.gen_range(0..8) {
+            let desc = match rng.gen_range(0..7) {
                 0 => {
                     z.up();
                     "up".to_string()
@@ -54,17 +54,10 @@ fn operations_preserve_canonical_form() {
                     z.free(Clock(c));
                     format!("free x{c}")
                 }
-                6 => {
-                    let a = rng.gen_range(1..=3);
-                    let b = rng.gen_range(1..=3);
-                    if a != b {
-                        z.copy_clock(Clock(a), Clock(b));
-                    }
-                    format!("x{a} := x{b}")
-                }
                 _ => {
-                    z.down();
-                    "down".to_string()
+                    let k: Vec<i64> = (0..4).map(|_| rng.gen_range(0..30)).collect();
+                    z.extrapolate_lu(&k, &k);
+                    format!("extrapolate_lu {k:?}")
                 }
             };
             history.push(desc);

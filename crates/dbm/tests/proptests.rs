@@ -169,32 +169,46 @@ proptest! {
     fn extrapolation_is_extensive(z in random_zone(),
                                   k in proptest::collection::vec(0i64..30, NUM_CLOCKS + 1)) {
         let mut e = z.clone();
-        e.extrapolate_max_bounds(&k);
+        e.extrapolate_lu(&k, &k);
         prop_assert!(e.includes(&z));
-        // And it is idempotent.
+        // And it is idempotent: a fixpoint has every finite entry bounded by
+        // the constant tables, so only finitely many extrapolated zones exist
+        // per location (the explorer's termination argument).
         let once = e.clone();
-        e.extrapolate_max_bounds(&k);
+        e.extrapolate_lu(&k, &k);
         prop_assert_eq!(e.relation(&once), Relation::Equal);
     }
 
-    /// LU extrapolation is at least as coarse as ExtraM with the same constants.
+    /// LU extrapolation is at least as coarse as ExtraM (ExtraLU with both
+    /// tables at the maximal constants `k`): constants at or below `k` only
+    /// widen more.
     #[test]
     fn lu_is_coarser_than_m(z in random_zone(),
-                            k in proptest::collection::vec(0i64..30, NUM_CLOCKS + 1)) {
+                            k in proptest::collection::vec(0i64..30, NUM_CLOCKS + 1),
+                            cut in proptest::collection::vec(0i64..30, 2 * (NUM_CLOCKS + 1))) {
         let mut m = z.clone();
-        m.extrapolate_max_bounds(&k);
+        m.extrapolate_lu(&k, &k);
+        let (lower, upper): (Vec<i64>, Vec<i64>) = k
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| ((c - cut[i]).max(0), (c - cut[NUM_CLOCKS + 1 + i]).max(0)))
+            .unzip();
         let mut lu = z.clone();
-        lu.extrapolate_lu(&k, &k);
-        prop_assert!(lu.includes(&z));
-        // With L = U = k, ExtraLU and ExtraM coincide.
-        prop_assert_eq!(lu.relation(&m), Relation::Equal);
+        lu.extrapolate_lu(&lower, &upper);
+        prop_assert!(m.includes(&z));
+        prop_assert!(lu.includes(&m));
     }
 
-    /// Intersection is the greatest lower bound w.r.t. point membership.
+    /// Constraining by every entry of `b` intersects with `b`: the result is
+    /// the greatest lower bound w.r.t. point membership.
     #[test]
     fn intersection_semantics(a in random_zone(), b in random_zone(), v in valuation()) {
-        let mut i = a.clone();
-        i.intersect(&b);
+        let mut i = if b.is_empty() { Dbm::empty(NUM_CLOCKS) } else { a.clone() };
+        for x in 0..=NUM_CLOCKS as u32 {
+            for y in 0..=NUM_CLOCKS as u32 {
+                i.constrain(Clock(x), Clock(y), b.get(Clock(x), Clock(y)));
+            }
+        }
         prop_assert_eq!(i.contains_point(&v), a.contains_point(&v) && b.contains_point(&v));
     }
 
@@ -212,46 +226,52 @@ proptest! {
     }
 
     /// Tightening a single entry of a random canonical matrix and re-closing
-    /// with the incremental `close1` yields bound-for-bound the same matrix
-    /// as a full Floyd–Warshall `close` — including agreeing on emptiness.
+    /// with the incremental `close1`, or tightening it through `constrain`,
+    /// yields bound-for-bound the same matrix as a full Floyd–Warshall
+    /// `close` — including agreeing on emptiness.
     #[test]
     fn close1_matches_full_close(z in random_zone(),
                                  x in 0u32..=(NUM_CLOCKS as u32),
                                  y in 0u32..=(NUM_CLOCKS as u32),
                                  delta in 1i64..25, m in -40i64..40, strict in any::<bool>()) {
-        if x == y || z.is_empty() {
-            return;
-        }
-        let current = z.get(Clock(x), Clock(y));
-        // Derive a strictly tighter bound so no case is discarded: any finite
-        // bound is tighter than ∞, and lowering the constant is tighter
-        // regardless of strictness.
-        let tightened = match current.finite_constant() {
-            None => Bound::new(m, strict),
-            Some(c) => Bound::new(c - delta, strict),
-        };
-        prop_assert!(tightened < current);
-        let mut incremental = z.clone();
-        incremental.set_raw(Clock(x), Clock(y), tightened);
-        incremental.close1(Clock(x), Clock(y));
-        let mut full = z.clone();
-        full.set_raw(Clock(x), Clock(y), tightened);
-        full.close();
-        prop_assert_eq!(incremental.is_empty(), full.is_empty());
-        if !incremental.is_empty() {
-            for i in 0..=NUM_CLOCKS as u32 {
-                for j in 0..=NUM_CLOCKS as u32 {
-                    prop_assert_eq!(
-                        incremental.get(Clock(i), Clock(j)),
-                        full.get(Clock(i), Clock(j)),
-                        "entry ({}, {}) diverges", i, j
-                    );
+        // No early `return`: the vendored runner inlines the body into its
+        // case loop, so a `return` would end the whole test.
+        if x != y && !z.is_empty() {
+            let current = z.get(Clock(x), Clock(y));
+            // Derive a strictly tighter bound so no case is discarded: any
+            // finite bound is tighter than ∞, and lowering the constant is
+            // tighter regardless of strictness.
+            let tightened = match current.finite_constant() {
+                None => Bound::new(m, strict),
+                Some(c) => Bound::new(c - delta, strict),
+            };
+            prop_assert!(tightened < current);
+            let mut incremental = z.clone();
+            incremental.set_raw(Clock(x), Clock(y), tightened);
+            incremental.close1(Clock(x), Clock(y));
+            let mut constrained = z.clone();
+            constrained.constrain(Clock(x), Clock(y), tightened);
+            let mut full = z.clone();
+            full.set_raw(Clock(x), Clock(y), tightened);
+            full.close();
+            for (name, zone) in [("close1", &incremental), ("constrain", &constrained)] {
+                prop_assert_eq!(zone.is_empty(), full.is_empty(), "{} emptiness", name);
+                if !zone.is_empty() {
+                    for i in 0..=NUM_CLOCKS as u32 {
+                        for j in 0..=NUM_CLOCKS as u32 {
+                            prop_assert_eq!(
+                                zone.get(Clock(i), Clock(j)),
+                                full.get(Clock(i), Clock(j)),
+                                "{} entry ({}, {}) diverges", name, i, j
+                            );
+                        }
+                    }
                 }
             }
         }
     }
 
-    /// Bound construction round-trips through constant/strictness/raw, the
+    /// Bound construction round-trips through constant/strictness, the
     /// tightness order is the lexicographic (constant, strictness) order, and
     /// in-range additions are exact.
     #[test]
@@ -261,7 +281,6 @@ proptest! {
         let b2 = Bound::new(m2 as i64, s2);
         prop_assert_eq!(b1.constant(), m1 as i64);
         prop_assert_eq!(b1.is_strict(), s1);
-        prop_assert_eq!(Bound::from_raw(b1.raw()), b1);
         // Strict sorts before weak at the same constant, so compare on
         // (constant, weakness).
         prop_assert_eq!(b1.cmp(&b2), (m1, !s1).cmp(&(m2, !s2)));
@@ -283,8 +302,6 @@ proptest! {
         let lo = Bound::new(-MAX_CONST + d2, s2);
         prop_assert_eq!(hi.constant(), MAX_CONST - d1);
         prop_assert_eq!(lo.constant(), -MAX_CONST + d2);
-        prop_assert_eq!(Bound::from_raw(hi.raw()), hi);
-        prop_assert_eq!(Bound::from_raw(lo.raw()), lo);
         prop_assert!(lo < hi);
         prop_assert!(hi < Bound::INFINITY);
         // Spanning sums stay exact.

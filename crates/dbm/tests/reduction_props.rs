@@ -1,5 +1,5 @@
 //! Property-based tests for the dead-clock projection operations backing the
-//! checker's active-clock reduction (`free_clock`, `reset_to_canonical`,
+//! checker's active-clock reduction (`free`, `reset_to_canonical`,
 //! `restrict_to_active`): they must preserve the canonical form, be
 //! idempotent, and be monotone with respect to zone inclusion — the three
 //! laws the passed-list subsumption of the explorer relies on.  The exact
@@ -160,7 +160,7 @@ proptest! {
         r.reset_to_canonical(Clock(clock));
         prop_assert!(is_canonical(&r));
         let mut f = z.clone();
-        f.free_clock(Clock(clock));
+        f.free(Clock(clock));
         prop_assert!(is_canonical(&f));
         let mut m = z.clone();
         m.restrict_to_active(&mask);
@@ -179,9 +179,9 @@ proptest! {
         prop_assert_eq!(&once, &twice);
 
         let mut fonce = z.clone();
-        fonce.free_clock(Clock(clock));
+        fonce.free(Clock(clock));
         let mut ftwice = fonce.clone();
-        ftwice.free_clock(Clock(clock));
+        ftwice.free(Clock(clock));
         prop_assert_eq!(&fonce, &ftwice);
 
         let mut monce = z.clone();
@@ -204,8 +204,8 @@ proptest! {
             prop_assert!(rb.includes(&ra));
 
             let (mut fa, mut fb) = (a.clone(), b.clone());
-            fa.free_clock(Clock(clock));
-            fb.free_clock(Clock(clock));
+            fa.free(Clock(clock));
+            fb.free(Clock(clock));
             prop_assert!(fb.includes(&fa));
 
             let (mut ma, mut mb) = (a.clone(), b.clone());
@@ -238,14 +238,14 @@ proptest! {
     }
 
     /// `reset_to_canonical` equals projecting the clock away and pinning it:
-    /// `free_clock(x); x ≤ 0` — the two formulations of "the dead value does
+    /// `free(x); x ≤ 0` — the two formulations of "the dead value does
     /// not matter".
     #[test]
     fn reset_to_canonical_is_free_then_pin(z in random_zone(), clock in clock_idx()) {
         let mut direct = z.clone();
         direct.reset_to_canonical(Clock(clock));
         let mut via_free = z.clone();
-        via_free.free_clock(Clock(clock));
+        via_free.free(Clock(clock));
         via_free.constrain(Clock(clock), Clock::REF, Bound::weak(0));
         prop_assert_eq!(direct.relation(&via_free), Relation::Equal);
     }
@@ -349,8 +349,12 @@ proptest! {
         point.insert(0, 0);
         check_merge_preserves_union(&zones, &z, &point);
         let tiles = base.subtract(&hole);
-        let mut inside = base.clone();
-        inside.intersect(&hole);
+        let mut inside = if hole.is_empty() { Dbm::empty(NUM_CLOCKS) } else { base.clone() };
+        for i in 0..=NUM_CLOCKS as u32 {
+            for j in 0..=NUM_CLOCKS as u32 {
+                inside.constrain(Clock(i), Clock(j), hole.get(Clock(i), Clock(j)));
+            }
+        }
         check_merge_preserves_union(&tiles, &inside, &point);
     }
 

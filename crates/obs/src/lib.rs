@@ -11,11 +11,11 @@
 //!
 //! The instrumentation is designed to vanish when nobody is listening.  The
 //! global subscriber slot is guarded by a single [`AtomicBool`] that every
-//! instrumentation site checks with **one relaxed atomic load** (the same
-//! idiom as `tempo_dbm::set_incremental_close`); with no subscriber
-//! installed, no timestamp is taken, no field is formatted, no allocation
-//! happens and no lock is touched.  [`dispatch_count`] counts actual
-//! subscriber deliveries so tests can assert the fast path stayed silent.
+//! instrumentation site checks with **one relaxed atomic load**; with no
+//! subscriber installed, no timestamp is taken, no field is formatted, no
+//! allocation happens and no lock is touched.  [`dispatch_count`] counts
+//! actual subscriber deliveries so tests can assert the fast path stayed
+//! silent.
 //!
 //! # Subscribers
 //!
@@ -241,9 +241,8 @@ pub fn now_nanos() -> u64 {
 
 /// Installs `subscriber` as the process-global subscriber, replacing any
 /// previous one.  The flag is process-global and not synchronized with
-/// in-flight instrumentation; like `tempo_dbm::set_incremental_close`,
-/// install/uninstall from tests that own the whole process or serialize
-/// access.
+/// in-flight instrumentation, so install/uninstall from tests that own the
+/// whole process or serialize access.
 pub fn install(subscriber: Arc<dyn Subscriber>) {
     *SUBSCRIBER.write().expect("tempo_obs subscriber lock") = Some(subscriber);
     INSTALLED.store(true, Ordering::SeqCst);

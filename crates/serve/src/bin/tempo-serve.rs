@@ -171,7 +171,7 @@ fn drive(addr: &str) -> Result<(), String> {
     let model = drive_model(2_000);
     client.load_model(&model).map_err(io)?.map_err(wire)?;
 
-    // A batch covering the requirement set exactly collapses to one WcrtAll.
+    // A batch covering the requirement set exactly is reported as batched.
     let queries: Vec<Query> = model
         .requirements
         .iter()
@@ -183,7 +183,7 @@ fn drive(addr: &str) -> Result<(), String> {
         .map_err(wire)?;
     expect(
         batch.get("batched").and_then(JsonValue::as_bool) == Some(true),
-        "full-cover batch was not collapsed",
+        "full-cover batch was not reported as batched",
     )?;
     let results = batch
         .get("results")
@@ -213,7 +213,7 @@ fn drive(addr: &str) -> Result<(), String> {
         .map_err(wire)?;
     expect(
         batch2.get("batched").and_then(JsonValue::as_bool) == Some(true),
-        "post-edit batch collapsed",
+        "post-edit batch reported as batched",
     )?;
 
     let stats = client.stats().map_err(io)?.map_err(wire)?;

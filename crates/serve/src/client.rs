@@ -251,7 +251,7 @@ impl<R: BufRead, W: Write> Client<R, W> {
         self.wait(id)
     }
 
-    /// Runs a batch and waits for its (possibly collapsed) results.
+    /// Runs a batch and waits for its results.
     pub fn query_batch(
         &mut self,
         model: &str,

@@ -15,19 +15,19 @@
 //!
 //! Layers, bottom to top:
 //!
-//! * [`json`] — [`JsonValue`](json::JsonValue), [`json::parse`], canonical
+//! * [`json`] — [`json::JsonValue`], [`json::parse`], canonical
 //!   printing (sorted keys, no whitespace).
 //! * [`wire`] — conversions between engine-layer types
 //!   ([`ArchitectureModel`](tempo_arch::model::ArchitectureModel),
 //!   [`Query`](tempo_arch::engine::Query),
 //!   [`EngineReport`](tempo_arch::engine::EngineReport), …) and JSON, plus
-//!   the typed [`WireError`](wire::WireError) every
+//!   the typed [`wire::WireError`] every
 //!   [`EngineError`](tempo_arch::engine::EngineError) maps onto.
 //! * [`protocol`] — request/response/progress framing.
 //! * [`server`] — admission control (bounded worker pool + queue cap, typed
-//!   `overloaded` rejection), cancellation, cache-aware batching
-//!   (`query_batch` collapses to one `WcrtAll` query, answered with one
-//!   cached exploration per requirement, when the batch covers the
+//!   `overloaded` rejection), cancellation, batching (`query_batch` answers
+//!   each element as its own `AnalysisDb::run` query, in one job and one
+//!   frame, and reports `batched: true` when the batch covers the
 //!   requirement set), progress streaming, and `stats` with database,
 //!   admission and metrics-registry snapshots.
 //! * [`client`] — a blocking reference client, used by the differential

@@ -70,11 +70,10 @@ pub enum Request {
         /// Execution options.
         opts: RequestOpts,
     },
-    /// A batch of queries against one loaded model, answered in one response.
+    /// A batch of queries against one loaded model, answered in one job and
+    /// one response; each element is answered exactly as a dedicated query.
     /// When every query is a `wcrt` and together they cover the model's
-    /// requirement set exactly, the server collapses the batch into one
-    /// `WcrtAll` query (one cached exploration per requirement) and reports
-    /// `batched: true`.
+    /// requirement set exactly, the response reports `batched: true`.
     QueryBatch {
         /// Request id.
         id: u64,

@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-use tempo_arch::engine::{Budget, EngineReport, Query, RunContext};
+use tempo_arch::engine::{Budget, Query, RunContext};
 use tempo_arch::incremental::AnalysisDb;
 use tempo_arch::model::ArchitectureModel;
 use tempo_arch::AnalysisConfig;
@@ -682,17 +682,16 @@ impl ServerState {
         )
     }
 
-    /// Runs a batch, collapsing it into one `WcrtAll` query when the queries
-    /// are all `wcrt` and together cover the model's requirement set exactly.
+    /// Runs a batch: every query is answered as its own [`AnalysisDb::run`]
+    /// call, so each element is byte-identical to a dedicated query.  The
+    /// batch is reported as `batched` when its queries are all `wcrt` and
+    /// together cover the model's requirement set exactly.
     fn run_batch(
         &self,
         entry: &ModelEntry,
         queries: &[Query],
         ctx: &RunContext,
     ) -> (bool, Vec<JsonValue>) {
-        if let Some(results) = self.try_collapsed(entry, queries, ctx) {
-            return (true, results);
-        }
         let results = queries
             .iter()
             .map(|q| match entry.db.run(&entry.model, q, ctx) {
@@ -706,83 +705,24 @@ impl ServerState {
                 ]),
             })
             .collect();
-        (false, results)
+        (covers_requirements(&entry.model, queries), results)
     }
+}
 
-    /// The cache-aware collapse: one `WcrtAll` query answers the whole batch.
-    /// The database answers it with one cached exploration per requirement,
-    /// the same cones the per-query path would look up.  Returns `None` when
-    /// the batch shape does not allow it or the collapsed run fails (the
-    /// caller then falls back to per-query execution, which reports
-    /// per-query errors).
-    fn try_collapsed(
-        &self,
-        entry: &ModelEntry,
-        queries: &[Query],
-        ctx: &RunContext,
-    ) -> Option<Vec<JsonValue>> {
-        if queries.len() != entry.model.requirements.len() {
-            return None;
-        }
-        let mut names: Vec<&str> = queries
-            .iter()
-            .map(|q| match q {
-                Query::Wcrt { requirement } => Some(requirement.as_str()),
-                _ => None,
-            })
-            .collect::<Option<Vec<_>>>()?;
-        names.sort_unstable();
-        names.dedup();
-        let mut required: Vec<&str> = entry
-            .model
-            .requirements
-            .iter()
-            .map(|r| r.name.as_str())
-            .collect();
-        required.sort_unstable();
-        if names != required {
-            return None;
-        }
-        let report = entry.db.run(&entry.model, &Query::WcrtAll, ctx).ok()?;
-        Some(
-            queries
-                .iter()
-                .map(|q| {
-                    let Query::Wcrt { requirement } = q else {
-                        unreachable!("collapse precondition: all queries are wcrt");
-                    };
-                    match report.estimate_for(requirement) {
-                        Some(row) => {
-                            let split = EngineReport {
-                                engine: report.engine.clone(),
-                                query: q.clone(),
-                                estimates: vec![row.clone()],
-                                verdict: None,
-                                wall_time: report.wall_time,
-                                states_stored: report.states_stored,
-                                truncated: report.truncated,
-                            };
-                            JsonValue::obj([
-                                ("ok", true.into()),
-                                ("report", wire::report_to_json(&split)),
-                            ])
-                        }
-                        None => JsonValue::obj([
-                            ("ok", false.into()),
-                            (
-                                "error",
-                                WireError::new(
-                                    "internal",
-                                    format!("missing `{requirement}` in batched WcrtAll"),
-                                )
-                                .to_json(),
-                            ),
-                        ]),
-                    }
-                })
-                .collect(),
-        )
+/// `true` iff `queries` are all `wcrt` and name every requirement of `model`
+/// exactly once (requirement names are unique in a valid model).
+fn covers_requirements(model: &ArchitectureModel, queries: &[Query]) -> bool {
+    let mut names = Vec::with_capacity(queries.len());
+    for q in queries {
+        let Query::Wcrt { requirement } = q else {
+            return false;
+        };
+        names.push(requirement.as_str());
     }
+    let mut required: Vec<&str> = model.requirements.iter().map(|r| r.name.as_str()).collect();
+    names.sort_unstable();
+    required.sort_unstable();
+    names == required
 }
 
 fn worker_loop(state: &Arc<ServerState>) {

@@ -7,8 +7,8 @@
 //! extension `.tta`) together with a parser and a pretty-printer that are
 //! exact inverses of each other:
 //!
-//! * [`print_system`] renders any validated [`System`] as text,
-//! * [`parse_system`] reconstructs a structurally identical [`System`] from
+//! * [`print_system`] renders any validated [`System`](crate::System) as text,
+//! * [`parse_system`] reconstructs a structurally identical [`System`](crate::System) from
 //!   that text (checked by round-trip tests, including on the full generated
 //!   radio-navigation case study).
 //!

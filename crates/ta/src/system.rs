@@ -248,7 +248,8 @@ impl System {
         }
     }
 
-    /// Validates internal consistency (see [`crate::validate`]).
+    /// Validates internal consistency: ids, locations, variable ranges and
+    /// names (each failure is a [`ValidationError`] variant).
     pub fn validate(&self) -> Result<(), ValidationError> {
         crate::validate::validate(self)
     }

@@ -34,7 +34,7 @@ pub enum ValidationError {
     },
     /// A variable id is out of range.
     UnknownVar {
-        /// Automaton name (or "<declaration>" for initial values).
+        /// Automaton name (or `"<declaration>"` for initial values).
         automaton: String,
         /// The offending id.
         var: VarId,

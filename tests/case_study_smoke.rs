@@ -42,7 +42,7 @@ fn address_lookup_row_is_insensitive_to_radio_station_burstiness() {
     // queued.  In our reproduction the value is constant across the
     // asynchronous columns (pno, sp, pj, bur); the fully synchronous `po`
     // column may only be *smaller* (a phase shift can exclude the one bus
-    // blocking by a TMC transfer) — see EXPERIMENTS.md.
+    // blocking by a TMC transfer).
     let cfg = quick_cfg();
     let mut values = Vec::new();
     for column in EventModelColumn::all() {

@@ -15,7 +15,7 @@ use common::{burst_model, random_model, tdma_model};
 use std::io::BufReader;
 use std::sync::Arc;
 use tempo::arch::casestudy::{radio_navigation, CaseStudyParams, EventModelColumn, ScenarioCombo};
-use tempo::arch::engine::{Query, RunContext};
+use tempo::arch::engine::{Budget, Query, RunContext};
 use tempo::arch::incremental::AnalysisDb;
 use tempo::arch::prelude::*;
 use tempo::engine::quiet_injected_panics;
@@ -154,8 +154,8 @@ fn batches_collapse_when_they_cover_the_requirement_set() {
     let (mut client, conn) = pipe_pair();
     client.load_model(&model).unwrap().unwrap();
 
-    // Full cover → collapsed into one WcrtAll run, answers still identical
-    // to individual direct Wcrt queries.
+    // Full cover → reported as batched, answers identical to individual
+    // direct Wcrt queries.
     let batch = client
         .query_batch(&model.name, &per_req, &QueryOpts::default())
         .unwrap()
@@ -169,7 +169,7 @@ fn batches_collapse_when_they_cover_the_requirement_set() {
         assert_eq!(&wire::wire_answer_key(report), want);
     }
 
-    // The same full-cover batch again: still collapsed, same answers, and
+    // The same full-cover batch again: still batched, same answers, and
     // answered from the cache without a single new exploration.
     let misses = db_stat(&mut client, "misses");
     let repeat = client
@@ -191,7 +191,7 @@ fn batches_collapse_when_they_cover_the_requirement_set() {
         "a repeated full-cover batch re-explored a cone"
     );
 
-    // A strict subset does not collapse; per-query execution still matches.
+    // A strict subset is not batched; its answers still match.
     let subset = &per_req[..1];
     let batch = client
         .query_batch(&model.name, subset, &QueryOpts::default())
@@ -227,6 +227,57 @@ fn batches_collapse_when_they_cover_the_requirement_set() {
             .and_then(JsonValue::as_str),
         Some("unknown_requirement")
     );
+
+    // Under a state budget each element of a full-cover batch carries its
+    // own run: with 97 states `gen0`'s first requirement completes (90
+    // states) and the second truncates (it needs 104), and each element's
+    // answer, truncation flag and state count equal a dedicated query's.
+    let budgeted = random_model(0);
+    client.load_model(&budgeted).unwrap().unwrap();
+    let queries: Vec<Query> = budgeted
+        .requirements
+        .iter()
+        .map(|r| Query::wcrt(&r.name))
+        .collect();
+    let budget = Budget {
+        wall_clock: None,
+        max_states: Some(97),
+    };
+    let db = AnalysisDb::new(AnalysisConfig::default());
+    let ctx = RunContext {
+        budget,
+        ..RunContext::default()
+    };
+    let direct: Vec<_> = queries
+        .iter()
+        .map(|q| db.run(&budgeted, q, &ctx).unwrap())
+        .collect();
+    assert_eq!(
+        direct.iter().map(|r| r.truncated).collect::<Vec<_>>(),
+        [false, true]
+    );
+    let opts = QueryOpts {
+        max_states: budget.max_states,
+        ..QueryOpts::default()
+    };
+    let batch = client
+        .query_batch(&budgeted.name, &queries, &opts)
+        .unwrap()
+        .unwrap();
+    assert_eq!(
+        batch.get("batched").and_then(JsonValue::as_bool),
+        Some(true)
+    );
+    let results = batch.get("results").and_then(JsonValue::as_array).unwrap();
+    assert_eq!(results.len(), direct.len());
+    for (r, want) in results.iter().zip(&direct) {
+        let report = r.get("report").unwrap();
+        assert_eq!(wire::wire_answer_key(report), wire::answer_key(want));
+        assert_eq!(
+            report.get("states_stored").and_then(JsonValue::as_i128),
+            want.states_stored.map(|s| s as i128)
+        );
+    }
 
     client.shutdown().unwrap().unwrap();
     drop(client);
