@@ -539,6 +539,46 @@ impl AnalysisDb {
         }
     }
 
+    /// `true` exactly when [`run`](AnalysisDb::run) would answer `query` for
+    /// `model` from the cache without exploring: the model validates and
+    /// every cone the query reads holds a complete answer.  The probe hashes
+    /// the cones as `run` does and only reads the maps: it changes no
+    /// counter, emits no event and records no cone, so [`DbStats`] cannot
+    /// tell a probed query from an unprobed one.  The database only ever
+    /// inserts answers, so a `true` stays true for the same model content.
+    pub fn is_cached(&self, model: &ArchitectureModel, query: &Query) -> bool {
+        if model.validate().is_err() {
+            return false;
+        }
+        // Hash outside the lock, as `run` does.
+        let cones: Vec<u64> = match query {
+            Query::Wcrt { requirement }
+            | Query::Supremum { requirement }
+            | Query::DeadlineCheck { requirement } => {
+                match model.requirement_by_name(requirement) {
+                    Some(req) => vec![estimate_cone_hash(model, req, &self.cfg)],
+                    None => return false,
+                }
+            }
+            Query::WcrtAll => model
+                .requirements
+                .iter()
+                .map(|r| estimate_cone_hash(model, r, &self.cfg))
+                .collect(),
+            Query::QueueBounds => {
+                let cone = base_cone_hash(model, &self.cfg);
+                return self
+                    .inner
+                    .lock()
+                    .expect("analysis db lock")
+                    .queue_checks
+                    .contains_key(&cone);
+            }
+        };
+        let inner = self.inner.lock().expect("analysis db lock");
+        cones.iter().all(|cone| inner.estimates.contains_key(cone))
+    }
+
     /// Answers a typed [`Query`] with the context's budgets and cancellation
     /// applied — the only function that turns a query into an exact
     /// [`EngineReport`].  A cancelled context is refused on entry, even for
@@ -791,6 +831,67 @@ mod tests {
             );
         }
         assert_eq!(db.stats().counts(), (0, 1, 0, 1), "cancelled queries touch no cache");
+    }
+
+    #[test]
+    fn is_cached_reports_complete_answers_without_side_effects() {
+        let m = two_island_model();
+        let db = AnalysisDb::new(AnalysisConfig::default());
+        let ctx = RunContext::default();
+        // Every probe leaves the counters exactly as they were.
+        let probe = |model: &ArchitectureModel, query: &Query| {
+            let before = db.stats();
+            let cached = db.is_cached(model, query);
+            assert_eq!(db.stats(), before, "probing {query} moved a counter");
+            cached
+        };
+
+        // A budget-truncated run is never cached.
+        let budgeted = RunContext {
+            budget: crate::engine::Budget {
+                wall_clock: None,
+                max_states: Some(2),
+            },
+            ..RunContext::default()
+        };
+        assert!(db.run(&m, &Query::wcrt("r0"), &budgeted).unwrap().truncated);
+        assert!(!probe(&m, &Query::wcrt("r0")));
+
+        // Cached after a complete run, for every query shape that reads it.
+        assert!(!db.run(&m, &Query::wcrt("r0"), &ctx).unwrap().truncated);
+        for query in [
+            Query::wcrt("r0"),
+            Query::Supremum { requirement: "r0".into() },
+            Query::DeadlineCheck { requirement: "r0".into() },
+        ] {
+            assert!(probe(&m, &query), "{query}");
+        }
+        assert!(!probe(&m, &Query::wcrt("r1")));
+        assert!(!probe(&m, &Query::WcrtAll), "r1 has not run");
+        assert!(!probe(&m, &Query::QueueBounds));
+        assert!(!probe(&m, &Query::wcrt("nope")));
+        db.run(&m, &Query::wcrt("r1"), &ctx).unwrap();
+        db.run(&m, &Query::QueueBounds, &ctx).unwrap();
+        assert!(probe(&m, &Query::WcrtAll));
+        assert!(probe(&m, &Query::QueueBounds));
+
+        // An out-of-cone edit (island B, on the 1 ms grid) keeps r0 cached;
+        // an in-cone edit (island A's processor) does not.
+        let mut out_of_cone = m.clone();
+        if let Step::Execute { instructions, .. } = &mut out_of_cone.scenarios[1].steps[1] {
+            *instructions = 5_000;
+        }
+        assert!(probe(&out_of_cone, &Query::wcrt("r0")));
+        assert!(!probe(&out_of_cone, &Query::wcrt("r1")));
+        let mut in_cone = m.clone();
+        in_cone.processors[0].mips = 2;
+        assert!(!probe(&in_cone, &Query::wcrt("r0")));
+
+        // What the probe promised, `run` delivers: a hit, no exploration.
+        let before = db.stats();
+        db.run(&out_of_cone, &Query::wcrt("r0"), &ctx).unwrap();
+        let after = db.stats();
+        assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
     }
 
     #[test]

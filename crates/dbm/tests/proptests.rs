@@ -234,8 +234,6 @@ proptest! {
                                  x in 0u32..=(NUM_CLOCKS as u32),
                                  y in 0u32..=(NUM_CLOCKS as u32),
                                  delta in 1i64..25, m in -40i64..40, strict in any::<bool>()) {
-        // No early `return`: the vendored runner inlines the body into its
-        // case loop, so a `return` would end the whole test.
         if x != y && !z.is_empty() {
             let current = z.get(Clock(x), Clock(y));
             // Derive a strictly tighter bound so no case is discarded: any

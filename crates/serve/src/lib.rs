@@ -24,12 +24,14 @@
 //!   the typed [`wire::WireError`] every
 //!   [`EngineError`](tempo_arch::engine::EngineError) maps onto.
 //! * [`protocol`] — request/response/progress framing.
-//! * [`server`] — admission control (bounded worker pool + queue cap, typed
-//!   `overloaded` rejection), cancellation, batching (`query_batch` answers
-//!   each element as its own `AnalysisDb::run` query, in one job and one
-//!   frame, and reports `batched: true` when the batch covers the
-//!   requirement set), progress streaming, and `stats` with database,
-//!   admission and metrics-registry snapshots.
+//! * [`server`] — admission control (queries the cache answers in full run
+//!   on the connection's reader thread; the rest go through a bounded
+//!   worker pool + queue cap, with typed `overloaded` rejection),
+//!   cancellation, batching (`query_batch` answers each element as its own
+//!   `AnalysisDb::run` query, in one job and one frame, and reports
+//!   `batched: true` when the batch covers the requirement set), progress
+//!   streaming, and `stats` with database, admission and metrics-registry
+//!   snapshots.
 //! * [`client`] — a blocking reference client, used by the differential
 //!   tests and the benchmark harness.
 //!

@@ -6,24 +6,32 @@
 //! ```text
 //! client ──TCP/stdio/pipe──► connection reader thread
 //!            │ load_model / edit_model / cancel / stats / shutdown: inline
-//!            └ query / query_batch ──► bounded admission queue ──► workers
-//!                                        │ (queue full → typed `overloaded`)
-//!                                        ▼
-//!                              AnalysisDb::run  (one shared db per config)
+//!            ├ query / query_batch the cache answers in full: inline
+//!            └ any other query / query_batch ──► bounded admission queue ──► workers
+//!                                                  │ (queue full → typed `overloaded`)
+//!                                                  ▼
+//!                                        AnalysisDb::run  (one shared db per config)
 //! ```
 //!
 //! Invariants:
 //!
-//! * **Admission.**  At most `workers` queries run concurrently and at most
-//!   `queue_cap` wait; a request arriving beyond that is answered immediately
-//!   with a typed `overloaded` error instead of queueing unboundedly.
-//!   Cancelling a queued request frees its slot without running it;
-//!   cancelling an in-flight request trips the cooperative cancellation flag
-//!   threaded into the explorer, which aborts at the next state pop.
+//! * **Admission.**  A request whose every query the database already holds
+//!   a complete answer for ([`AnalysisDb::is_cached`]) is answered on its
+//!   connection's reader thread: it cannot explore, so it never waits
+//!   behind explorations and is never refused as `overloaded`.  Every other
+//!   request goes through the queue: at most `workers` explorations run
+//!   concurrently and at most `queue_cap` wait; a request arriving beyond
+//!   that is answered immediately with a typed `overloaded` error instead of
+//!   queueing unboundedly.  Cancelling a queued request frees its slot
+//!   without running it; cancelling an in-flight request trips the
+//!   cooperative cancellation flag threaded into the explorer, which aborts
+//!   at the next state pop.  An inline answer is complete before its reader
+//!   reads the next frame, so there is nothing left to cancel.
 //! * **Isolation.**  Each job runs behind an unwind barrier: a panic inside
-//!   an engine becomes a typed `panicked` response and the worker survives
-//!   (the PR 6 contract — never wrong, only slower, looser, or explicitly
-//!   declined — holds over the wire).
+//!   an engine becomes a typed `panicked` response and the worker (or the
+//!   reader thread, for an inline answer) survives (the robustness contract
+//!   — never wrong, only slower, looser, or explicitly declined — holds
+//!   over the wire).
 //! * **One `AnalysisDb` per config.**  Models loaded with the same cap-factor
 //!   overrides share one content-addressed database, so identical input
 //!   cones hit across models and across connections; `edit_model` re-keys
@@ -55,7 +63,7 @@ const MAX_FRAME_BYTES: usize = 16 << 20;
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads executing queries.
+    /// Worker threads executing the queries the cache cannot answer.
     pub workers: usize,
     /// Maximum queries waiting for a worker; a request beyond this is
     /// answered with a typed `overloaded` error.
@@ -290,9 +298,10 @@ impl Server {
 
 impl ServerHandle {
     /// Serves one connection on the calling thread: reads one request per
-    /// line, answers management operations inline, and submits queries to the
-    /// admission queue.  Returns when the client disconnects, a shutdown is
-    /// requested, or a frame exceeds `MAX_FRAME_BYTES` (16 MiB).
+    /// line, answers management operations and fully cached queries inline,
+    /// and submits every other query to the admission queue.  Returns when
+    /// the client disconnects, a shutdown is requested, or a frame exceeds
+    /// `MAX_FRAME_BYTES` (16 MiB).
     pub fn serve_connection(&self, mut reader: impl BufRead, writer: impl Write + Send + 'static) {
         let out = SharedWriter::new(writer);
         let cancels: Arc<Mutex<HashMap<u64, Arc<AtomicBool>>>> =
@@ -414,21 +423,37 @@ impl ServerHandle {
             ));
             return;
         }
-        let cancel = Arc::new(AtomicBool::new(false));
-        cancels
-            .lock()
-            .expect("cancel lock")
-            .insert(id, cancel.clone());
         let job = Job {
             id,
             model,
             queries,
             batch,
             opts,
-            cancel,
+            cancel: Arc::new(AtomicBool::new(false)),
             out: out.clone(),
             registry: cancels.clone(),
         };
+        // A request the cache answers in full is answered here, on the
+        // reader thread, instead of waking a worker.  The database only ever
+        // inserts answers, so a query probed as cached stays cached and this
+        // run can never explore; the probe and the run share one model
+        // snapshot, so a concurrent `edit_model` cannot slip in between.  The
+        // answer is complete before this thread reads another frame, so it
+        // registers no cancel flag.
+        if let Some(entry) = self.state.entry(&job.model) {
+            if job.queries.iter().all(|q| entry.db.is_cached(&entry.model, q)) {
+                self.state
+                    .admission
+                    .admitted
+                    .fetch_add(1, Ordering::Relaxed);
+                out.write_line(&self.state.answer(&job, Some(&entry)));
+                return;
+            }
+        }
+        cancels
+            .lock()
+            .expect("cancel lock")
+            .insert(id, job.cancel.clone());
         if let Err(depth) = self.state.admit(job) {
             cancels.lock().expect("cancel lock").remove(&id);
             self.state
@@ -651,14 +676,30 @@ impl ServerState {
         }
     }
 
+    /// The loaded model named `name` and its database.
+    fn entry(&self, name: &str) -> Option<ModelEntry> {
+        self.models.lock().expect("models lock").get(name).cloned()
+    }
+
+    /// Answers one admitted job against `entry` (`None`: no such model)
+    /// behind the unwind barrier, counts it completed and returns the
+    /// response line — the one place a job executes, for the workers and
+    /// for the reader thread's cache hits alike.  A panic inside an engine
+    /// becomes a typed `panicked` response and the calling thread survives.
+    fn answer(&self, job: &Job, entry: Option<&ModelEntry>) -> String {
+        let line = match catch_unwind(AssertUnwindSafe(|| self.execute(job, entry))) {
+            Ok(line) => line,
+            Err(payload) => protocol::response_err(
+                Some(job.id),
+                &WireError::new("panicked", panic_message(payload)),
+            ),
+        };
+        self.admission.completed.fetch_add(1, Ordering::Relaxed);
+        line
+    }
+
     /// Executes one admitted job and returns the response line.
-    fn execute(&self, job: &Job) -> String {
-        let entry = self
-            .models
-            .lock()
-            .expect("models lock")
-            .get(&job.model)
-            .cloned();
+    fn execute(&self, job: &Job, entry: Option<&ModelEntry>) -> String {
         let Some(entry) = entry else {
             return protocol::response_err(
                 Some(job.id),
@@ -675,7 +716,7 @@ impl ServerState {
                 Err(e) => protocol::response_err(Some(job.id), &WireError::from_engine(&e)),
             };
         }
-        let (batched, results) = self.run_batch(&entry, &job.queries, &ctx);
+        let (batched, results) = self.run_batch(entry, &job.queries, &ctx);
         protocol::response_ok(
             job.id,
             JsonValue::obj([("batched", batched.into()), ("results", results.into())]),
@@ -755,17 +796,7 @@ fn worker_loop(state: &Arc<ServerState>) {
                 &WireError::new("cancelled", "cancelled before execution"),
             )
         } else {
-            // Unwind barrier: a panic inside an engine becomes a typed
-            // response and the worker survives.
-            let out = match catch_unwind(AssertUnwindSafe(|| state.execute(&job))) {
-                Ok(line) => line,
-                Err(payload) => protocol::response_err(
-                    Some(job.id),
-                    &WireError::new("panicked", panic_message(payload)),
-                ),
-            };
-            state.admission.completed.fetch_add(1, Ordering::Relaxed);
-            out
+            state.answer(&job, state.entry(&job.model).as_ref())
         };
         // Release the slot *before* the response frame goes out: a client
         // that has seen a request's response may rely on its slot being free

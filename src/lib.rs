@@ -213,9 +213,11 @@
 //! outlives individual requests, so repeated and concurrent clients hit warm
 //! input cones; `query_batch` answers each element as its own query in one
 //! job and one response frame, and reports `batched: true` when the batch
-//! covers a model's requirement set.  Admission is controlled (bounded
-//! worker pool + queue, typed `overloaded` rejection, cancellation by
-//! request id), long runs stream tagged `progress` frames,
+//! covers a model's requirement set.  A request the cache answers in full
+//! is answered on its connection's thread; every other request goes
+//! through admission control (bounded worker pool + queue, typed
+//! `overloaded` rejection, cancellation by request id), long runs stream
+//! tagged `progress` frames,
 //! and every [`EngineError`](arch::engine::EngineError) crosses the wire as
 //! a typed error — the robustness contract (never wrong; only slower,
 //! looser, or explicitly declined) holds end to end, which

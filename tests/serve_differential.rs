@@ -530,3 +530,88 @@ fn admission_control_overload_cancellation_and_progress() {
     conn.join().unwrap();
 }
 
+
+/// One `admission` counter of the `stats` op.
+fn admission_stat<R, W>(client: &mut Client<R, W>, key: &str) -> i128
+where
+    R: std::io::BufRead,
+    W: std::io::Write,
+{
+    let stats = client.stats().unwrap().unwrap();
+    stats
+        .get("admission")
+        .and_then(|a| a.get(key))
+        .and_then(JsonValue::as_i128)
+        .unwrap()
+}
+
+#[test]
+fn warm_answers_bypass_a_saturated_pool() {
+    let (mut client, conn) = pipe_pair_with(ServerConfig {
+        workers: 1,
+        queue_cap: 2,
+        ..ServerConfig::default()
+    });
+
+    // A small model answered once while the pool is idle.
+    let warm = burst_model();
+    let warm_query = Query::wcrt("lo-e2e");
+    client.load_model(&warm).unwrap().unwrap();
+    client
+        .query(&warm.name, &warm_query, &QueryOpts::default())
+        .unwrap()
+        .unwrap();
+
+    // Saturate the pool: one slow exploration holds the only worker and two
+    // more fill the queue (the same bursty radio corner as the admission
+    // test, with a state cap far beyond where they get cancelled).
+    let slow = radio_navigation(
+        ScenarioCombo::ChangeVolumeWithTmc,
+        EventModelColumn::Burst,
+        &CaseStudyParams::default(),
+    );
+    let slow_query = Query::wcrt(&slow.requirements[0].name);
+    client.load_model(&slow).unwrap().unwrap();
+    let opts_holder = QueryOpts {
+        max_states: Some(400_000),
+        ..QueryOpts::default()
+    };
+    let a = client
+        .submit_query(&slow.name, &slow_query, &opts_holder)
+        .unwrap();
+    wait_admission(&mut client, 1, 0);
+    let b = client
+        .submit_query(&slow.name, &slow_query, &opts_holder)
+        .unwrap();
+    let c = client
+        .submit_query(&slow.name, &slow_query, &opts_holder)
+        .unwrap();
+    wait_admission(&mut client, 1, 2);
+
+    // The cached answer comes back at once, byte-identical to the direct
+    // one, without taking a slot or exploring.
+    let admitted = admission_stat(&mut client, "admitted");
+    let completed = admission_stat(&mut client, "completed");
+    let misses = db_stat(&mut client, "misses");
+    let report = client
+        .query(&warm.name, &warm_query, &QueryOpts::default())
+        .unwrap()
+        .unwrap_or_else(|e| panic!("a cached answer was refused by a full pool: {e}"));
+    let direct = direct_keys(&warm, std::slice::from_ref(&warm_query));
+    assert_eq!(&wire::wire_answer_key(&report), &direct[0]);
+    wait_admission(&mut client, 1, 2);
+    assert_eq!(admission_stat(&mut client, "admitted"), admitted + 1);
+    assert_eq!(admission_stat(&mut client, "completed"), completed + 1);
+    assert_eq!(db_stat(&mut client, "misses"), misses, "the warm answer explored");
+
+    for id in [c, b, a] {
+        client.cancel(id).unwrap().unwrap();
+    }
+    for id in [a, b, c] {
+        let err = client.wait(id).unwrap().unwrap_err();
+        assert_eq!(err.kind, "cancelled", "{err}");
+    }
+    client.shutdown().unwrap().unwrap();
+    drop(client);
+    conn.join().unwrap();
+}
