@@ -10,7 +10,7 @@
 //!   urgent channels (no delay while an urgent synchronization is enabled),
 //!   urgent and committed locations,
 //! * a passed/waiting list with zone-inclusion subsumption and
-//!   location-dependent ExtraLU extrapolation guarantees termination; the
+//!   location-dependent `Extra⁺_LU` extrapolation guarantees termination; the
 //!   passed list keeps one zone antichain per discrete state, and a queued
 //!   state whose zone was meanwhile evicted or absorbed into an exact convex
 //!   hull is skipped on pop — exact, and the difference between truncation

@@ -113,8 +113,11 @@ pub struct SuccessorGen<'s> {
     ///
     /// * LU rather than plain maximum bounds — sporadic/burst environment
     ///   clocks only ever appear in lower-bound guards, so their upper
-    ///   constant is 0 and ExtraLU collapses the otherwise huge fan-out of
-    ///   "arrival phase" zones (e.g. against free-running TDMA slot gates);
+    ///   constant is 0 and `Extra⁺_LU` ([`Dbm::extrapolate_lu`]; Behrmann,
+    ///   Bouyer, Larsen, Pelánek, "Lower and upper bounds in zone-based
+    ///   abstractions of timed automata", STTT 2006) collapses the otherwise
+    ///   huge fan-out of "arrival phase" zones (e.g. against free-running
+    ///   TDMA slot gates);
     /// * location dependence — the measuring observer's clock is reset when a
     ///   measurement is armed and never read after the response is seen, so
     ///   outside the armed window its constant is 0 and the clock is
@@ -529,7 +532,7 @@ impl<'s> SuccessorGen<'s> {
         }
         // Steps 5–8 are the close/extrapolate phase: everything from here on
         // re-canonicalizes the zone (invariants, delay closure, reduction,
-        // ExtraLU widening), as opposed to the guard/reset arithmetic above.
+        // Extra⁺_LU widening), as opposed to the guard/reset arithmetic above.
         // The span nests inside the explorer's `explore.successor_gen`, so a
         // trace shows how much of successor generation is canonicalization.
         let _span = tempo_obs::span!("explore.close_extrapolate");

@@ -22,7 +22,9 @@
 //! * [`Dbm::reset`] / [`Dbm::free`] and the dead-clock pinning
 //!   [`Dbm::reset_to_canonical`] / [`Dbm::restrict_to_active`] — clock
 //!   updates,
-//! * [`Dbm::extrapolate_lu`] — the ExtraLU finiteness abstraction,
+//! * [`Dbm::extrapolate_lu`] — the `Extra⁺_LU` finiteness abstraction
+//!   (Behrmann, Bouyer, Larsen, Pelánek, "Lower and upper bounds in
+//!   zone-based abstractions of timed automata", STTT 2006),
 //! * [`Dbm::relation`] / [`Dbm::includes`] — zone inclusion,
 //! * [`Dbm::try_merge`] / [`merge_into_antichain`] — exact convex unions,
 //!   which the checker's passed list uses to replace zones by their hull

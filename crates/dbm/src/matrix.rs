@@ -19,15 +19,17 @@
 //! * operations that map canonical matrices to canonical matrices
 //!   ([`Dbm::up`], [`Dbm::free`], [`Dbm::reset`], [`Dbm::convex_hull`])
 //!   need no re-closure at all;
-//! * an extrapolation ([`Dbm::extrapolate_lu`]) only loosens entries, so it
+//! * the `Extra⁺_LU` extrapolation ([`Dbm::extrapolate_lu`]; Behrmann,
+//!   Bouyer, Larsen, Pelánek, STTT 2006) only loosens entries, so it
 //!   relaxes just the widened ones, Floyd–Warshall style, in O(n) each.
 //!
 //! The full O(n³) Floyd–Warshall [`Dbm::close`] is required only after a
 //! sequence of [`Dbm::set_raw`] writes, where there is no structure to
-//! exploit (ExtraLU also falls back to it past 64 widened entries).  The
+//! exploit (`Extra⁺_LU` also falls back to it past 64 widened entries).  The
 //! tests hold each incremental path to it as an oracle:
 //! `proptests::close1_matches_full_close` for `close1` and `constrain`,
-//! `reduction_props::extrapolate_lu_matches_widen_then_close` for ExtraLU.
+//! `reduction_props::extrapolate_lu_matches_widen_then_close` for
+//! `Extra⁺_LU`.
 
 use crate::{Bound, Clock, Constraint};
 use std::fmt;
@@ -592,19 +594,41 @@ impl Dbm {
         true
     }
 
-    /// Lower/upper-bounds extrapolation (`ExtraLU`): widens every bound past
-    /// the maximal constant its clock is compared against, distinguishing
-    /// the maximal constants used in lower bounds (`lower[i]`, guards of the form `x ≥ c` / `x > c`)
-    /// from those used in upper bounds (`upper[i]`, `x ≤ c` / `x < c` and
-    /// invariants).  Coarser than classical `ExtraM` (the case `lower ==
-    /// upper`), still sound for diagonal-free automata (Behrmann, Bouyer, Larsen, Pelánek, "Lower and upper bounds
-    /// in zone-based abstractions of timed automata", STTT 2006).
+    /// Lower/upper-bounds extrapolation `Extra⁺_LU` (Behrmann, Bouyer,
+    /// Larsen, Pelánek, "Lower and upper bounds in zone-based abstractions
+    /// of timed automata", STTT 2006): widens the zone past the maximal
+    /// constants its clocks are compared against, distinguishing the
+    /// constants used in lower bounds (`lower[i]`, guards of the form
+    /// `x ≥ c` / `x > c`) from those used in upper bounds (`upper[i]`,
+    /// `x ≤ c` / `x < c` and invariants).  It is the coarsest of the paper's
+    /// four zone extrapolations (coarser than `ExtraLU`, which is coarser
+    /// than classical `ExtraM`, the case `lower == upper`), and it
+    /// is sound for diagonal-free automata: the result lies inside the
+    /// `a_LU` abstraction of the input.  Entry 0 of each table (the
+    /// reference clock) is not read.
     ///
-    /// Every finite entry of a non-reference row `i` above `(l_i, ≤)` becomes
-    /// `∞` and every entry of column `j` below `(−u_j, <)` is raised to it.
-    /// The result is a fixpoint of the operator: every finite entry is
-    /// bounded by the constant tables, so only finitely many extrapolated
+    /// With `m[i][j]` bounding `x_i − x_j` and row 0 holding the negated
+    /// lower bounds, let `above_l(k)` be `m[0][k] < (<, −L_k)` (x_k's lower
+    /// bound exceeds `L_k`) and `above_u(k)` be `m[0][k] < (<, −U_k)`, both
+    /// read on the *input* row 0 and false for the reference clock.  For
+    /// `i ≠ j`:
+    ///
+    /// * `i ≠ 0`: `m[i][j] ← ∞` if `m[i][j] > (≤, L_i)`, `above_l(i)` or
+    ///   `above_u(j)`;
+    /// * `i = 0`: `m[0][j] ← (<, −U_j)` if `above_u(j)`.
+    ///
+    /// (`ExtraLU`'s rule raising any `m[i][j] < (<, −U_j)` is implied by
+    /// `above_u(j)` on a canonical matrix.)  Every finite entry of the result
+    /// is bounded by the constant tables, so only finitely many extrapolated
     /// zones exist per location, which is what makes the explorer terminate.
+    ///
+    /// Suprema read at a query location survive: the WCRT pass reads
+    /// `sup y` with `L_y = U_y = cap` there.  While `m[y][0] ≤ (≤, cap)` and
+    /// `y`'s lower bound is at most `cap`, no rule touches `m[y][0]` (the
+    /// first two rules fail, and `above_u` of the reference clock is always
+    /// false), and an untouched entry keeps its value through the re-close
+    /// below.  A supremum beyond `cap` may widen to `∞`; the WCRT search
+    /// detects that cap hit and doubles the cap.
     ///
     /// Re-canonicalization relaxes only the widened entries.  Widening only
     /// loosens the canonical input `D` to some `D' ≥ D`, and closure is
@@ -625,19 +649,25 @@ impl Dbm {
         }
         let l = |i: usize| -> i64 { lower.get(i).copied().unwrap_or(0) };
         let u = |i: usize| -> i64 { upper.get(i).copied().unwrap_or(0) };
+        // `x_k`'s lower bound exceeds `c`, read on row 0.  Row 0 is widened
+        // last, and its entry `j` only at step `j`, so every read sees the
+        // input row.
+        let above = |row0: &[Bound], k: usize, c: i64| k != 0 && row0[k] < Bound::strict(-c);
         let n = self.dim;
         let mut widened = [(0usize, 0usize); TRACKED];
         let mut count = 0;
-        for i in 0..n {
+        for i in (1..n).chain([0]) {
             let row_cap = Bound::weak(l(i));
+            let above_l = above(&self.m, i, l(i));
             for j in 0..n {
                 let b = self.m[i * n + j];
                 if i == j || b.is_infinity() {
                     continue;
                 }
-                let wide = if i != 0 && b > row_cap {
+                let above_u = above(&self.m, j, u(j));
+                let wide = if i != 0 && (b > row_cap || above_l || above_u) {
                     Bound::INFINITY
-                } else if b < Bound::strict(-u(j)) {
+                } else if i == 0 && above_u {
                     Bound::strict(-u(j))
                 } else {
                     continue;
@@ -959,7 +989,7 @@ mod tests {
         z.up();
         z.constrain(Clock(1), Clock::REF, Bound::weak(800));
         z.constrain(Clock::REF, Clock(2), Bound::weak(-300));
-        // ExtraM is ExtraLU with both tables at the maximal constants;
+        // Extra⁺_M is Extra⁺_LU with both tables at the maximal constants;
         // smaller lower constants widen more.
         let mut m = z.clone();
         m.extrapolate_lu(&[0, 10, 10], &[0, 10, 10]);
@@ -967,6 +997,29 @@ mod tests {
         lu.extrapolate_lu(&[0, 0, 0], &[0, 10, 10]);
         assert!(m.includes(&z));
         assert!(lu.includes(&m));
+    }
+
+    /// The WCRT pass reads `sup x` at a query location with `L_x = U_x =
+    /// cap`.  A second clock `y` whose lower bound is above its upper
+    /// constant widens the whole column `y` (row `x` included) but leaves
+    /// `x`'s supremum below the cap alone.
+    #[test]
+    fn extrapolation_keeps_a_supremum_below_the_cap() {
+        let cap = 10;
+        let mut z = Dbm::zero(2);
+        z.up();
+        z.constrain(Clock::REF, y(), Bound::weak(-5)); // x = y >= 5
+        z.constrain(x(), Clock::REF, Bound::weak(cap - 1)); // x <= cap - 1
+        let orig = z.clone();
+        z.extrapolate_lu(&[0, cap, 20], &[0, cap, 2]);
+        assert_eq!(orig.get(x(), y()), Bound::LE_ZERO);
+        // `above_u(y)` widened `x − y` to `∞`; the re-close brings it back
+        // to `sup x − (y > 2)`, still looser than the input's `≤ 0`.
+        assert_eq!(z.get(x(), y()), Bound::strict(cap - 1 - 2));
+        assert_eq!(z.get(Clock::REF, y()), Bound::strict(-2));
+        assert_eq!(z.sup(x()), orig.sup(x()));
+        assert_eq!(z.sup(x()), Bound::weak(cap - 1));
+        assert!(z.includes(&orig));
     }
 
     #[test]

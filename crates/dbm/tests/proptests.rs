@@ -179,7 +179,7 @@ proptest! {
         prop_assert_eq!(e.relation(&once), Relation::Equal);
     }
 
-    /// LU extrapolation is at least as coarse as ExtraM (ExtraLU with both
+    /// LU extrapolation is at least as coarse as M extrapolation (LU with both
     /// tables at the maximal constants `k`): constants at or below `k` only
     /// widen more.
     #[test]

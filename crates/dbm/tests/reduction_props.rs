@@ -5,13 +5,17 @@
 //! laws the passed-list subsumption of the explorer relies on.  The exact
 //! union machinery behind the passed list's zone merging (`subtract`,
 //! `try_merge`, `merge_into_antichain`) must never add or lose a valuation,
-//! and the ExtraLU widening (`extrapolate_lu`) must re-close to exactly what
-//! a full Floyd–Warshall close of the widened matrix gives.
+//! and the `Extra⁺_LU` widening (`extrapolate_lu`) must re-close to exactly
+//! what a full Floyd–Warshall close of the widened matrix gives, be coarser
+//! than `ExtraLU` and stay inside the `a_LU` abstraction of its input.
 
 use proptest::prelude::*;
 use tempo_dbm::{merge_into_antichain, Bound, Clock, Dbm, Relation};
 
 const NUM_CLOCKS: usize = 3;
+
+/// Bound on the constants of [`small_zone`] and [`small_lu_table`].
+const SMALL: i64 = 6;
 
 /// One symbolic operation applied while generating a random zone (same
 /// op-sequence generator as `proptests.rs`).
@@ -29,16 +33,18 @@ fn clock_idx() -> impl Strategy<Value = u32> {
     1..=(NUM_CLOCKS as u32)
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+/// Operations with clock bounds below `bound`, differences of magnitude
+/// below `diff` and resets below `reset`.
+fn op_strategy(bound: i64, diff: i64, reset: i64) -> impl Strategy<Value = Op> {
     prop_oneof![
         Just(Op::Up),
-        (clock_idx(), 0i64..50, any::<bool>())
+        (clock_idx(), 0i64..bound, any::<bool>())
             .prop_map(|(clock, value, strict)| Op::UpperBound { clock, value, strict }),
-        (clock_idx(), 0i64..50, any::<bool>())
+        (clock_idx(), 0i64..bound, any::<bool>())
             .prop_map(|(clock, value, strict)| Op::LowerBound { clock, value, strict }),
-        (clock_idx(), clock_idx(), -30i64..30, any::<bool>())
+        (clock_idx(), clock_idx(), -diff..diff, any::<bool>())
             .prop_map(|(a, b, value, strict)| Op::Diff { a, b, value, strict }),
-        (clock_idx(), 0i64..20).prop_map(|(clock, value)| Op::Reset { clock, value }),
+        (clock_idx(), 0i64..reset).prop_map(|(clock, value)| Op::Reset { clock, value }),
         clock_idx().prop_map(|clock| Op::Free { clock }),
     ]
 }
@@ -68,14 +74,23 @@ fn apply(z: &mut Dbm, op: &Op) {
     }
 }
 
-fn random_zone() -> impl Strategy<Value = Dbm> {
-    proptest::collection::vec(op_strategy(), 0..12).prop_map(|ops| {
+fn zone_from(ops: impl Strategy<Value = Op>) -> impl Strategy<Value = Dbm> {
+    proptest::collection::vec(ops, 0..12).prop_map(|ops| {
         let mut z = Dbm::zero(NUM_CLOCKS);
         for op in &ops {
             apply(&mut z, op);
         }
         z
     })
+}
+
+fn random_zone() -> impl Strategy<Value = Dbm> {
+    zone_from(op_strategy(50, 30, 20))
+}
+
+/// A zone with constants below [`SMALL`], small enough to enumerate.
+fn small_zone() -> impl Strategy<Value = Dbm> {
+    zone_from(op_strategy(SMALL, SMALL, SMALL))
 }
 
 /// An activity mask over the reference clock + NUM_CLOCKS real clocks.
@@ -106,28 +121,131 @@ fn lu_table() -> impl Strategy<Value = Vec<i64>> {
     proptest::collection::vec(-1i64..40, NUM_CLOCKS + 1)
 }
 
-/// The ExtraLU oracle: the same widening rules written entry by entry with
-/// `set_raw`, then one full `close()`.  The tables cover every clock.
+/// [`lu_table`] with the reference clock's entry at 0, as the checker
+/// builds its tables (`ExtraLU` reads that entry, `Extra⁺_LU` does not).
+fn real_lu_table() -> impl Strategy<Value = Vec<i64>> {
+    lu_table().prop_map(|mut t| {
+        t[0] = 0;
+        t
+    })
+}
+
+/// Per-real-clock constants in `-1..SMALL` for [`small_zone`]s.
+fn small_lu_table() -> impl Strategy<Value = Vec<i64>> {
+    proptest::collection::vec(-1i64..SMALL, NUM_CLOCKS + 1).prop_map(|mut t| {
+        t[0] = 0;
+        t
+    })
+}
+
+/// `z` with every constant multiplied by `scale`: `v ∈ z` iff
+/// `scale · v ∈ scaled(z, scale)`.
+fn scaled(z: &Dbm, scale: i64) -> Dbm {
+    let mut s = z.clone();
+    if z.is_empty() {
+        return s;
+    }
+    for i in 0..z.dim() {
+        for j in 0..z.dim() {
+            let (ci, cj) = (Clock(i as u32), Clock(j as u32));
+            let b = z.get(ci, cj);
+            if !b.is_infinity() {
+                s.set_raw(ci, cj, Bound::new(b.constant() * scale, b.is_strict()));
+            }
+        }
+    }
+    s
+}
+
+/// Checks `e ⊆ a_LU(z)` on a grid: every point `v` of `e` with coordinates
+/// in steps of `1/(NUM_CLOCKS + 1)` up to `2·SMALL` must be LU-simulated by
+/// some (real) point `v'` of `z`, where `v ≼ v'` iff for every clock
+/// `v'(x) < v(x) ⇒ v'(x) > L_x` and `v'(x) > v(x) ⇒ v(x) > U_x`.  The step
+/// separates every ordering of fractional parts of the clocks, so strict
+/// and weak bounds land on different grid points.  For a fixed `v` the
+/// admissible `v'` form a box (`v'(x) > L_x` or `= v(x)` from below, free or
+/// `≤ v(x)` from above), so the witness search is one emptiness test of `z`
+/// intersected with that box.
+fn check_lu_simulated(e: &Dbm, z: &Dbm, lower: &[i64], upper: &[i64]) {
+    let scale = NUM_CLOCKS as i64 + 1;
+    let (e, z) = (scaled(e, scale), scaled(z, scale));
+    let top = 2 * SMALL * scale;
+    let mut v = vec![0i64; NUM_CLOCKS + 1];
+    'points: loop {
+        if e.contains_point(&v) {
+            let mut witness = z.clone();
+            for x in 1..=NUM_CLOCKS {
+                let (cx, vx) = (Clock(x as u32), v[x]);
+                let (l, u) = (lower[x] * scale, upper[x] * scale);
+                if vx > l {
+                    witness.constrain(Clock::REF, cx, Bound::strict(-l));
+                } else {
+                    witness.constrain(Clock::REF, cx, Bound::weak(-vx));
+                }
+                if vx <= u {
+                    witness.constrain(cx, Clock::REF, Bound::weak(vx));
+                }
+            }
+            prop_assert!(
+                !witness.is_empty(),
+                "{v:?}/{scale} of the extrapolation is simulated by no point of the zone"
+            );
+        }
+        for vx in v.iter_mut().skip(1) {
+            if *vx < top {
+                *vx += 1;
+                continue 'points;
+            }
+            *vx = 0;
+        }
+        break;
+    }
+}
+
+/// The `Extra⁺_LU` oracle, written from the definition in Behrmann, Bouyer,
+/// Larsen, Pelánek, "Lower and upper bounds in zone-based abstractions of
+/// timed automata" (STTT 2006), entry by entry with `set_raw`, then one full
+/// `close()`.  With `c_ij` the bound on `x_i − x_j` and `c_0i` the negated
+/// lower bound of `x_i` (all read on the input zone):
+///
+/// ```text
+/// c'_ij = ∞         if c_ij > L_i      (i ≠ 0)
+///         ∞         if −c_0i > L_i     (i ≠ 0)
+///         ∞         if −c_0j > U_j     (i ≠ 0)
+///         (<, −U_j) if −c_0j > U_j     (i = 0)
+///         c_ij      otherwise
+/// ```
+///
+/// The comparisons are on the integer constants, strictness aside.  `L` and
+/// `U` are constants of the real clocks, so entry 0 of the tables is not
+/// read.  The tables cover every clock.
 fn widen_then_close(z: &Dbm, lower: &[i64], upper: &[i64]) -> Dbm {
     let mut w = z.clone();
     if w.is_empty() {
         return w;
     }
+    // `−c_0k > c`: the lower bound of the real clock `x_k` exceeds `c`.
+    let lower_bound_exceeds =
+        |k: usize, c: i64| k != 0 && -z.get(Clock::REF, Clock(k as u32)).constant() > c;
     let mut changed = false;
     for (i, &l) in lower.iter().enumerate() {
         for (j, &u) in upper.iter().enumerate() {
             let (ci, cj) = (Clock(i as u32), Clock(j as u32));
-            let b = w.get(ci, cj);
-            if i == j || b.is_infinity() {
+            let c = z.get(ci, cj);
+            if i == j || c.is_infinity() {
                 continue;
             }
-            if i != 0 && b > Bound::weak(l) {
-                w.set_raw(ci, cj, Bound::INFINITY);
-                changed = true;
-            } else if b < Bound::strict(-u) {
-                w.set_raw(ci, cj, Bound::strict(-u));
-                changed = true;
-            }
+            let wide = if i != 0
+                && (c.constant() > l || lower_bound_exceeds(i, l) || lower_bound_exceeds(j, u))
+            {
+                Bound::INFINITY
+            } else if i == 0 && lower_bound_exceeds(j, u) {
+                Bound::strict(-u)
+            } else {
+                continue;
+            };
+            w.set_raw(ci, cj, wide);
+            changed = true;
         }
     }
     if changed {
@@ -138,6 +256,38 @@ fn widen_then_close(z: &Dbm, lower: &[i64], upper: &[i64]) -> Dbm {
         }
         w.close();
     }
+    w
+}
+
+/// `ExtraLU` from the same paper, the extrapolation `extrapolate_lu` ran
+/// before `Extra⁺_LU`: entries of row `i ≠ 0` above `(≤, L_i)` become `∞`,
+/// entries of column `j` below `(<, −U_j)` are raised to it, then one full
+/// `close()`.  Kept as the reference `Extra⁺_LU` must be coarser than.
+fn extra_lu(z: &Dbm, lower: &[i64], upper: &[i64]) -> Dbm {
+    let mut w = z.clone();
+    if w.is_empty() {
+        return w;
+    }
+    for (i, &l) in lower.iter().enumerate() {
+        for (j, &u) in upper.iter().enumerate() {
+            let (ci, cj) = (Clock(i as u32), Clock(j as u32));
+            let c = z.get(ci, cj);
+            if i == j || c.is_infinity() {
+                continue;
+            }
+            if i != 0 && c > Bound::weak(l) {
+                w.set_raw(ci, cj, Bound::INFINITY);
+            } else if c < Bound::strict(-u) {
+                w.set_raw(ci, cj, Bound::strict(-u));
+            }
+        }
+    }
+    for j in 1..w.dim() {
+        let cj = Clock(j as u32);
+        let b = w.get(Clock::REF, cj).min(Bound::LE_ZERO);
+        w.set_raw(Clock::REF, cj, b);
+    }
+    w.close();
     w
 }
 
@@ -396,6 +546,15 @@ proptest! {
         }
     }
 
+    /// `Extra⁺_LU` is coarser than the `ExtraLU` it replaced.
+    #[test]
+    fn extrapolate_lu_is_coarser_than_extra_lu(z in random_zone(), lower in real_lu_table(),
+                                               upper in real_lu_table()) {
+        let mut e = z.clone();
+        e.extrapolate_lu(&lower, &upper);
+        prop_assert!(e.includes(&extra_lu(&z, &lower, &upper)));
+    }
+
     /// With constants above every bound of the zone nothing widens, and the
     /// zone comes back unchanged.
     #[test]
@@ -433,4 +592,19 @@ fn extrapolate_lu_many_widened_entries_match_widen_then_close() {
     e.extrapolate_lu(&lower, &upper);
     assert_eq!(e, widen_then_close(&z, &lower, &upper));
     assert!(e.includes(&z));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Extra⁺_LU` stays inside the `a_LU` abstraction of its input: every
+    /// valuation it adds is LU-simulated by one the zone already had, so the
+    /// explorer reaches no location it could not reach before.
+    #[test]
+    fn extrapolate_lu_is_inside_a_lu(z in small_zone(), lower in small_lu_table(),
+                                     upper in small_lu_table()) {
+        let mut e = z.clone();
+        e.extrapolate_lu(&lower, &upper);
+        check_lu_simulated(&e, &z, &lower, &upper);
+    }
 }

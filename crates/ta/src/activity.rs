@@ -35,7 +35,7 @@
 //! atoms — mirroring exactly how query constants are seeded into the LU
 //! table.
 //!
-//! # Dead-clock canonicalization, and why it is sound under ExtraLU
+//! # Dead-clock canonicalization, and why it is sound under `Extra⁺_LU`
 //!
 //! The checker uses the table to *canonicalize* every clock that is dead
 //! (not active) in a successor's discrete state: after the invariants and
@@ -52,19 +52,20 @@
 //! zones which agree on the live clocks become *identical* — the dead rows
 //! and columns of a canonical DBM after a reset are derived from the
 //! reference row/column — so the passed list merges whole families of states
-//! that location-dependent ExtraLU alone keeps apart.  ExtraLU with a
-//! per-location constant of `0` widens a dead clock's bounds against the
-//! reference clock, but it must keep the *difference* bounds `x − y ≤ c`
-//! with `c ≤ 0` and the strict/weak distinction of the lower bound, and
-//! exactly those leftovers fragment the observer- and environment-clock
-//! state spaces.  The pin comes after the
+//! that location-dependent `Extra⁺_LU` alone keeps apart.  `Extra⁺_LU` with
+//! a per-location constant of `0` frees a dead clock whose lower bound is
+//! positive, but while that lower bound is `0` it must keep the
+//! *difference* bounds `x − y ≤ c` with `c ≤ 0` and the strict/weak
+//! distinction of the lower bound, and exactly those leftovers fragment the
+//! observer- and environment-clock state spaces.  The pin comes after the
 //! delay, not before it: a clock pinned before the delay advances with the
 //! live clocks and records the time since the state was entered, which
 //! keeps apart zones that agree on every live clock.
 //!
 //! Soundness composes with extrapolation in the simple direction: the
 //! canonicalization is applied to the concrete, delay-closed successor zone
-//! *before* extrapolation, so the checker explores `ExtraLU(reduce(succ(Z)))`
+//! *before* extrapolation, so the checker explores
+//! `Extra⁺_LU(reduce(succ(Z)))`
 //! — an extrapolation (sound for the diagonal-free constraint language of this
 //! crate) of the exact semantics of the transformed network.  The two
 //! abstractions never disagree about a clock: a dead clock's activity does

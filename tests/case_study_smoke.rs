@@ -83,7 +83,7 @@ fn address_lookup_row_is_insensitive_to_radio_station_burstiness() {
     }
     assert!(pno < deadline);
     // Concrete state-count ceilings per column (measured: po 169, pno 471,
-    // sp 403, pj 3 233, bur 30 912 stored states) to catch state-space
+    // sp 411, pj 3 119, bur 27 630 stored states) to catch state-space
     // regressions; the pj column must stay below the former 400k truncation
     // cap with comfortable margin, and
     // `bur_column_completes_under_400k_stored_states` holds bur to a tighter
@@ -103,10 +103,11 @@ fn address_lookup_row_is_insensitive_to_radio_station_burstiness() {
 /// truncated at the 400k cap with a mere lower bound — completes under the
 /// old 400k truncation line.  Exact zone merging, the passed list's
 /// stale-entry skip (queued zones evicted or absorbed into a stored hull are
-/// never expanded) and pinning dead clocks after the delay closure land it
-/// at 30,912 stored states, an order of magnitude below the ~486k intrinsic
-/// zone graph; the tighter 36k ceiling is the regression guard.  The WCRT is cross-checked against the `pj` column,
-/// which shares it on the quick workload.
+/// never expanded), pinning dead clocks after the delay closure and the
+/// `Extra⁺_LU` extrapolation land it at 27,630 stored states, an order of
+/// magnitude below the ~486k intrinsic zone graph; the tighter 36k ceiling
+/// is the regression guard.  The WCRT is cross-checked against the `pj`
+/// column, which shares it on the quick workload.
 #[test]
 fn bur_column_completes_under_400k_stored_states() {
     let cfg = AnalysisConfig {
@@ -131,7 +132,7 @@ fn bur_column_completes_under_400k_stored_states() {
     );
     assert!(
         report.stats.stored_cumulative < 36_000,
-        "bur stored {} states — regression over the measured 30,912",
+        "bur stored {} states — regression over the measured 27,630",
         report.stats.stored_cumulative
     );
     assert!(report.stats.zones_evicted > 0);

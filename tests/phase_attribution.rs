@@ -18,7 +18,7 @@ const ATTRIBUTION_FLOOR: f64 = 0.9;
 
 #[test]
 fn named_phases_attribute_the_exploration_wall() {
-    // The quick `bur` column of Table 1: ~31k stored states, long enough that
+    // The quick `bur` column of Table 1: ~28k stored states, long enough that
     // the per-run setup outside the expansion loop is noise.
     let model = radio_navigation(
         ScenarioCombo::AddressLookupWithTmc,
