@@ -9,7 +9,9 @@
 //! * `BENCH_explorer.json` — the exact analysis with the default search
 //!   options (plus, for the light columns, with active-clock reduction off):
 //!   stored/explored state counts, evictions, merges, the waiting-list
-//!   high-water mark, dead-clock canonicalizations, the WCRT and the wall,
+//!   high-water mark, dead-clock canonicalizations, the high-water count of
+//!   `Bound` words the passed list held (a deterministic stand-in for its
+//!   memory), the WCRT and the wall,
 //! * `BENCH_engines.json` — every analysis engine (exact, simulation,
 //!   SymTA/S, MPA) through the unified engine API: estimate, bound kind,
 //!   states and wall.
@@ -131,7 +133,7 @@ fn state_counts(
                  \"stored\": {}, \"explored\": {}, \"transitions\": {}, \
                  \"evicted\": {}, \"merged\": {}, \
                  \"peak_waiting\": {}, \"clocks_eliminated\": {}, \
-                 \"truncated\": {}, \"wcrt_ms\": {}, \"lower_bound_ms\": {}, \
+                 \"peak_stored_bounds\": {}, \"truncated\": {}, \"wcrt_ms\": {}, \"lower_bound_ms\": {}, \
                  \"wall_seconds\": {:.6}}}",
                 esc(column.label()),
                 s.stored_cumulative,
@@ -141,6 +143,7 @@ fn state_counts(
                 s.zones_merged,
                 s.peak_waiting,
                 s.clocks_eliminated,
+                s.peak_stored_bounds,
                 s.truncated,
                 ms_or_null(report.wcrt_ms()),
                 ms_or_null(lower_ms),

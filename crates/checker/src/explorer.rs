@@ -213,6 +213,11 @@ pub struct ExplorationStats {
     pub zones_merged: usize,
     /// Number of stored zones dropped because a newcomer includes them.
     pub zones_evicted: usize,
+    /// High-water count of `Bound` words held by the passed list's zones.
+    /// Each zone is stored on its live clocks only, so a zone with `k` live
+    /// clocks holds `(k + 1)²` words.  Unlike the process's memory this is
+    /// deterministic, so it shows a change in the store's layout.
+    pub peak_stored_bounds: usize,
 }
 
 /// One step of a diagnostic trace.
@@ -237,13 +242,16 @@ pub struct ReachReport {
     pub stats: ExplorationStats,
 }
 
-/// One entry of the exploration arena.
+/// One entry of a targeted search's trail, indexed by node id.
 ///
-/// Every inserted state gets a node, and the node's `parent` and `action`
-/// stay for the whole run.  The state itself is held only while it waits
-/// for expansion in untargeted runs: the pop moves it out, so the passed
-/// list's copy of the zone is the only one kept.  Targeted searches keep
-/// every state, since their diagnostic trace prints the whole path.
+/// Every inserted state gets a node id (its insertion index), which the
+/// waiting list carries next to the state and the passed list's `current`
+/// flags are indexed by.  Only targeted searches, whose diagnostic trace
+/// prints the whole path, keep a trail: it records each node's `parent` and
+/// `action` when the node is inserted and its state once it is expanded.
+/// Untargeted runs keep none, so a waiting state's zone and the passed
+/// list's projection of it are the only copies, and an expanded state is
+/// dropped.
 struct Node {
     state: Option<SymState>,
     parent: Option<usize>,
@@ -300,12 +308,12 @@ impl<'s> Explorer<'s> {
         // merged node has no single concrete predecessor path, so diagnostic
         // traces (only produced for targeted searches) stay unmerged.
         let merging = target.is_none() && self.opts.exact_zone_merging;
-        let keep_states = target.is_some();
+        let keep_trail = target.is_some();
         let mut rng = StdRng::seed_from_u64(self.opts.seed);
 
         let mut stats = ExplorationStats::default();
-        let mut nodes: Vec<Node> = Vec::new();
-        let mut waiting: VecDeque<usize> = VecDeque::new();
+        let mut trail: Vec<Node> = Vec::new();
+        let mut waiting: VecDeque<(usize, SymState)> = VecDeque::new();
 
         let mut init = gen.initial_state()?;
         if init.zone.is_empty() || !gen.can_reach_query(&init.discrete) {
@@ -316,18 +324,21 @@ impl<'s> Explorer<'s> {
             return Ok((None, false, stats));
         }
         let mut passed = PassedList::new();
-        passed.insert(&init.discrete, &mut init.zone, false, 0);
-        nodes.push(Node {
-            state: Some(init),
-            parent: None,
-            action: None,
-        });
-        waiting.push_back(0);
+        let live = &gen.state_consts(&init.discrete).live;
+        passed.insert(&init.discrete, &mut init.zone, live, false, 0);
+        if keep_trail {
+            trail.push(Node {
+                state: None,
+                parent: None,
+                action: None,
+            });
+        }
+        waiting.push_back((0, init));
         stats.stored_cumulative = 1;
         stats.peak_waiting = 1;
 
         let mut found: Option<usize> = None;
-        'search: while let Some(idx) = match self.opts.order {
+        'search: while let Some((idx, state)) = match self.opts.order {
             SearchOrder::Bfs => waiting.pop_front(),
             SearchOrder::Dfs | SearchOrder::RandomDfs => waiting.pop_back(),
         } {
@@ -368,17 +379,6 @@ impl<'s> Explorer<'s> {
                     });
                 }
             }
-            // Untargeted runs move the state out of the arena: it is dropped
-            // at the end of this iteration, after its expansion (or skip).
-            let taken = if keep_states {
-                None
-            } else {
-                nodes[idx].state.take()
-            };
-            let state = taken
-                .as_ref()
-                .or(nodes[idx].state.as_ref())
-                .expect("a queued node holds its state until popped");
             // A queued state whose zone was since evicted or absorbed into a
             // hull is covered by a stored zone whose own expansion subsumes
             // it: skip it.
@@ -386,10 +386,11 @@ impl<'s> Explorer<'s> {
                 continue;
             }
             stats.states_explored += 1;
-            visit(state);
+            visit(&state);
             if let Some(t) = target {
-                if t.matches(state)? {
+                if t.matches(&state)? {
                     found = Some(idx);
+                    trail[idx].state = Some(state);
                     break;
                 }
             }
@@ -401,14 +402,14 @@ impl<'s> Explorer<'s> {
             }
             let mut succs = {
                 let _span = tempo_obs::span!("explore.successor_gen");
-                gen.successors(state)?
+                gen.successors(&state)?
             };
             stats.transitions += succs.len();
             if self.opts.order == SearchOrder::RandomDfs {
                 succs.shuffle(&mut rng);
             }
             let _insert_span = tempo_obs::span!("explore.store_insert");
-            for (mut succ, action) in succs {
+            for (mut succ, action, consts) in succs {
                 if succ.zone.is_empty() {
                     continue;
                 }
@@ -423,20 +424,28 @@ impl<'s> Explorer<'s> {
                         break;
                     }
                 }
-                let node_idx = nodes.len();
-                match passed.insert(&succ.discrete, &mut succ.zone, merging, node_idx) {
+                let node_idx = stats.stored_cumulative;
+                match passed.insert(
+                    &succ.discrete,
+                    &mut succ.zone,
+                    &consts.live,
+                    merging,
+                    node_idx,
+                ) {
                     Insert::Subsumed => continue,
                     Insert::Inserted { evicted, merged } => {
                         stats.zones_evicted += evicted;
                         stats.zones_merged += merged;
                     }
                 }
-                nodes.push(Node {
-                    state: Some(succ),
-                    parent: Some(idx),
-                    action: Some(action),
-                });
-                waiting.push_back(node_idx);
+                if keep_trail {
+                    trail.push(Node {
+                        state: None,
+                        parent: Some(idx),
+                        action: Some(action),
+                    });
+                }
+                waiting.push_back((node_idx, succ));
                 stats.stored_cumulative += 1;
                 stats.peak_waiting = stats.peak_waiting.max(waiting.len());
                 if let Some(limit) = self.opts.max_states {
@@ -453,19 +462,23 @@ impl<'s> Explorer<'s> {
             if stats.truncated {
                 break 'search;
             }
+            if keep_trail {
+                trail[idx].state = Some(state);
+            }
         }
 
         stats.clocks_eliminated = gen.clocks_eliminated();
         stats.stored_live = passed.live_zones();
+        stats.peak_stored_bounds = passed.peak_stored_bounds();
         stats.duration = start.elapsed();
         let trace = found.map(|mut idx| {
             let mut rev = Vec::new();
             loop {
-                let node = &nodes[idx];
+                let node = &trail[idx];
                 let state = node
                     .state
                     .as_ref()
-                    .expect("targeted searches keep every state");
+                    .expect("a trace runs through expanded states only");
                 rev.push(TraceStep {
                     action: node.action.as_ref().map(|a| a.pretty(self.sys)),
                     state: state.discrete.pretty(self.sys),

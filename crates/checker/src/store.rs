@@ -6,12 +6,25 @@
 //! it includes and, in untargeted explorations, absorbs stored zones whose
 //! union with it is exactly convex ([`tempo_dbm::merge_into_antichain`]).
 //!
+//! Each zone is stored on the clocks live at its location vector only: its
+//! principal sub-matrix over the reference clock and those clocks
+//! ([`Dbm::project_into`]).  The active-clock reduction pins every dead clock
+//! to exactly `0`, so the dead rows and columns are copies of the reference
+//! ones and carry nothing.  The projection is then an affine bijection onto
+//! the subspace where the dead clocks are `0`, so inclusion, exact convex
+//! union and the hull all commute with it, and a principal sub-matrix of a
+//! canonical matrix is canonical: the antichain operations run unchanged on
+//! the smaller matrices, and a hull grown by merging is embedded back into
+//! the caller's full zone ([`Dbm::embed_into`]).  All zones of one discrete
+//! state share its location vector and hence its live clocks.  With the
+//! reduction off every clock is live and the projection is the whole matrix.
+//!
 //! Eviction and merging leave queued states behind whose zone is no longer
 //! stored.  [`PassedList::is_current`] lets the explorer skip them on pop:
 //! the stored zone that replaced one includes it, and its own (pending or
 //! past) expansion yields a superset of the skipped state's successors.
-//! Every stored zone remembers the exploration-arena node it was queued as,
-//! so the skip is one flag lookup per pop.
+//! Every stored zone remembers the node id it was queued as (its insertion
+//! index), so the skip is one flag lookup per pop.
 //! UPPAAL's unified passed/waiting list gets the same effect (David,
 //! Behrmann, Larsen, Yi, "A tool architecture for the next generation of
 //! UPPAAL", 2003).  On the burst case-study columns the skip is what keeps
@@ -46,7 +59,7 @@ pub(crate) enum Insert {
     },
 }
 
-/// A stored zone and the arena node it was queued as.
+/// A stored (projected) zone and the node id it was queued as.
 struct Stored {
     zone: Dbm,
     node: usize,
@@ -67,8 +80,18 @@ impl AsRef<Dbm> for Stored {
 pub(crate) struct PassedList {
     ids: HashMap<DiscreteState, u32>,
     zones: Vec<Vec<Stored>>,
-    /// Indexed by arena node: `true` while the node's zone is stored.
+    /// Indexed by node id: `true` while the node's zone is stored.
     current: Vec<bool>,
+    /// The newcomer's projection; its allocation is reused across inserts.
+    projected: Dbm,
+    /// `Bound` words held by the stored zones, now and at most so far.
+    bounds: usize,
+    peak_bounds: usize,
+}
+
+/// The `Bound` words a stored zone holds.
+fn words(zone: &Dbm) -> usize {
+    zone.dim() * zone.dim()
 }
 
 impl PassedList {
@@ -77,18 +100,25 @@ impl PassedList {
             ids: HashMap::new(),
             zones: Vec::new(),
             current: Vec::new(),
+            projected: Dbm::zero(0),
+            bounds: 0,
+            peak_bounds: 0,
         }
     }
 
     /// Decides whether `zone` (for `discrete`) is already covered by a single
-    /// stored zone, and if not, stores it as arena node `node`: stored zones
-    /// it includes are evicted and, when `merge` is set, stored zones whose
+    /// stored zone, and if not, stores it as node `node`: stored zones it
+    /// includes are evicted and, when `merge` is set, stored zones whose
     /// union with it is exactly convex are absorbed (`zone` is grown in place
     /// to the hull).  Evicted and absorbed zones' nodes stop being current.
+    ///
+    /// `live` lists the clocks live at `discrete`'s location vector
+    /// (ascending); every other clock must be pinned to `0` in `zone`.
     pub(crate) fn insert(
         &mut self,
         discrete: &DiscreteState,
         zone: &mut Dbm,
+        live: &[usize],
         merge: bool,
         node: usize,
     ) -> Insert {
@@ -101,31 +131,54 @@ impl PassedList {
                 id
             }
         };
-        let zones = &mut self.zones[id as usize];
-        if zones.iter().any(|s| s.zone.includes(zone)) {
+        let PassedList {
+            zones,
+            current,
+            projected,
+            bounds,
+            peak_bounds,
+            ..
+        } = self;
+        let zones = &mut zones[id as usize];
+        zone.project_into(live, projected);
+        debug_assert!(
+            {
+                let mut embedded = zone.clone();
+                projected.embed_into(live, &mut embedded);
+                embedded == *zone
+            },
+            "a clock outside `live` is not pinned to 0"
+        );
+        if zones.iter().any(|s| s.zone.includes(projected)) {
             tempo_obs::counter("store.subsumed", 1);
             return Insert::Subsumed;
         }
         // Drop stored zones now subsumed by the new one.
-        let current = &mut self.current;
         let before = zones.len();
         zones.retain(|s| {
-            let keep = !zone.includes(&s.zone);
+            let keep = !projected.includes(&s.zone);
             if !keep {
                 current[s.node] = false;
+                *bounds -= words(&s.zone);
             }
             keep
         });
         let evicted = before - zones.len();
         let merged = if merge {
-            tempo_dbm::merge_into_antichain(zone, zones, MERGE_ATTEMPT_BUDGET, |s| {
+            tempo_dbm::merge_into_antichain(projected, zones, MERGE_ATTEMPT_BUDGET, |s| {
                 current[s.node] = false;
+                *bounds -= words(&s.zone);
             })
         } else {
             0
         };
+        if merged > 0 {
+            projected.embed_into(live, zone);
+        }
+        *bounds += words(projected);
+        *peak_bounds = (*peak_bounds).max(*bounds);
         zones.push(Stored {
-            zone: zone.clone(),
+            zone: projected.clone(),
             node,
         });
         current.resize(current.len().max(node + 1), false);
@@ -158,6 +211,11 @@ impl PassedList {
     /// Net number of zones currently stored (after evictions and merges).
     pub(crate) fn live_zones(&self) -> usize {
         self.current.iter().filter(|&&stored| stored).count()
+    }
+
+    /// The most `Bound` words the stored zones held at once.
+    pub(crate) fn peak_stored_bounds(&self) -> usize {
+        self.peak_bounds
     }
 }
 
@@ -206,25 +264,25 @@ mod tests {
         let s = d(&system);
         let mut store = PassedList::new();
         assert_eq!(
-            store.insert(&s, &mut interval(0, 4), false, 0),
+            store.insert(&s, &mut interval(0, 4), &[1], false, 0),
             stored(0, 0)
         );
         assert_eq!(
-            store.insert(&s, &mut interval(3, 7), false, 1),
+            store.insert(&s, &mut interval(3, 7), &[1], false, 1),
             stored(0, 0)
         );
         // Covered by the union of the two, but by no single stored zone.
         assert_eq!(
-            store.insert(&s, &mut interval(1, 6), false, 2),
+            store.insert(&s, &mut interval(1, 6), &[1], false, 2),
             stored(0, 0)
         );
         // Covered by a single zone: rejected, and a superset evicts.
         assert_eq!(
-            store.insert(&s, &mut interval(1, 2), false, 3),
+            store.insert(&s, &mut interval(1, 2), &[1], false, 3),
             Insert::Subsumed
         );
         assert_eq!(
-            store.insert(&s, &mut interval(0, 10), false, 4),
+            store.insert(&s, &mut interval(0, 10), &[1], false, 4),
             stored(3, 0)
         );
         assert_eq!(store.live_zones(), 1);
@@ -235,9 +293,9 @@ mod tests {
         let system = sys();
         let s = d(&system);
         let mut store = PassedList::new();
-        store.insert(&s, &mut interval(0, 3), true, 0);
+        store.insert(&s, &mut interval(0, 3), &[1], true, 0);
         let mut bridge = interval(2, 6);
-        assert_eq!(store.insert(&s, &mut bridge, true, 1), stored(0, 1));
+        assert_eq!(store.insert(&s, &mut bridge, &[1], true, 1), stored(0, 1));
         // The caller's zone was grown to the exact hull in place.
         assert!(bridge.includes(&interval(0, 6)));
         assert_eq!(store.live_zones(), 1);
@@ -248,10 +306,10 @@ mod tests {
         let system = sys();
         let s = d(&system);
         let mut store = PassedList::new();
-        store.insert(&s, &mut interval(2, 4), false, 0);
+        store.insert(&s, &mut interval(2, 4), &[1], false, 0);
         assert!(store.is_current(0));
         assert_eq!(
-            store.insert(&s, &mut interval(0, 10), false, 1),
+            store.insert(&s, &mut interval(0, 10), &[1], false, 1),
             stored(1, 0)
         );
         assert!(!store.is_current(0));
@@ -263,9 +321,9 @@ mod tests {
         let system = sys();
         let s = d(&system);
         let mut store = PassedList::new();
-        store.insert(&s, &mut interval(0, 3), true, 0);
+        store.insert(&s, &mut interval(0, 3), &[1], true, 0);
         let mut bridge = interval(2, 6);
-        store.insert(&s, &mut bridge, true, 1);
+        store.insert(&s, &mut bridge, &[1], true, 1);
         assert!(!store.is_current(0));
         // Node 1 holds the hull, not the zone it was offered as.
         assert!(store.is_current(1));
@@ -279,17 +337,17 @@ mod tests {
         let other = DiscreteState::new(vec![l1], s.vars().clone());
         assert_ne!(other, s);
         let mut store = PassedList::new();
-        store.insert(&s, &mut interval(0, 4), false, 0);
+        store.insert(&s, &mut interval(0, 4), &[1], false, 0);
         // Node 1 is queued for `other`, which holds no zone yet.
         assert!(store.is_current(0) && !store.is_current(1));
         // The same zone is a separate member there; a subsumed offer (node
         // 2) is never stored.
         assert_eq!(
-            store.insert(&other, &mut interval(0, 4), false, 1),
+            store.insert(&other, &mut interval(0, 4), &[1], false, 1),
             stored(0, 0)
         );
         assert_eq!(
-            store.insert(&s, &mut interval(1, 2), false, 2),
+            store.insert(&s, &mut interval(1, 2), &[1], false, 2),
             Insert::Subsumed
         );
         assert!(store.is_current(1) && !store.is_current(2));
@@ -306,7 +364,7 @@ mod tests {
                 z.constrain(Clock(c), Clock::REF, Bound::new(hi, rng.gen_bool(0.25)));
                 z.constrain(Clock::REF, Clock(c), Bound::new(-lo, rng.gen_bool(0.25)));
             }
-            if clocks == 2 && rng.gen_bool(0.5) {
+            if clocks >= 2 && rng.gen_bool(0.5) {
                 z.constrain(Clock(1), Clock(2), Bound::weak(rng.gen_range(-2..3i64)));
             }
             if !z.is_empty() {
@@ -315,36 +373,90 @@ mod tests {
         }
     }
 
+    fn projection(zone: &Dbm, live: &[usize]) -> Dbm {
+        let mut projected = Dbm::zero(0);
+        zone.project_into(live, &mut projected);
+        projected
+    }
+
     #[test]
     fn the_stale_flag_equals_membership_in_the_antichain() {
         let (system, l1) = two_locations();
         let s0 = d(&system);
         let s1 = DiscreteState::new(vec![l1], s0.vars().clone());
-        let (mut evictions, mut merges) = (0, 0);
-        for (seed, clocks, merge) in [(1, 1, false), (2, 1, true), (3, 2, false), (4, 2, true)] {
+        // Per seed: (evictions, merges), over every clock live and with
+        // clock 2 of 3 pinned to 0 and masked dead (projected storage).
+        let mut counts = [(0, 0); 2];
+        for (seed, clocks, live, merge) in [
+            (1, 1, &[1][..], false),
+            (2, 1, &[1], true),
+            (3, 2, &[1, 2], false),
+            (4, 2, &[1, 2], true),
+            (5, 3, &[1, 3], false),
+            (6, 3, &[1, 3], true),
+        ] {
+            let active: Vec<bool> = (0..=clocks).map(|c| c == 0 || live.contains(&c)).collect();
+            let (evictions, merges) = &mut counts[usize::from(live.len() < clocks)];
             let mut rng = StdRng::seed_from_u64(seed);
             let mut store = PassedList::new();
             let mut nodes: Vec<(DiscreteState, Dbm)> = Vec::new();
             for _ in 0..300 {
                 let discrete = if rng.gen_bool(0.5) { &s0 } else { &s1 };
                 let mut zone = random_zone(&mut rng, clocks);
+                zone.restrict_to_active(&active);
                 if let Insert::Inserted { evicted, merged } =
-                    store.insert(discrete, &mut zone, merge, nodes.len())
+                    store.insert(discrete, &mut zone, live, merge, nodes.len())
                 {
-                    evictions += evicted;
-                    merges += merged;
+                    *evictions += evicted;
+                    *merges += merged;
                     nodes.push((discrete.clone(), zone));
                 }
                 for (node, (discrete, zone)) in nodes.iter().enumerate() {
                     let id = store.ids[discrete] as usize;
-                    let member = store.zones[id].iter().any(|s| &s.zone == zone);
+                    let stored = projection(zone, live);
+                    let member = store.zones[id].iter().any(|s| s.zone == stored);
                     assert_eq!(store.is_current(node), member, "seed {seed}, node {node}");
                 }
             }
         }
-        assert!(
-            evictions > 0 && merges > 0,
-            "{evictions} evictions, {merges} merges"
+        for (evictions, merges) in counts {
+            assert!(
+                evictions > 0 && merges > 0,
+                "{evictions} evictions, {merges} merges"
+            );
+        }
+    }
+
+    #[test]
+    fn a_state_with_k_live_clocks_stores_a_k_plus_one_squared_zone() {
+        let system = sys();
+        let s = d(&system);
+        let (live, active) = (&[1, 3][..], [true, true, false, true, false]);
+        // Four clocks, of which 2 and 4 are dead; clock 1 spans `lo..=hi`.
+        let zone = |lo: i64, hi: i64| {
+            let mut z = Dbm::zero(4);
+            z.up();
+            z.constrain(Clock(1), Clock::REF, Bound::weak(hi));
+            z.constrain(Clock::REF, Clock(1), Bound::weak(-lo));
+            z.restrict_to_active(&active);
+            z
+        };
+        let mut store = PassedList::new();
+        let mut first = zone(0, 3);
+        assert_eq!(store.insert(&s, &mut first, live, true, 0), stored(0, 0));
+        assert_eq!(first, zone(0, 3), "a stored zone is not changed");
+        let id = store.ids[&s] as usize;
+        assert_eq!(store.zones[id][0].zone.dim(), live.len() + 1);
+        assert_eq!(store.peak_stored_bounds(), 9);
+        // Merging grows the caller's full zone to the full hull.
+        let mut bridge = zone(2, 6);
+        assert_eq!(store.insert(&s, &mut bridge, live, true, 1), stored(0, 1));
+        assert_eq!(bridge, zone(0, 3).convex_hull(&zone(2, 6)));
+        assert_eq!(bridge, zone(0, 6));
+        assert_eq!(store.peak_stored_bounds(), 9);
+        assert_eq!(
+            store.insert(&s, &mut zone(1, 5), live, true, 2),
+            Insert::Subsumed
         );
     }
 }

@@ -134,6 +134,8 @@ pub struct SuccessorGen<'s> {
     /// delayed zones differ only in dead-clock valuations hash and compare
     /// as equal — the active-clock reduction.  Pinning before the delay would
     /// let the clock advance again and keep the time since entry apart.
+    /// Since a pinned clock carries no information, the passed list stores
+    /// each zone on the live clocks only ([`StateConsts::live`]).
     activity: tempo_ta::ActivityTable,
     /// Constants applied at every location (query constants of targets
     /// without location atoms).
@@ -163,19 +165,27 @@ pub struct SuccessorGen<'s> {
 /// extrapolation constants and the active-clock flags (element-wise maximum /
 /// union over every automaton's current location), plus what decides whether
 /// time may pass there.
-struct StateConsts {
+pub(crate) struct StateConsts {
     lower: Vec<i64>,
     upper: Vec<i64>,
     /// Indexed by DBM clock index; entry 0 unused.
     active: Vec<bool>,
-    /// Number of `false` entries in `active` (excluding entry 0).
-    num_dead: usize,
+    /// The DBM indices of the clocks the reduction keeps, ascending: those
+    /// `active` marks, or every clock when the reduction is off.  Every
+    /// other clock is pinned to `0` in every zone of this location vector,
+    /// so the passed list stores zones projected onto these clocks
+    /// ([`Dbm::project_into`]).
+    pub(crate) live: Vec<usize>,
     /// Some automaton occupies an urgent or committed location.
     urgent_location: bool,
     /// The urgent channels that can synchronize from this location vector
     /// if their data guards allow it (empty when `urgent_location` is set).
     urgent_syncs: Vec<UrgentSync>,
 }
+
+/// A computed successor: the symbolic state, the transition taken, and the
+/// data of the state's location vector.
+pub(crate) type Successor = (SymState, ActionLabel, Rc<StateConsts>);
 
 /// The outgoing edges over one urgent channel at one location vector, as
 /// `(automaton, edge)` pairs.
@@ -292,7 +302,7 @@ impl<'s> SuccessorGen<'s> {
     /// automaton may still observe it), and the location kinds and
     /// urgent-channel edges [`SuccessorGen::delay_allowed`] reads.  Memoized
     /// per location vector.
-    fn state_consts(&self, discrete: &DiscreteState) -> Rc<StateConsts> {
+    pub(crate) fn state_consts(&self, discrete: &DiscreteState) -> Rc<StateConsts> {
         if let Some(cached) = self.merged_cache.borrow().get(discrete.locations()) {
             return Rc::clone(cached);
         }
@@ -314,7 +324,9 @@ impl<'s> SuccessorGen<'s> {
                 }
             }
         }
-        let num_dead = active.iter().skip(1).filter(|a| !**a).count();
+        let live = (1..active.len())
+            .filter(|&i| active[i] || !self.reduce)
+            .collect();
         let urgent_location = self
             .sys
             .automata
@@ -330,7 +342,7 @@ impl<'s> SuccessorGen<'s> {
             lower,
             upper,
             active,
-            num_dead,
+            live,
             urgent_location,
             urgent_syncs,
         });
@@ -343,7 +355,7 @@ impl<'s> SuccessorGen<'s> {
     /// Canonicalizes the clocks that are dead at `consts`' discrete state
     /// (active-clock reduction), when enabled.
     fn reduce_zone(&self, zone: &mut Dbm, consts: &StateConsts) {
-        if self.reduce && consts.num_dead > 0 {
+        if consts.live.len() < zone.num_clocks() {
             let n = zone.restrict_to_active(&consts.active);
             self.eliminated.set(self.eliminated.get() + n);
         }
@@ -491,13 +503,13 @@ impl<'s> SuccessorGen<'s> {
     }
 
     /// Fires the edges of `participants` (in order) from `state`, producing
-    /// the successor symbolic state, or `None` if the transition is disabled
-    /// by clock guards or invariants.
+    /// the successor symbolic state and its location vector's data, or
+    /// `None` if the transition is disabled by clock guards or invariants.
     fn apply_transition(
         &self,
         state: &SymState,
         participants: &[(usize, usize)],
-    ) -> Result<Option<(DiscreteState, Dbm)>, CheckError> {
+    ) -> Result<Option<(SymState, Rc<StateConsts>)>, CheckError> {
         let vars = state.discrete.vars();
         // 1. clock guards of every participating edge, under current vars.
         let mut zone = state.zone.clone();
@@ -563,26 +575,25 @@ impl<'s> SuccessorGen<'s> {
         // 8. extrapolation; a pinned clock stays pinned (widening never
         //    loosens `x ≤ 0` or `x ≥ 0`).
         self.extrapolate_zone(&mut zone, &consts);
-        Ok(Some((new_discrete, zone)))
+        Ok(Some((SymState::new(new_discrete, zone), consts)))
     }
 
-    /// Computes all symbolic successors of a state.
-    pub fn successors(
-        &self,
-        state: &SymState,
-    ) -> Result<Vec<(SymState, ActionLabel)>, CheckError> {
+    /// Computes all symbolic successors of a state, each with the transition
+    /// taken and its location vector's data (whose [`StateConsts::live`]
+    /// clocks the passed list stores the zone on).
+    pub(crate) fn successors(&self, state: &SymState) -> Result<Vec<Successor>, CheckError> {
         let discrete = &state.discrete;
         let vars = discrete.vars();
         let committed_active = self.in_committed(discrete);
-        let mut out: Vec<(SymState, ActionLabel)> = Vec::new();
+        let mut out: Vec<Successor> = Vec::new();
 
         let push = |participants: &[(usize, usize)],
                         label: ActionLabel,
                         this: &Self,
-                        out: &mut Vec<(SymState, ActionLabel)>|
+                        out: &mut Vec<Successor>|
          -> Result<(), CheckError> {
-            if let Some((d, z)) = this.apply_transition(state, participants)? {
-                out.push((SymState::new(d, z), label));
+            if let Some((succ, consts)) = this.apply_transition(state, participants)? {
+                out.push((succ, label, consts));
             }
             Ok(())
         };
@@ -767,7 +778,7 @@ mod tests {
         let init = gen.initial_state().unwrap();
         let succ = gen.successors(&init).unwrap();
         assert_eq!(succ.len(), 1);
-        let (s, label) = &succ[0];
+        let (s, label, _) = &succ[0];
         assert!(matches!(label, ActionLabel::Internal { automaton: 0, edge: 0 }));
         assert_eq!(s.discrete.vars().get(sys.var_by_name("n").unwrap()), 1);
         let x = sys.clock_by_name("x").unwrap().dbm_clock();
@@ -820,7 +831,7 @@ mod tests {
         // Take the sync; now pending = 0 and the resource is busy for 5.
         let succ = gen.successors(&init).unwrap();
         assert_eq!(succ.len(), 1);
-        let (s, label) = &succ[0];
+        let (s, label, _) = &succ[0];
         assert!(matches!(label, ActionLabel::Binary { .. }));
         assert_eq!(s.discrete.vars().get(sys.var_by_name("pending").unwrap()), 0);
         assert!(gen
@@ -878,10 +889,10 @@ mod tests {
         // Find the successor where `a` entered the committed location.
         let committed_state = succ
             .iter()
-            .find(|(s, _)| {
+            .find(|(s, _, _)| {
                 sys.automata[0].location(s.discrete.locations()[0]).name == "mid"
             })
-            .map(|(s, _)| s.clone())
+            .map(|(s, _, _)| s.clone())
             .unwrap();
         // No delay was permitted in the committed state.
         let x = sys.clock_by_name("x").unwrap().dbm_clock();
@@ -925,7 +936,7 @@ mod tests {
         let init = gen.initial_state().unwrap();
         let succ = gen.successors(&init).unwrap();
         assert_eq!(succ.len(), 1);
-        let (st, label) = &succ[0];
+        let (st, label, _) = &succ[0];
         match label {
             ActionLabel::Broadcast { receivers, .. } => assert_eq!(receivers.len(), 2),
             other => panic!("expected broadcast, got {other:?}"),
@@ -961,7 +972,7 @@ mod tests {
         let init = gen.initial_state().unwrap();
         let succ = gen.successors(&init).unwrap();
         assert_eq!(succ.len(), 1);
-        let (s, _) = &succ[0];
+        let (s, _, _) = &succ[0];
         assert!(gen.delay_allowed(&s.discrete, &gen.state_consts(&s.discrete)).unwrap());
         // Time passed in `l1` (y is unbounded), yet the dead clock did not
         // advance with it.

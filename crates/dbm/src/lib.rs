@@ -22,6 +22,9 @@
 //! * [`Dbm::reset`] / [`Dbm::free`] and the dead-clock pinning
 //!   [`Dbm::reset_to_canonical`] / [`Dbm::restrict_to_active`] — clock
 //!   updates,
+//! * [`Dbm::project_into`] / [`Dbm::embed_into`] — the principal sub-matrix
+//!   over the live clocks of a zone whose dead clocks are pinned, and back,
+//!   which is how the checker's passed list stores zones,
 //! * [`Dbm::extrapolate_lu`] — the `Extra⁺_LU` finiteness abstraction
 //!   (Behrmann, Bouyer, Larsen, Pelánek, "Lower and upper bounds in
 //!   zone-based abstractions of timed automata", STTT 2006),

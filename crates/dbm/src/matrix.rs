@@ -362,7 +362,11 @@ impl Dbm {
     /// ([`Dbm::up`]): a clock pinned before it advances with the others and
     /// records the time since entry again.  Preserves the canonical form.
     pub fn reset_to_canonical(&mut self, x: Clock) -> &mut Self {
-        self.reset(x, 0)
+        debug_assert!(x.index() > 0, "cannot reset the reference clock");
+        if !self.empty {
+            self.pin_to_reference(x.index());
+        }
+        self
     }
 
     /// Applies [`Dbm::reset_to_canonical`] to every clock whose entry in
@@ -379,11 +383,68 @@ impl Dbm {
         let mut eliminated = 0;
         for i in 1..self.dim {
             if !active.get(i).copied().unwrap_or(true) {
-                self.reset_to_canonical(Clock(i as u32));
+                self.pin_to_reference(i);
                 eliminated += 1;
             }
         }
         eliminated
+    }
+
+    /// Pins clock `x` to `0` by copying the reference row and column into
+    /// its row and column: the matrix [`Dbm::reset`] to `0` writes, whose
+    /// entries are the reference ones plus `(≤, 0)`, without the additions.
+    fn pin_to_reference(&mut self, x: usize) {
+        let n = self.dim;
+        self.m.copy_within(0..n, x * n);
+        for j in 0..n {
+            self.m[j * n + x] = self.m[j * n];
+        }
+    }
+
+    /// Writes into `out` the principal sub-matrix of this zone over the
+    /// reference clock and the clocks `live` (ascending indices `≥ 1`),
+    /// reusing `out`'s allocation.
+    ///
+    /// When every clock outside `live` is pinned to `0` (as
+    /// [`Dbm::restrict_to_active`] leaves the dead ones), the projection is a
+    /// bijection onto that subspace and [`Dbm::embed_into`] inverts it.  It
+    /// is affine, so inclusion, exact convex unions ([`Dbm::try_merge`]) and
+    /// hulls of such zones are those of their projections, and a principal
+    /// sub-matrix of a canonical matrix is canonical.
+    pub fn project_into(&self, live: &[usize], out: &mut Dbm) {
+        debug_assert!(live.windows(2).all(|w| w[0] < w[1]) && live.iter().all(|&i| i >= 1));
+        let n = self.dim;
+        out.dim = live.len() + 1;
+        out.empty = self.empty;
+        out.m.clear();
+        for i in std::iter::once(0).chain(live.iter().copied()) {
+            let row = &self.m[i * n..(i + 1) * n];
+            out.m.push(row[0]);
+            out.m.extend(live.iter().map(|&j| row[j]));
+        }
+    }
+
+    /// The inverse of [`Dbm::project_into`]: writes this projected zone over
+    /// `live` into `full`'s rows and columns of the reference clock and the
+    /// `live` clocks, and pins every other clock of `full` to `0` as
+    /// [`Dbm::restrict_to_active`] does.  `full` keeps its dimension.
+    pub fn embed_into(&self, live: &[usize], full: &mut Dbm) {
+        assert_eq!(self.dim, live.len() + 1, "projection does not match `live`");
+        let n = full.dim;
+        full.empty = self.empty;
+        for (pi, i) in std::iter::once(0).chain(live.iter().copied()).enumerate() {
+            let row = &self.m[pi * self.dim..(pi + 1) * self.dim];
+            full.m[i * n] = row[0];
+            for (&j, &b) in live.iter().zip(&row[1..]) {
+                full.m[i * n + j] = b;
+            }
+        }
+        let mut live = live.iter().peekable();
+        for x in 1..n {
+            if live.next_if_eq(&&x).is_none() {
+                full.pin_to_reference(x);
+            }
+        }
     }
 
     /// The convex hull (smallest zone containing both operands): the

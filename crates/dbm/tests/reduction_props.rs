@@ -2,7 +2,10 @@
 //! checker's active-clock reduction (`free`, `reset_to_canonical`,
 //! `restrict_to_active`): they must preserve the canonical form, be
 //! idempotent, and be monotone with respect to zone inclusion — the three
-//! laws the passed-list subsumption of the explorer relies on.  The exact
+//! laws the passed-list subsumption of the explorer relies on.  On zones
+//! whose dead clocks are pinned, the passed list's storage on the live
+//! clocks (`project_into`, `embed_into`) must lose nothing and decide
+//! inclusion and exact merges as the full matrices do.  The exact
 //! union machinery behind the passed list's zone merging (`subtract`,
 //! `try_merge`, `merge_into_antichain`) must never add or lose a valuation,
 //! and the `Extra⁺_LU` widening (`extrapolate_lu`) must re-close to exactly
@@ -96,6 +99,44 @@ fn small_zone() -> impl Strategy<Value = Dbm> {
 /// An activity mask over the reference clock + NUM_CLOCKS real clocks.
 fn active_mask() -> impl Strategy<Value = Vec<bool>> {
     proptest::collection::vec(any::<bool>(), NUM_CLOCKS + 1)
+}
+
+/// `z` with the clocks `mask` marks dead pinned to 0.
+fn pinned(z: &Dbm, mask: &[bool]) -> Dbm {
+    let mut z = z.clone();
+    z.restrict_to_active(mask);
+    z
+}
+
+/// The ascending live clocks of an activity mask.
+fn live_clocks(mask: &[bool]) -> Vec<usize> {
+    (1..mask.len()).filter(|&i| mask[i]).collect()
+}
+
+/// `z`'s principal sub-matrix over the reference clock and `live`.
+fn projected(z: &Dbm, live: &[usize]) -> Dbm {
+    let mut p = Dbm::zero(0);
+    z.project_into(live, &mut p);
+    p
+}
+
+/// Checks that `try_merge` of `a` and `b` with the dead clocks of `mask`
+/// pinned agrees with `try_merge` of their projections onto the live clocks,
+/// and that the embedded projected hull is the full hull.
+fn check_projected_merge(a: &Dbm, b: &Dbm, mask: &[bool]) {
+    if a.is_empty() || b.is_empty() {
+        return;
+    }
+    let (a, b) = (pinned(a, mask), pinned(b, mask));
+    let live = live_clocks(mask);
+    let full = a.try_merge(&b);
+    let proj = projected(&a, &live).try_merge(&projected(&b, &live));
+    prop_assert_eq!(full.is_some(), proj.is_some());
+    if let (Some(full), Some(proj)) = (full, proj) {
+        let mut embedded = a.clone();
+        proj.embed_into(&live, &mut embedded);
+        prop_assert_eq!(&embedded, &full);
+    }
 }
 
 /// Runs `merge_into_antichain` on `zone` against `stored` and checks that the
@@ -375,7 +416,7 @@ proptest! {
         let mut expected = 0;
         for (i, active) in mask.iter().enumerate().take(NUM_CLOCKS + 1).skip(1) {
             if !active {
-                manual.reset_to_canonical(Clock(i as u32));
+                manual.reset(Clock(i as u32), 0);
                 expected += 1;
             }
         }
@@ -384,6 +425,57 @@ proptest! {
             prop_assert_eq!(eliminated, 0);
         } else {
             prop_assert_eq!(eliminated, expected);
+        }
+    }
+
+    /// Embedding the projection onto the live clocks of a zone whose dead
+    /// clocks are pinned gives the zone back bit for bit, whatever the
+    /// matrix it is embedded into held before.
+    #[test]
+    fn embed_inverts_project(z in random_zone(), scratch in random_zone(),
+                             mask in active_mask()) {
+        if z.is_empty() {
+            return;
+        }
+        let z = pinned(&z, &mask);
+        let live = live_clocks(&mask);
+        let p = projected(&z, &live);
+        prop_assert_eq!(p.dim(), live.len() + 1);
+        let mut full = scratch;
+        p.embed_into(&live, &mut full);
+        prop_assert_eq!(&full, &z);
+    }
+
+    /// Inclusion between zones with the same pinned dead clocks is inclusion
+    /// between their projections.
+    #[test]
+    fn projection_preserves_inclusion(a in random_zone(), b in random_zone(),
+                                      mask in active_mask()) {
+        let (a, b) = (pinned(&a, &mask), pinned(&b, &mask));
+        let live = live_clocks(&mask);
+        let (pa, pb) = (projected(&a, &live), projected(&b, &live));
+        prop_assert_eq!(pa.includes(&pb), a.includes(&b));
+        prop_assert_eq!(pb.includes(&pa), b.includes(&a));
+    }
+
+    /// `try_merge` of two such zones succeeds iff it succeeds on their
+    /// projections, and the embedded hull of the projections is the full
+    /// hull: for two random zones (which rarely merge) and for the two
+    /// touching halves of a zone cut along `x_i − x_j ≤ c` (which always do).
+    #[test]
+    fn projection_preserves_exact_merges(a in random_zone(), b in random_zone(),
+                                         z in random_zone(),
+                                         i in 0..=(NUM_CLOCKS as u32),
+                                         j in 0..=(NUM_CLOCKS as u32),
+                                         c in -20i64..50,
+                                         mask in active_mask()) {
+        check_projected_merge(&a, &b, &mask);
+        if i != j {
+            let mut below = z.clone();
+            below.constrain(Clock(i), Clock(j), Bound::weak(c));
+            let mut above = z.clone();
+            above.constrain(Clock(j), Clock(i), Bound::weak(-c));
+            check_projected_merge(&below, &above, &mask);
         }
     }
 
