@@ -96,7 +96,6 @@ fn state_counts(
                     order: SearchOrder::Bfs,
                     active_clock_reduction: reduction,
                     max_states: if reduction { None } else { Some(400_000) },
-                    truncate_on_limit: true,
                     ..SearchOptions::default()
                 },
                 ..AnalysisConfig::default()
@@ -174,7 +173,6 @@ fn engine_matrix(columns: &[(EventModelColumn, ArchitectureModel)], ok: &mut boo
         search: SearchOptions {
             order: SearchOrder::Bfs,
             max_states: Some(600_000),
-            truncate_on_limit: true,
             ..SearchOptions::default()
         },
         ..AnalysisConfig::default()

@@ -10,8 +10,9 @@
 //!   exact and the whole table takes well under a minute (the qualitative
 //!   orderings of the paper are preserved).
 //! * `--budget N` — state budget per cell (default 600000); cells whose zone
-//!   graph exceeds the budget are reported as `> value (df)` lower bounds,
-//!   exactly like the intractable `pj`/`bur` cells in the paper.
+//!   graph exceeds the budget are reported as `> value (bf)` lower bounds of
+//!   the breadth-first search, like the intractable `pj`/`bur` cells in the
+//!   paper.
 
 use tempo_arch::casestudy::{CaseStudyParams, EventModelColumn};
 use tempo_bench::{print_table, quick_params, table1_column, CellConfig};
@@ -39,7 +40,7 @@ fn main() {
 
     println!("Table 1 — UPPAAL-style worst-case response time analysis (milliseconds)");
     println!(
-        "mode: {} | state budget per cell: {budget} | entries `> x (df)` are lower bounds from truncated searches",
+        "mode: {} | state budget per cell: {budget} | entries `> x (bf)` are lower bounds from truncated breadth-first searches",
         if quick { "quick (user streams slowed 8x)" } else { "paper parameters" }
     );
     println!();

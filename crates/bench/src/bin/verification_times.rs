@@ -51,7 +51,6 @@ fn main() {
                     search: SearchOptions {
                         order,
                         max_states: Some(budget),
-                        truncate_on_limit: true,
                         ..SearchOptions::default()
                     },
                     ..AnalysisConfig::default()

@@ -59,7 +59,6 @@ impl CellConfig {
         cfg.search = SearchOptions {
             order: self.order,
             max_states: self.state_budget,
-            truncate_on_limit: true,
             ..SearchOptions::default()
         };
         cfg
@@ -73,6 +72,9 @@ pub struct Cell {
     pub requirement: &'static str,
     /// Event-model column.
     pub column: EventModelColumn,
+    /// The search order of the exploration, named in a truncated cell's
+    /// lower bound.
+    pub order: SearchOrder,
     /// The analysis result.
     pub report: Result<WcrtReport, String>,
     /// Wall-clock time spent on the analysis.
@@ -81,13 +83,19 @@ pub struct Cell {
 
 impl Cell {
     /// Formats the cell like the paper: an exact value in milliseconds, or a
-    /// `> bound (df)` lower bound for truncated searches.
+    /// `> bound (bf)` lower bound for a truncated search, tagged with the
+    /// paper's name of the search order (`bf`, `df` or `rdf`).
     pub fn formatted(&self) -> String {
+        let order = match self.order {
+            SearchOrder::Bfs => "bf",
+            SearchOrder::Dfs => "df",
+            SearchOrder::RandomDfs => "rdf",
+        };
         match &self.report {
             Ok(r) => match r.wcrt_ms() {
                 Some(ms) => format!("{ms:.3}"),
                 None => match r.lower_bound {
-                    Some(lb) => format!("> {:.3} (df)", lb.as_millis_f64()),
+                    Some(lb) => format!("> {:.3} ({order})", lb.as_millis_f64()),
                     None => "n/a".to_string(),
                 },
             },
@@ -137,6 +145,7 @@ pub fn table1_cell(
     Cell {
         requirement,
         column,
+        order: cell_cfg.order,
         report,
         elapsed: start.elapsed(),
     }
@@ -238,8 +247,29 @@ mod tests {
     #[test]
     fn cell_config_produces_truncating_search() {
         let cfg = CellConfig::default().analysis_config();
-        assert!(cfg.search.truncate_on_limit);
         assert_eq!(cfg.search.max_states, Some(600_000));
+    }
+
+    #[test]
+    fn truncated_cells_name_their_search_order() {
+        for (order, label) in [(SearchOrder::Bfs, "(bf)"), (SearchOrder::Dfs, "(df)")] {
+            let cell = table1_cell(
+                "HandleTMC (+ AddressLookup)",
+                ScenarioCombo::AddressLookupWithTmc,
+                EventModelColumn::Sporadic,
+                &quick_params(8),
+                &CellConfig {
+                    state_budget: Some(300),
+                    order,
+                    queue_capacity: 8,
+                },
+            );
+            let text = cell.formatted();
+            assert!(
+                text.starts_with("> ") && text.ends_with(label),
+                "{order:?}: {text}"
+            );
+        }
     }
 
     #[test]

@@ -19,11 +19,6 @@ pub enum CheckError {
         /// Edge index within the automaton.
         edge: usize,
     },
-    /// The exploration exceeded the configured state limit.
-    StateLimitExceeded {
-        /// The configured limit.
-        limit: usize,
-    },
     /// A query referenced an unknown automaton or location name.
     UnknownQueryEntity {
         /// Description of what could not be resolved.
@@ -53,9 +48,6 @@ impl fmt::Display for CheckError {
                 f,
                 "edge {edge} of `{automaton}` synchronizes on an urgent channel but has a clock guard"
             ),
-            CheckError::StateLimitExceeded { limit } => {
-                write!(f, "exploration exceeded the state limit of {limit}")
-            }
             CheckError::UnknownQueryEntity { what } => {
                 write!(f, "query references unknown entity: {what}")
             }
@@ -87,8 +79,10 @@ mod tests {
 
     #[test]
     fn display_mentions_details() {
-        let e = CheckError::StateLimitExceeded { limit: 42 };
-        assert!(e.to_string().contains("42"));
+        let e = CheckError::Transient {
+            detail: "worker 42 lost".into(),
+        };
+        assert!(e.to_string().contains("worker 42"));
         let e = CheckError::ClockGuardOnUrgentEdge {
             automaton: "BUS".into(),
             edge: 3,

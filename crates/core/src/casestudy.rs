@@ -81,8 +81,9 @@ impl EventModelColumn {
 }
 
 /// Deployment and workload parameters of the case study; the defaults are the
-/// values described in the module documentation, and the constructor functions
-/// allow sensitivity experiments (e.g. the ablation benches).
+/// values described in the module documentation, and the public fields allow
+/// sensitivity experiments (e.g. the slowed user streams of the quick
+/// Table 1).
 #[derive(Clone, Debug, PartialEq)]
 pub struct CaseStudyParams {
     /// MMI processor capacity (MIPS).
@@ -122,9 +123,7 @@ impl Default for CaseStudyParams {
 }
 
 impl CaseStudyParams {
-    /// Parameters scaled down by `factor` in time (periods multiplied,
-    /// keeping utilisation identical) — not needed for analysis correctness
-    /// but handy for quick tests.
+    /// The same parameters with all three processors scheduled by `policy`.
     pub fn with_policy(mut self, policy: SchedulingPolicy) -> Self {
         self.cpu_policy = policy;
         self
@@ -175,167 +174,14 @@ fn tmc_stream(column: EventModelColumn, period: TimeValue) -> EventModel {
 }
 
 /// Builds the radio-navigation architecture model for one scenario combination
-/// and one event-model column of Table 1.
+/// and one event-model column of Table 1: the paper's deployment,
+/// [`ArchitectureVariant::ThreeCpuOneBus`].
 pub fn radio_navigation(
     combo: ScenarioCombo,
     column: EventModelColumn,
     params: &CaseStudyParams,
 ) -> ArchitectureModel {
-    let mut m = ArchitectureModel::new(format!(
-        "radio-navigation ({combo:?}, {})",
-        column.label()
-    ));
-    let mmi = m.add_processor("MMI", params.mmi_mips, params.cpu_policy);
-    let rad = m.add_processor("RAD", params.rad_mips, params.cpu_policy);
-    let nav = m.add_processor("NAV", params.nav_mips, params.cpu_policy);
-    let bus = m.add_bus("BUS", params.bus_bps, params.bus_arbitration);
-
-    // --- the user application of this combination (priority 0, Fig. 2) -------
-    match combo {
-        ScenarioCombo::ChangeVolumeWithTmc => {
-            let cv = m.add_scenario(Scenario {
-                name: "ChangeVolume".into(),
-                stimulus: user_stream(column, params.volume_period),
-                priority: 0,
-                steps: vec![
-                    Step::Execute {
-                        operation: "HandleKeyPress".into(),
-                        instructions: 100_000,
-                        on: mmi,
-                    },
-                    Step::Transfer {
-                        message: "SetVolume".into(),
-                        bytes: 4,
-                        over: bus,
-                    },
-                    Step::Execute {
-                        operation: "AdjustVolume".into(),
-                        instructions: 100_000,
-                        on: rad,
-                    },
-                    Step::Transfer {
-                        message: "GetVolume".into(),
-                        bytes: 4,
-                        over: bus,
-                    },
-                    Step::Execute {
-                        operation: "UpdateScreen".into(),
-                        instructions: 500_000,
-                        on: mmi,
-                    },
-                ],
-            });
-            m.add_requirement(Requirement {
-                name: "K2A (ChangeVolume + HandleTMC)".into(),
-                scenario: cv,
-                from: MeasurePoint::Stimulus,
-                to: MeasurePoint::AfterStep(2),
-                deadline: TimeValue::millis(50),
-            });
-            m.add_requirement(Requirement {
-                name: "A2V (ChangeVolume + HandleTMC)".into(),
-                scenario: cv,
-                from: MeasurePoint::AfterStep(2),
-                to: MeasurePoint::AfterStep(4),
-                deadline: TimeValue::millis(50),
-            });
-            m.add_requirement(Requirement {
-                name: "K2V (ChangeVolume + HandleTMC)".into(),
-                scenario: cv,
-                from: MeasurePoint::Stimulus,
-                to: MeasurePoint::AfterStep(4),
-                deadline: TimeValue::millis(200),
-            });
-        }
-        ScenarioCombo::AddressLookupWithTmc => {
-            let al = m.add_scenario(Scenario {
-                name: "AddressLookup".into(),
-                stimulus: user_stream(column, params.lookup_period),
-                priority: 0,
-                steps: vec![
-                    Step::Execute {
-                        operation: "HandleKeyPress".into(),
-                        instructions: 100_000,
-                        on: mmi,
-                    },
-                    Step::Transfer {
-                        message: "Lookup".into(),
-                        bytes: 32,
-                        over: bus,
-                    },
-                    Step::Execute {
-                        operation: "DatabaseLookup".into(),
-                        instructions: 5_000_000,
-                        on: nav,
-                    },
-                    Step::Transfer {
-                        message: "LookupResult".into(),
-                        bytes: 32,
-                        over: bus,
-                    },
-                    Step::Execute {
-                        operation: "UpdateScreen".into(),
-                        instructions: 500_000,
-                        on: mmi,
-                    },
-                ],
-            });
-            m.add_requirement(Requirement {
-                name: "AddressLookup (+ HandleTMC)".into(),
-                scenario: al,
-                from: MeasurePoint::Stimulus,
-                to: MeasurePoint::AfterStep(4),
-                deadline: TimeValue::millis(200),
-            });
-        }
-    }
-
-    // --- the HandleTMC application (priority 1, Fig. 3) -----------------------
-    let tmc = m.add_scenario(Scenario {
-        name: "HandleTMC".into(),
-        stimulus: tmc_stream(column, params.tmc_period),
-        priority: 1,
-        steps: vec![
-            Step::Execute {
-                operation: "HandleTMC".into(),
-                instructions: 1_000_000,
-                on: rad,
-            },
-            Step::Transfer {
-                message: "TmcToNav".into(),
-                bytes: 64,
-                over: bus,
-            },
-            Step::Execute {
-                operation: "DecodeTMC".into(),
-                instructions: 5_000_000,
-                on: nav,
-            },
-            Step::Transfer {
-                message: "TmcToMmi".into(),
-                bytes: 64,
-                over: bus,
-            },
-            Step::Execute {
-                operation: "UpdateScreenTMC".into(),
-                instructions: 500_000,
-                on: mmi,
-            },
-        ],
-    });
-    let tmc_name = match combo {
-        ScenarioCombo::ChangeVolumeWithTmc => "HandleTMC (+ ChangeVolume)",
-        ScenarioCombo::AddressLookupWithTmc => "HandleTMC (+ AddressLookup)",
-    };
-    m.add_requirement(Requirement {
-        name: tmc_name.into(),
-        scenario: tmc,
-        from: MeasurePoint::Stimulus,
-        to: MeasurePoint::AfterStep(4),
-        deadline: TimeValue::seconds(1),
-    });
-
-    m
+    radio_navigation_variant(ArchitectureVariant::ThreeCpuOneBus, combo, column, params)
 }
 
 /// Alternative deployments of the same three applications, in the spirit of
@@ -395,33 +241,50 @@ enum Function {
     Nav,
 }
 
-/// Builds the radio-navigation model for an alternative deployment.
+/// Builds the radio-navigation model for one deployment.
 ///
-/// [`ArchitectureVariant::ThreeCpuOneBus`] reproduces [`radio_navigation`]
-/// exactly; the other variants remap the same operations onto fewer (or
-/// differently connected) resources, dropping messages between co-located
-/// operations.
+/// [`ArchitectureVariant::ThreeCpuOneBus`] is the paper's model
+/// ([`radio_navigation`]); the other variants remap the same operations onto
+/// fewer (or differently connected) resources, dropping messages between
+/// co-located operations.
 pub fn radio_navigation_variant(
     variant: ArchitectureVariant,
     combo: ScenarioCombo,
     column: EventModelColumn,
     params: &CaseStudyParams,
 ) -> ArchitectureModel {
-    if variant == ArchitectureVariant::ThreeCpuOneBus {
-        return radio_navigation(combo, column, params);
-    }
-    let mut m = ArchitectureModel::new(format!(
-        "radio-navigation {} ({combo:?}, {})",
-        variant.label(),
-        column.label()
-    ));
+    let mut m = ArchitectureModel::new(match variant {
+        ArchitectureVariant::ThreeCpuOneBus => {
+            format!("radio-navigation ({combo:?}, {})", column.label())
+        }
+        _ => format!(
+            "radio-navigation {} ({combo:?}, {})",
+            variant.label(),
+            column.label()
+        ),
+    });
 
     // Platform per variant: map each logical function to a processor, and
-    // each (producer function, consumer function, is_tmc) pair to a bus.
+    // each transfer (TMC or user traffic) to a bus.
     type ProcessorOf = Box<dyn Fn(Function) -> crate::model::ProcessorId>;
     type BusOf = Box<dyn Fn(bool) -> Option<crate::model::BusId>>;
     let (map, bus_for): (ProcessorOf, BusOf) = match variant {
-        ArchitectureVariant::ThreeCpuOneBus => unreachable!("handled above"),
+        ArchitectureVariant::ThreeCpuOneBus | ArchitectureVariant::DualBus => {
+            let mmi = m.add_processor("MMI", params.mmi_mips, params.cpu_policy);
+            let rad = m.add_processor("RAD", params.rad_mips, params.cpu_policy);
+            let nav = m.add_processor("NAV", params.nav_mips, params.cpu_policy);
+            let bus = m.add_bus("BUS", params.bus_bps, params.bus_arbitration);
+            let tmc_bus = (variant == ArchitectureVariant::DualBus)
+                .then(|| m.add_bus("TMC_BUS", params.bus_bps, params.bus_arbitration));
+            (
+                Box::new(move |f| match f {
+                    Function::Mmi => mmi,
+                    Function::Rad => rad,
+                    Function::Nav => nav,
+                }),
+                Box::new(move |is_tmc| Some(tmc_bus.filter(|_| is_tmc).unwrap_or(bus))),
+            )
+        }
         ArchitectureVariant::MmiOnNav => {
             let rad = m.add_processor("RAD", params.rad_mips, params.cpu_policy);
             let nav = m.add_processor(
@@ -462,21 +325,6 @@ pub fn radio_navigation_variant(
             );
             (Box::new(move |_| cpu), Box::new(|_| None))
         }
-        ArchitectureVariant::DualBus => {
-            let mmi = m.add_processor("MMI", params.mmi_mips, params.cpu_policy);
-            let rad = m.add_processor("RAD", params.rad_mips, params.cpu_policy);
-            let nav = m.add_processor("NAV", params.nav_mips, params.cpu_policy);
-            let user_bus = m.add_bus("BUS", params.bus_bps, params.bus_arbitration);
-            let tmc_bus = m.add_bus("TMC_BUS", params.bus_bps, params.bus_arbitration);
-            (
-                Box::new(move |f| match f {
-                    Function::Mmi => mmi,
-                    Function::Rad => rad,
-                    Function::Nav => nav,
-                }),
-                Box::new(move |is_tmc| Some(if is_tmc { tmc_bus } else { user_bus })),
-            )
-        }
     };
 
     // Builds a scenario's steps from (operation, instructions, function)
@@ -510,7 +358,7 @@ pub fn radio_navigation_variant(
         steps
     };
 
-    // --- user application of this combination (priority 0) -------------------
+    // --- user application of this combination (priority 0, Fig. 2) ---------
     match combo {
         ScenarioCombo::ChangeVolumeWithTmc => {
             let steps = build_steps(
@@ -585,7 +433,7 @@ pub fn radio_navigation_variant(
         }
     }
 
-    // --- HandleTMC (priority 1) ----------------------------------------------
+    // --- HandleTMC (priority 1, Fig. 3) ------------------------------------
     let steps = build_steps(
         &[
             ("HandleTMC", 1_000_000, Function::Rad),
@@ -731,20 +579,126 @@ mod tests {
         }
     }
 
+    /// The paper's deployment (Fig. 1), pinned field by field for both
+    /// combinations: the processors and the bus in order, every scenario's
+    /// steps with the resource each runs on, and every requirement's measure
+    /// points and deadline.
     #[test]
-    fn variant_baseline_is_the_paper_architecture() {
-        let a = radio_navigation_variant(
-            ArchitectureVariant::ThreeCpuOneBus,
-            ScenarioCombo::ChangeVolumeWithTmc,
-            EventModelColumn::Sporadic,
-            &CaseStudyParams::default(),
-        );
-        let b = radio_navigation(
-            ScenarioCombo::ChangeVolumeWithTmc,
-            EventModelColumn::Sporadic,
-            &CaseStudyParams::default(),
-        );
-        assert_eq!(a, b);
+    fn baseline_deployment_is_the_paper_architecture() {
+        use MeasurePoint::{AfterStep, Stimulus};
+        let tmc_steps = vec![
+            ("HandleTMC", "RAD"),
+            ("TmcToNav", "BUS"),
+            ("DecodeTMC", "NAV"),
+            ("TmcToMmi", "BUS"),
+            ("UpdateScreenTMC", "MMI"),
+        ];
+        let ms = TimeValue::millis;
+        let cases = [
+            (
+                ScenarioCombo::ChangeVolumeWithTmc,
+                vec![
+                    (
+                        "ChangeVolume",
+                        vec![
+                            ("HandleKeyPress", "MMI"),
+                            ("SetVolume", "BUS"),
+                            ("AdjustVolume", "RAD"),
+                            ("GetVolume", "BUS"),
+                            ("UpdateScreen", "MMI"),
+                        ],
+                    ),
+                    ("HandleTMC", tmc_steps.clone()),
+                ],
+                vec![
+                    (
+                        "K2A (ChangeVolume + HandleTMC)",
+                        Stimulus,
+                        AfterStep(2),
+                        ms(50),
+                    ),
+                    (
+                        "A2V (ChangeVolume + HandleTMC)",
+                        AfterStep(2),
+                        AfterStep(4),
+                        ms(50),
+                    ),
+                    (
+                        "K2V (ChangeVolume + HandleTMC)",
+                        Stimulus,
+                        AfterStep(4),
+                        ms(200),
+                    ),
+                    (
+                        "HandleTMC (+ ChangeVolume)",
+                        Stimulus,
+                        AfterStep(4),
+                        ms(1000),
+                    ),
+                ],
+            ),
+            (
+                ScenarioCombo::AddressLookupWithTmc,
+                vec![
+                    (
+                        "AddressLookup",
+                        vec![
+                            ("HandleKeyPress", "MMI"),
+                            ("Lookup", "BUS"),
+                            ("DatabaseLookup", "NAV"),
+                            ("LookupResult", "BUS"),
+                            ("UpdateScreen", "MMI"),
+                        ],
+                    ),
+                    ("HandleTMC", tmc_steps),
+                ],
+                vec![
+                    (
+                        "AddressLookup (+ HandleTMC)",
+                        Stimulus,
+                        AfterStep(4),
+                        ms(200),
+                    ),
+                    (
+                        "HandleTMC (+ AddressLookup)",
+                        Stimulus,
+                        AfterStep(4),
+                        ms(1000),
+                    ),
+                ],
+            ),
+        ];
+        for (combo, scenarios, requirements) in cases {
+            let m = radio_navigation(
+                combo,
+                EventModelColumn::Sporadic,
+                &CaseStudyParams::default(),
+            );
+            assert_eq!(m.name, format!("radio-navigation ({combo:?}, sp)"));
+            let processors: Vec<&str> = m.processors.iter().map(|p| p.name.as_str()).collect();
+            assert_eq!(processors, ["MMI", "RAD", "NAV"]);
+            let buses: Vec<&str> = m.buses.iter().map(|b| b.name.as_str()).collect();
+            assert_eq!(buses, ["BUS"]);
+            let resource = |step: &Step| match step {
+                Step::Execute { on, .. } => m.processors[on.0].name.as_str(),
+                Step::Transfer { over, .. } => m.buses[over.0].name.as_str(),
+            };
+            let built: Vec<(&str, Vec<(&str, &str)>)> = m
+                .scenarios
+                .iter()
+                .map(|s| {
+                    let steps = s.steps.iter().map(|st| (st.name(), resource(st))).collect();
+                    (s.name.as_str(), steps)
+                })
+                .collect();
+            assert_eq!(built, scenarios, "{combo:?}");
+            let built: Vec<_> = m
+                .requirements
+                .iter()
+                .map(|r| (r.name.as_str(), r.from, r.to, r.deadline))
+                .collect();
+            assert_eq!(built, requirements, "{combo:?}");
+        }
     }
 
     #[test]

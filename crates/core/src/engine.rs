@@ -20,11 +20,10 @@
 //! * [`TaEngine`] — the exact engine.  It answers through its own
 //!   [`AnalysisDb`], the one cache and query dispatcher of the exact
 //!   analysis: one measuring observer and one exploration per requirement
-//!   (the paper's Fig. 9), with generated networks and complete answers
-//!   reused across queries,
+//!   (the paper's Fig. 9), with complete answers reused across queries,
 //! * [`Portfolio`] — fans a query across several engines, checks the paper's
 //!   bracket invariant (every lower bound ≤ every exact value ≤ every upper
-//!   bound, within a tolerance), and reconciles the answers into one
+//!   bound, within [`BRACKET_TOLERANCE`]), and reconciles the answers into one
 //!   [`Estimate`] — Tables 1/2 of the paper as an API call.
 //!
 //! The pre-existing free functions (`analyze_requirement`, `analyze_all`,
@@ -315,9 +314,9 @@ pub struct RunContext {
     /// Periodic progress callback (invoked from the exploring threads).
     pub progress: Option<Arc<tempo_check::ProgressFn>>,
     /// An absolute deadline shared across several runs (a [`Portfolio`]
-    /// pins its retry rounds under one such deadline).  Combined with the
-    /// relative wall-clock budget by [`RunContext::effective_deadline`]:
-    /// whichever is earlier wins.
+    /// runs all its members and their retries under one such deadline).
+    /// Combined with the relative wall-clock budget by
+    /// [`RunContext::effective_deadline`]: whichever is earlier wins.
     pub deadline: Option<Instant>,
     /// Deterministic fault-injection plan (see [`FaultPlan`]), threaded into
     /// the explorer through [`SearchHook::faults`] and polled by engines at
@@ -444,8 +443,8 @@ pub struct EngineReport {
     /// `true` when a budget (wall-clock, state count, or an injected
     /// exhaustion) cut the run short: the estimates are then degraded —
     /// still *sound* (exact analyses report lower bounds) but possibly not
-    /// tight, and verdicts may be `None`.  A [`Portfolio`] may retry
-    /// truncated runs with doubled budgets.
+    /// tight, and verdicts may be `None`.  A [`Portfolio`] keeps a
+    /// truncated answer as it is; it does not retry it.
     pub truncated: bool,
 }
 
@@ -480,9 +479,9 @@ pub enum EngineError {
     /// engine could produce any answer.
     TimedOut,
     /// The model checker failed; the structured [`CheckError`] is preserved
-    /// so callers can tell a budget limit ([`CheckError::StateLimitExceeded`])
-    /// or a retryable transient ([`CheckError::Transient`]) from a genuine
-    /// analysis failure.
+    /// so callers can tell a retryable transient ([`CheckError::Transient`])
+    /// from a genuine analysis failure.  (A state budget never errs: it
+    /// truncates the run.)
     Check(CheckError),
     /// The engine panicked; the panic was caught at the
     /// [`Engine::run_isolated`] unwind barrier.
@@ -503,16 +502,6 @@ impl EngineError {
         matches!(
             self,
             EngineError::Panicked { .. } | EngineError::Check(CheckError::Transient { .. })
-        )
-    }
-
-    /// `true` when the failure is a hard budget limit (the exploration was
-    /// configured to error rather than truncate): a bigger budget, not a
-    /// different engine, is the fix.
-    pub fn is_budget_limited(&self) -> bool {
-        matches!(
-            self,
-            EngineError::Check(CheckError::StateLimitExceeded { .. })
         )
     }
 }
@@ -709,8 +698,8 @@ pub trait Engine {
 /// the model checker behind the [`Engine`] trait.  It answers through its own
 /// [`AnalysisDb`], one measuring observer and one exploration per
 /// requirement, so repeated queries on a model (a portfolio run followed by
-/// per-requirement drill-downs, say) reuse generated networks and complete
-/// answers; [`TaEngine::db`] exposes the cache and its counters.
+/// per-requirement drill-downs, say) reuse complete answers; [`TaEngine::db`]
+/// exposes the cache and its counters.
 pub struct TaEngine {
     db: AnalysisDb,
 }
@@ -828,10 +817,9 @@ pub struct EngineRow {
     /// Classification of the outcome (ok / truncated / declined / panicked /
     /// timed out / cancelled / failed).
     pub status: EngineStatus,
-    /// How many attempts the engine got (1 normally; more when the
-    /// [`RetryPolicy`] retried a transient failure or a truncated run; 0 when
-    /// the query was outside the engine's capabilities or the shared deadline
-    /// had already expired).
+    /// How many attempts the engine got (1 normally; 2 when a transient
+    /// failure was retried; 0 when the query was outside the engine's
+    /// capabilities or the shared deadline had already expired).
     pub attempts: usize,
     /// The run result (engines that declined or failed keep their error so
     /// the comparison stays auditable).
@@ -853,8 +841,8 @@ pub struct RequirementComparison {
     /// Reconciled deadline verdict.
     pub meets_deadline: Option<bool>,
     /// Human-readable descriptions of every bracket violation (a lower bound
-    /// exceeding an upper bound beyond the tolerance) — empty when the
-    /// paper's `sim ≤ exact ≤ analytic` invariant holds.
+    /// exceeding an upper bound by more than [`BRACKET_TOLERANCE`]) — empty
+    /// when the paper's `sim ≤ exact ≤ analytic` invariant holds.
     pub violations: Vec<String>,
 }
 
@@ -864,8 +852,6 @@ pub struct RequirementComparison {
 pub struct ComparisonReport {
     /// The query compared.
     pub query: Query,
-    /// The tolerance used for bracket checks.
-    pub tolerance: TimeValue,
     /// One row per portfolio engine.
     pub rows: Vec<EngineRow>,
     /// Reconciled estimates, one per requirement covered by the query.
@@ -939,32 +925,9 @@ impl fmt::Display for ComparisonReport {
     }
 }
 
-/// How a [`Portfolio`] retries member engines that failed transiently or
-/// answered under a truncating budget.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Additional attempts after the first (`0` disables retrying).
-    pub max_retries: usize,
-    /// Retry runs truncated by a context budget, doubling the wall-clock and
-    /// state budgets on each retry (exponential *forward* backoff) — still
-    /// under the one shared deadline the comparison started with, so retries
-    /// can never extend the overall run beyond it.  The degraded first
-    /// answer is kept if a retry fails outright.
-    pub retry_truncated: bool,
-    /// Retry transient failures ([`EngineError::is_transient`]: isolated
-    /// panics, transient checker errors).
-    pub retry_transient: bool,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 1,
-            retry_truncated: false,
-            retry_transient: true,
-        }
-    }
-}
+/// Slack allowed in a [`Portfolio`]'s bracket checks: quantization of exact
+/// results against the float and ceiling arithmetic of the baselines.
+pub const BRACKET_TOLERANCE: TimeValue = TimeValue::micros(1);
 
 /// A meta-engine fanning a query across several member engines and
 /// reconciling their answers, asserting the paper's bracket invariant
@@ -974,30 +937,14 @@ impl Default for RetryPolicy {
 /// the comparison degrades instead of failing: a member that panics, times
 /// out, is truncated by a budget, declines, or fails transiently gets its
 /// [`EngineStatus`] recorded in its row while reconciliation runs over the
-/// survivors.  The comparison errs only when *no* engine produced an answer
-/// or the caller's own cancellation flag is set.
+/// survivors.  A transient failure ([`EngineError::is_transient`]) is retried
+/// once under the comparison's shared deadline; a truncated answer is kept as
+/// it is.  The comparison errs only when *no* engine produced an answer or
+/// the caller's own cancellation flag is set; bracket violations are
+/// reported ([`ComparisonReport::violations`]), not raised.
+#[derive(Default)]
 pub struct Portfolio {
     engines: Vec<Box<dyn Engine>>,
-    /// Slack allowed in bracket checks (quantization of exact results vs.
-    /// float/ceiling arithmetic in the baselines).  Default: 1 µs.
-    pub tolerance: TimeValue,
-    /// When `true`, a bracket violation turns the run into an
-    /// [`EngineError::Internal`] instead of a reported violation.
-    pub fail_on_violation: bool,
-    /// The retry policy for transiently-failed and budget-truncated member
-    /// runs.
-    pub retry: RetryPolicy,
-}
-
-impl Default for Portfolio {
-    fn default() -> Self {
-        Portfolio {
-            engines: Vec::new(),
-            tolerance: TimeValue::micros(1),
-            fail_on_violation: false,
-            retry: RetryPolicy::default(),
-        }
-    }
 }
 
 impl Portfolio {
@@ -1027,8 +974,7 @@ impl Portfolio {
     /// Engines whose [`Capabilities`] do not cover the query, or that decline
     /// at run time ([`EngineError::Unsupported`]), are recorded but excluded
     /// from reconciliation.  Fails only when *no* engine produced an answer
-    /// or (with [`Portfolio::fail_on_violation`]) when the bracket invariant
-    /// breaks.
+    /// or the caller cancelled.
     pub fn compare(
         &self,
         model: &ArchitectureModel,
@@ -1042,7 +988,7 @@ impl Portfolio {
             let capabilities = engine.capabilities();
             let (outcome, attempts) = if capabilities.supports(query) {
                 let _span = tempo_obs::span!("portfolio.engine", engine.name());
-                self.run_with_retries(engine.as_ref(), model, query, ctx, shared_deadline)
+                run_with_retry(engine.as_ref(), model, query, ctx, shared_deadline)
             } else {
                 let declined = Err(EngineError::Unsupported {
                     engine: engine.name().into(),
@@ -1118,88 +1064,12 @@ impl Portfolio {
             _ => None,
         };
 
-        let report = ComparisonReport {
+        Ok(ComparisonReport {
             query: query.clone(),
-            tolerance: self.tolerance,
             rows,
             requirements,
             verdict,
-        };
-        if self.fail_on_violation && !report.bracket_ok() {
-            return Err(EngineError::Internal(format!(
-                "bracket invariant violated: {}",
-                report.violations().join("; ")
-            )));
-        }
-        Ok(report)
-    }
-
-    /// Runs one member engine under the retry policy: transient failures are
-    /// re-attempted as-is, budget-truncated answers are re-attempted with
-    /// exponentially doubled budgets, and every attempt stays under the one
-    /// `shared_deadline`.  Returns the outcome (preferring a degraded `Ok`
-    /// from an earlier attempt over a final `Err`) and the attempt count.
-    fn run_with_retries(
-        &self,
-        engine: &dyn Engine,
-        model: &ArchitectureModel,
-        query: &Query,
-        ctx: &RunContext,
-        shared_deadline: Option<Instant>,
-    ) -> (Result<EngineReport, EngineError>, usize) {
-        let mut attempt_ctx = ctx.clone();
-        attempt_ctx.deadline = shared_deadline;
-        let mut attempts = 0usize;
-        let mut best_ok: Option<EngineReport> = None;
-        loop {
-            if shared_deadline.is_some_and(|d| Instant::now() >= d) {
-                return (best_ok.map(Ok).unwrap_or(Err(EngineError::TimedOut)), attempts);
-            }
-            attempts += 1;
-            let outcome = engine.run_isolated(model, query, &attempt_ctx);
-            let may_retry = attempts <= self.retry.max_retries;
-            match outcome {
-                Ok(report) => {
-                    // A truncated answer can only improve with a bigger
-                    // budget — and only when there is a context budget to
-                    // double (a truncation from the engine's *own* static
-                    // configuration would just repeat).
-                    let retry = may_retry
-                        && self.retry.retry_truncated
-                        && report.truncated
-                        && (attempt_ctx.budget.wall_clock.is_some()
-                            || attempt_ctx.budget.max_states.is_some());
-                    if !retry {
-                        return (Ok(report), attempts);
-                    }
-                    tempo_obs::event!(
-                        "portfolio.retry",
-                        engine = engine.name(),
-                        attempt = attempts,
-                        reason = "truncated"
-                    );
-                    best_ok = Some(report);
-                }
-                Err(e) => {
-                    let retry = may_retry && self.retry.retry_transient && e.is_transient();
-                    if !retry {
-                        return (best_ok.map(Ok).unwrap_or(Err(e)), attempts);
-                    }
-                    tempo_obs::event!(
-                        "portfolio.retry",
-                        engine = engine.name(),
-                        attempt = attempts,
-                        reason = format!("transient: {e}")
-                    );
-                }
-            }
-            if let Some(b) = attempt_ctx.budget.wall_clock {
-                attempt_ctx.budget.wall_clock = Some(b.saturating_mul(2));
-            }
-            if let Some(s) = attempt_ctx.budget.max_states {
-                attempt_ctx.budget.max_states = Some(s.saturating_mul(2));
-            }
-        }
+        })
     }
 
     fn reconcile(&self, requirement: &str, rows: &[EngineRow]) -> RequirementComparison {
@@ -1222,7 +1092,7 @@ impl Portfolio {
             for j in (i + 1)..estimates.len() {
                 let (ref a_name, a) = estimates[i];
                 let (ref b_name, b) = estimates[j];
-                if !a.consistent_with(b, self.tolerance) {
+                if !a.consistent_with(b, BRACKET_TOLERANCE) {
                     violations.push(format!(
                         "{requirement}: {a_name} {a} contradicts {b_name} {b}"
                     ));
@@ -1261,6 +1131,37 @@ impl Portfolio {
             reconciled,
             meets_deadline,
             violations,
+        }
+    }
+}
+
+/// Runs one member engine of a [`Portfolio`]: a transient failure
+/// ([`EngineError::is_transient`]) is retried once as it was, and every
+/// attempt stays under the one `shared_deadline`.  Returns the outcome and
+/// the attempt count.
+fn run_with_retry(
+    engine: &dyn Engine,
+    model: &ArchitectureModel,
+    query: &Query,
+    ctx: &RunContext,
+    shared_deadline: Option<Instant>,
+) -> (Result<EngineReport, EngineError>, usize) {
+    let mut attempt_ctx = ctx.clone();
+    attempt_ctx.deadline = shared_deadline;
+    let mut attempts = 0usize;
+    loop {
+        if shared_deadline.is_some_and(|d| Instant::now() >= d) {
+            return (Err(EngineError::TimedOut), attempts);
+        }
+        attempts += 1;
+        match engine.run_isolated(model, query, &attempt_ctx) {
+            Err(e) if attempts == 1 && e.is_transient() => tempo_obs::event!(
+                "portfolio.retry",
+                engine = engine.name(),
+                attempt = attempts,
+                reason = format!("transient: {e}")
+            ),
+            outcome => return (outcome, attempts),
         }
     }
 }
@@ -1534,22 +1435,17 @@ mod tests {
                 BoundKind::Upper,
                 Estimate::UpperBound(TimeValue::millis(5)),
             )));
+        // The violation is reported, not raised: one per requirement, each
+        // naming both engines.
         let report = broken
             .compare(&model, &Query::WcrtAll, &RunContext::default())
             .unwrap();
         assert!(!report.bracket_ok());
-        assert!(!report.violations().is_empty());
-        let mut strict = Portfolio::new()
-            .with_engine(Box::new(Fixed("low", BoundKind::Lower, lo)))
-            .with_engine(Box::new(Fixed(
-                "wrong",
-                BoundKind::Upper,
-                Estimate::UpperBound(TimeValue::millis(5)),
-            )));
-        strict.fail_on_violation = true;
-        assert!(strict
-            .compare(&model, &Query::WcrtAll, &RunContext::default())
-            .is_err());
+        let violations = report.violations();
+        assert_eq!(violations.len(), report.requirements.len());
+        assert!(violations
+            .iter()
+            .all(|v| v.contains("low") && v.contains("contradicts wrong")));
     }
 
     /// A fake engine whose `run` behavior is scripted per attempt.
@@ -1699,46 +1595,37 @@ mod tests {
         assert_eq!(row.status, EngineStatus::Ok);
         assert_eq!(row.attempts, 2, "one transient failure, one retry");
         assert!(row.outcome.is_ok());
+        // A second transient failure is final: there is no third attempt.
+        let portfolio = Portfolio::new()
+            .with_engine(Box::new(Scripted {
+                name: "broken",
+                bound: BoundKind::Lower,
+                calls: std::sync::atomic::AtomicUsize::new(0),
+                script: |_, _: &RunContext| {
+                    Err(EngineError::Check(tempo_check::CheckError::Transient {
+                        detail: "every attempt wobbles".into(),
+                    }))
+                },
+            }))
+            .with_engine(Box::new(Scripted {
+                name: "steady",
+                bound: BoundKind::Lower,
+                calls: std::sync::atomic::AtomicUsize::new(0),
+                script: move |_, _: &RunContext| Ok(fixed_report("steady", &two_task_model(), est)),
+            }));
+        let report = portfolio
+            .compare(&model, &Query::WcrtAll, &RunContext::default())
+            .unwrap();
+        let row = &report.rows[0];
+        assert_eq!(row.status, EngineStatus::Failed);
+        assert_eq!(row.attempts, 2, "two transient failures, one retry");
     }
 
     #[test]
-    fn truncated_results_retry_with_doubled_budgets() {
+    fn truncated_results_are_kept_without_retry() {
         let model = two_task_model();
-        let mut portfolio = Portfolio::new().with_engine(Box::new(Scripted {
-            name: "budgeted",
-            bound: BoundKind::Lower,
-            calls: std::sync::atomic::AtomicUsize::new(0),
-            script: move |_, ctx: &RunContext| {
-                let m = two_task_model();
-                // Converges once the state budget has been doubled past 1000.
-                if ctx.budget.max_states.is_some_and(|s| s > 1_000) {
-                    Ok(fixed_report(
-                        "budgeted",
-                        &m,
-                        Estimate::LowerBound(TimeValue::millis(12)),
-                    ))
-                } else {
-                    let mut r =
-                        fixed_report("budgeted", &m, Estimate::LowerBound(TimeValue::millis(4)));
-                    r.truncated = true;
-                    Ok(r)
-                }
-            },
-        }));
-        portfolio.retry = RetryPolicy {
-            max_retries: 2,
-            retry_truncated: true,
-            retry_transient: true,
-        };
         let ctx = RunContext::with_max_states(600);
-        let report = portfolio.compare(&model, &Query::WcrtAll, &ctx).unwrap();
-        let row = &report.rows[0];
-        // 600 → truncated, 1200 → converged.
-        assert_eq!(row.attempts, 2);
-        assert_eq!(row.status, EngineStatus::Ok);
-        assert!(!row.outcome.as_ref().unwrap().truncated);
-        // Without the policy the first truncated answer is kept.
-        let lenient = Portfolio::new().with_engine(Box::new(Scripted {
+        let portfolio = Portfolio::new().with_engine(Box::new(Scripted {
             name: "budgeted",
             bound: BoundKind::Lower,
             calls: std::sync::atomic::AtomicUsize::new(0),
@@ -1750,7 +1637,7 @@ mod tests {
                 Ok(r)
             },
         }));
-        let report = lenient.compare(&model, &Query::WcrtAll, &ctx).unwrap();
+        let report = portfolio.compare(&model, &Query::WcrtAll, &ctx).unwrap();
         assert_eq!(report.rows[0].attempts, 1);
         assert_eq!(report.rows[0].status, EngineStatus::Truncated);
     }

@@ -6,12 +6,14 @@
 //! period at a time, yet the classic pipeline re-validates, re-generates and
 //! re-explores every requirement of every point from scratch.  The
 //! [`AnalysisDb`] fixes that with the standard incremental-computation trick:
-//! every derived artifact — the generated timed-automata network and the
-//! per-requirement [`WcrtReport`] — is stored under a stable content hash of
-//! its *input cone*, the subset of the model the artifact actually depends
-//! on.  Re-running a query whose cone is unchanged is a cache hit and costs a
+//! every complete answer — a per-requirement [`WcrtReport`] or a
+//! queue-boundedness outcome — is stored under a stable content hash of its
+//! *input cone*, the subset of the model the answer actually depends on.
+//! Re-running a query whose cone is unchanged is a cache hit and costs a
 //! hash; editing one task's duration or one processor's MIPS invalidates only
-//! the queries whose cone contains the edited entity.
+//! the queries whose cone contains the edited entity.  A miss generates the
+//! timed-automata network it explores and drops it with the exploration: no
+//! network outlives its query.
 //!
 //! ## What is in a WCRT query's cone?
 //!
@@ -86,7 +88,7 @@ use crate::model::{ArchitectureModel, Requirement};
 use crate::time::Quantizer;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 use tempo_check::ExplorationStats;
 
@@ -228,23 +230,6 @@ fn base_cone_hash(model: &ArchitectureModel, cfg: &AnalysisConfig) -> u64 {
     h.finish()
 }
 
-/// Cache key of a generated network: the full model content plus the observer
-/// flavor (`None` for the functional base network, `Some` for a measuring
-/// network).  Networks embed every automaton, so their cone is the whole
-/// model rather than a sharing closure.
-fn network_key(model: &ArchitectureModel, observed: Option<&Requirement>, cfg: &AnalysisConfig) -> u64 {
-    let mut h = StableHasher::new();
-    base_cone_hash(model, cfg).hash(&mut h);
-    match observed {
-        None => 0u8.hash(&mut h),
-        Some(req) => {
-            1u8.hash(&mut h);
-            req.hash(&mut h);
-        }
-    }
-    h.finish()
-}
-
 /// Overlays a [`RunContext`]'s budget and hooks onto an analysis
 /// configuration — the single translation behind the database's query
 /// entry points.
@@ -253,7 +238,6 @@ fn apply_run_context(cfg: &AnalysisConfig, ctx: &RunContext) -> AnalysisConfig {
     cfg.search.hook = ctx.search_hook();
     if let Some(limit) = ctx.budget.max_states {
         cfg.search.max_states = Some(cfg.search.max_states.map_or(limit, |l| l.min(limit)));
-        cfg.search.truncate_on_limit = true;
     }
     cfg
 }
@@ -268,11 +252,12 @@ pub struct DbStats {
     /// Logical queries whose input cone changed since their previous run
     /// (a no-op edit changes nothing and counts no invalidation).
     pub invalidations: u64,
-    /// Timed-automata networks generated (cache misses of the network layer).
+    /// Timed-automata networks generated: one per cache miss (a network
+    /// lives only as long as its exploration).
     pub generations: u64,
-    /// Cumulative wall-clock nanoseconds spent generating networks on cache
-    /// misses of the network layer (clamped to at least 1 ns per miss so a
-    /// sub-timer-tick generation still registers).
+    /// Cumulative wall-clock nanoseconds spent generating networks (clamped
+    /// to at least 1 ns per generation so a sub-timer-tick generation still
+    /// registers).
     pub generation_nanos: u64,
     /// Cumulative wall-clock nanoseconds spent exploring on query cache
     /// misses (same 1 ns-per-miss clamp).
@@ -302,8 +287,6 @@ enum QueueOutcome {
 
 #[derive(Default)]
 struct DbInner {
-    /// Generated networks by [`network_key`].
-    networks: HashMap<u64, Arc<GeneratedModel>>,
     /// Complete per-requirement reports by [`estimate_cone_hash`].
     estimates: HashMap<u64, WcrtReport>,
     /// Complete queue-check outcomes by [`base_cone_hash`].
@@ -371,25 +354,20 @@ impl AnalysisDb {
         }
     }
 
-    /// The generated network for `observed`, from cache or the generator.
+    /// Generates the network for `observed`, counting the generation.
     fn network(
         &self,
         model: &ArchitectureModel,
         observed: Option<&Requirement>,
-    ) -> Result<Arc<GeneratedModel>, ArchError> {
-        let key = network_key(model, observed, &self.cfg);
-        if let Some(g) = self.inner.lock().expect("analysis db lock").networks.get(&key) {
-            return Ok(Arc::clone(g));
-        }
+    ) -> Result<GeneratedModel, ArchError> {
         let gen_started = Instant::now();
-        let generated = Arc::new(generate(model, observed, &self.cfg.generator)?);
+        let generated = generate(model, observed, &self.cfg.generator)?;
         let gen_nanos = u64::try_from(gen_started.elapsed().as_nanos())
             .unwrap_or(u64::MAX)
             .max(1);
         let mut inner = self.inner.lock().expect("analysis db lock");
         inner.stats.generations += 1;
         inner.stats.generation_nanos += gen_nanos;
-        inner.networks.insert(key, Arc::clone(&generated));
         Ok(generated)
     }
 

@@ -50,8 +50,12 @@ impl TimeValue {
     }
 
     /// An integer number of microseconds.
-    pub fn micros(us: i128) -> TimeValue {
-        TimeValue::ratio_us(us, 1)
+    ///
+    /// # Panics
+    /// Panics if `us` is negative.
+    pub const fn micros(us: i128) -> TimeValue {
+        assert!(us >= 0, "time values must be non-negative");
+        TimeValue { num: us, den: 1 }
     }
 
     /// An integer number of milliseconds.

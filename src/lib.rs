@@ -77,7 +77,7 @@
 //!
 //! Repeated analyses — parameter sweeps, edit–re-analyse loops — run
 //! against an [`AnalysisDb`](arch::incremental::AnalysisDb), which memoizes
-//! generated networks and finished estimates by a content hash of each
+//! finished estimates by a content hash of each
 //! query's **input cone** (the resource-sharing closure of its scenario,
 //! the requirement, the quantizer tick and the generator config).  A
 //! [`Sweep`](arch::explore::Sweep) over a shared database only explores
@@ -133,9 +133,10 @@
 //! engine degrades to a per-engine
 //! [`EngineStatus`](arch::engine::EngineStatus) row
 //! in the [`ComparisonReport`](arch::engine::ComparisonReport) while the
-//! survivors still reconcile, and transient failures or budget-truncated
-//! answers are retried under a [`RetryPolicy`](arch::engine::RetryPolicy)
-//! with exponentially doubled budgets beneath one shared deadline.
+//! survivors still reconcile.  A transient failure
+//! ([`EngineError::is_transient`](arch::engine::EngineError::is_transient))
+//! is retried once beneath the comparison's one shared deadline; a
+//! budget-truncated answer is kept as the sound lower bound it is.
 //!
 //! These paths are testable deterministically: a seeded
 //! [`FaultPlan`](check::FaultPlan) threaded through

@@ -26,7 +26,7 @@ fn session_caches_across_query_kinds() {
     assert_eq!(generations(), per_requirement);
     engine.run(&model, &Query::WcrtAll, &ctx).unwrap();
     assert_eq!(generations(), per_requirement);
-    // Drill-downs on one requirement reuse its network.
+    // Drill-downs on one requirement answer from its cached estimate.
     engine.run(&model, &Query::wcrt("r0"), &ctx).unwrap();
     engine.run(&model, &Query::deadline_check("r0"), &ctx).unwrap();
     engine.run(&model, &Query::Supremum { requirement: "r0".into() }, &ctx).unwrap();
