@@ -490,6 +490,10 @@ impl<'s> Explorer<'s> {
     }
 
     /// `EF target`: is a state matching the target reachable?
+    ///
+    /// Also the safety check `AG ¬bad` with `target = bad`: the property
+    /// *holds* iff `report.reachable` is `false`, and the trace (if any) is a
+    /// counterexample.
     pub fn check_reachable(&self, target: &TargetSpec) -> Result<ReachReport, CheckError> {
         let seed = QuerySeed {
             target: target.clone(),
@@ -501,15 +505,6 @@ impl<'s> Explorer<'s> {
             trace,
             stats,
         })
-    }
-
-    /// `AG ¬bad`: does every reachable state avoid the given bad set?
-    ///
-    /// Returns the same report as [`Explorer::check_reachable`]; the property
-    /// *holds* iff `report.reachable` is `false`, and the trace (if any) is a
-    /// counterexample.
-    pub fn check_safety(&self, bad: &TargetSpec) -> Result<ReachReport, CheckError> {
-        self.check_reachable(bad)
     }
 
     /// Explores the entire reachable zone graph, invoking `visit` on every
@@ -858,7 +853,7 @@ mod tests {
         // The queue can never hold 2 items: consumption (3) is faster than
         // production (10) and service is greedy.
         let overflow = TargetSpec::any().with_int_guard(queued.ge_(2));
-        let report = ex.check_safety(&overflow).unwrap();
+        let report = ex.check_reachable(&overflow).unwrap();
         assert!(!report.reachable, "queue overflowed: {:?}", report.trace);
         // But a single queued item is of course reachable (briefly).
         let one = TargetSpec::any().with_int_guard(queued.ge_(1));

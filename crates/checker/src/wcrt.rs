@@ -118,6 +118,8 @@ impl<'s> Explorer<'s> {
     /// to `max_cap`) until the supremum no longer touches it.  A truncated
     /// exploration (state limit or wall-clock budget) stops the doubling: the
     /// supremum is only a lower bound there and a larger cap cannot fix that.
+    /// Both caps are clamped to [`Bound::MAX_CONSTANT`], the largest clock
+    /// constant a zone can hold.
     pub fn sup_clock_at_auto(
         &self,
         target: &TargetSpec,
@@ -125,7 +127,8 @@ impl<'s> Explorer<'s> {
         initial_cap: i64,
         max_cap: i64,
     ) -> Result<SupReport, CheckError> {
-        let mut cap = initial_cap.max(1);
+        let max_cap = max_cap.min(Bound::MAX_CONSTANT);
+        let mut cap = initial_cap.clamp(1, Bound::MAX_CONSTANT);
         loop {
             let report = self.sup_clock_at(target, clock, cap)?;
             if !report.cap_hit || report.stats.truncated || cap >= max_cap {
@@ -141,8 +144,9 @@ impl<'s> Explorer<'s> {
     ///
     /// `lo` must be a value for which the property does *not* hold (0 works
     /// whenever the target is reachable at all) and `hi` a value for which it
-    /// does.  Returns an error description via `CheckError::UnknownQueryEntity`
-    /// if `hi` does not satisfy the property (the caller should enlarge it).
+    /// does; it is clamped to [`Bound::MAX_CONSTANT`].  Returns an error
+    /// description via `CheckError::UnknownQueryEntity` if `hi` does not
+    /// satisfy the property (the caller should enlarge it).
     pub fn binary_search_wcrt(
         &self,
         target: &TargetSpec,
@@ -164,6 +168,7 @@ impl<'s> Explorer<'s> {
             Ok((report.reachable, report.stats))
         };
 
+        let hi = hi.min(Bound::MAX_CONSTANT);
         let mut iterations = 0usize;
         let (hi_violated, mut last_stats) = violated(hi)?;
         iterations += 1;

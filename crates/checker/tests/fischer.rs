@@ -77,7 +77,7 @@ fn fischer_two_processes_is_safe() {
     let sys = fischer(2, true);
     let ex = Explorer::new(&sys, SearchOptions::default()).unwrap();
     for target in mutex_violation_target(&sys, 2) {
-        let report = ex.check_safety(&target).unwrap();
+        let report = ex.check_reachable(&target).unwrap();
         assert!(!report.reachable, "mutex violated: {:?}", report.trace);
     }
 }
@@ -88,7 +88,7 @@ fn fischer_three_processes_is_safe_under_all_search_orders() {
     for order in [SearchOrder::Bfs, SearchOrder::Dfs, SearchOrder::RandomDfs] {
         let ex = Explorer::new(&sys, SearchOptions::with_order(order)).unwrap();
         for target in mutex_violation_target(&sys, 3) {
-            let report = ex.check_safety(&target).unwrap();
+            let report = ex.check_reachable(&target).unwrap();
             assert!(!report.reachable, "{order:?}: mutex violated");
         }
     }

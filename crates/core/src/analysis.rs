@@ -302,6 +302,7 @@ pub fn analyze_requirement_binary_search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Query, RunContext};
     use crate::incremental::AnalysisDb;
     use crate::model::{
         EventModel, MeasurePoint, Scenario, SchedulingPolicy, Step,
@@ -499,13 +500,32 @@ mod tests {
     }
 
     #[test]
+    fn huge_cap_factors_are_clamped_to_the_largest_dbm_constant() {
+        let m = two_task_model(SchedulingPolicy::FixedPriorityNonPreemptive);
+        let huge = AnalysisDb::new(AnalysisConfig {
+            initial_cap_factor: i64::MAX,
+            max_cap_factor: i64::MAX,
+            ..AnalysisConfig::default()
+        });
+        for name in ["hi-rt", "lo-rt"] {
+            let expected = wcrt(&m, name).unwrap();
+            assert!(expected.estimate().is_exact());
+            assert_eq!(huge.wcrt(&m, name).unwrap().estimate(), expected.estimate());
+            let searched = analyze_requirement_binary_search(&m, name, huge.config()).unwrap();
+            assert_eq!(searched.wcrt, expected.wcrt);
+        }
+    }
+
+    #[test]
     fn analyze_all_covers_every_requirement() {
         let m = two_task_model(SchedulingPolicy::FixedPriorityNonPreemptive);
-        // One dedicated network and one report with its own statistics per
-        // requirement (the dropped `analyze_all` contract).
-        let reports = AnalysisDb::new(AnalysisConfig::default()).wcrt_all(&m).unwrap();
-        assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(|r| r.wcrt.is_some()));
-        assert!(reports.iter().all(|r| r.meets_deadline == Some(true)));
+        // One dedicated network and one estimate per requirement (the
+        // dropped `analyze_all` contract).
+        let db = AnalysisDb::new(AnalysisConfig::default());
+        let report = db.run(&m, &Query::WcrtAll, &RunContext::default()).unwrap();
+        assert_eq!(report.estimates.len(), 2);
+        assert!(report.estimates.iter().all(|e| e.estimate.is_exact()));
+        assert!(report.estimates.iter().all(|e| e.meets_deadline == Some(true)));
+        assert_eq!(db.stats().generations, 2);
     }
 }

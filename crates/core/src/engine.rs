@@ -7,13 +7,14 @@
 //! surface shared by all four techniques:
 //!
 //! * [`Query`] — what is being asked (a WCRT, all WCRTs, a deadline verdict,
-//!   queue boundedness, a raw supremum),
+//!   queue boundedness),
 //! * [`Estimate`] — how an answer bounds the true value
 //!   (exact / lower bound / upper bound / interval), with refinement and
 //!   bracket-consistency helpers, so "sim ≤ exact ≤ analytic" is a typed
 //!   relation instead of float plumbing in examples,
 //! * [`Engine`] — the trait every technique implements (`TaEngine` here,
-//!   `RtcEngine`, `SymtaEngine` and `SimEngine` in their crates),
+//!   `RtcEngine`, `SymtaEngine` and `SimEngine` in their crates); an engine
+//!   declines a query it cannot answer with [`EngineError::Unsupported`],
 //! * [`RunContext`] — wall-clock/state budgets, cooperative cancellation and
 //!   progress reporting, threaded down into the model checker's explorer
 //!   through [`tempo_check::SearchHook`],
@@ -70,13 +71,6 @@ pub enum Query {
     /// Do all event queues stay within their configured capacity (the
     /// schedulability-style sanity check)?
     QueueBounds,
-    /// The raw response-time supremum of one requirement — the same estimate
-    /// as [`Query::Wcrt`] but without the deadline verdict (the paper's
-    /// `sup y` query in isolation).
-    Supremum {
-        /// Requirement name.
-        requirement: String,
-    },
 }
 
 impl Query {
@@ -97,9 +91,9 @@ impl Query {
     /// The requirement the query is about, if it targets a single one.
     pub fn requirement(&self) -> Option<&str> {
         match self {
-            Query::Wcrt { requirement }
-            | Query::DeadlineCheck { requirement }
-            | Query::Supremum { requirement } => Some(requirement),
+            Query::Wcrt { requirement } | Query::DeadlineCheck { requirement } => {
+                Some(requirement)
+            }
             Query::WcrtAll | Query::QueueBounds => None,
         }
     }
@@ -112,7 +106,6 @@ impl fmt::Display for Query {
             Query::WcrtAll => write!(f, "wcrt(*)"),
             Query::DeadlineCheck { requirement } => write!(f, "deadline({requirement})"),
             Query::QueueBounds => write!(f, "queue-bounds"),
-            Query::Supremum { requirement } => write!(f, "sup({requirement})"),
         }
     }
 }
@@ -245,48 +238,8 @@ impl fmt::Display for Estimate {
 }
 
 // ---------------------------------------------------------------------------
-// Engine trait, capabilities, context, reports, errors
+// Engine trait, context, reports, errors
 // ---------------------------------------------------------------------------
-
-/// The kind of bound an engine's estimates provide.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BoundKind {
-    /// Exact values (the timed-automata analysis).
-    Exact,
-    /// Lower bounds (simulation: observes some schedules).
-    Lower,
-    /// Conservative upper bounds (the analytic baselines).
-    Upper,
-    /// A mix (a portfolio reconciling several engines).
-    Mixed,
-}
-
-/// What an engine can answer, advertised so a [`Portfolio`] can route
-/// queries without trial and error.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Capabilities {
-    /// The kind of bound the WCRT estimates provide.
-    pub bound: BoundKind,
-    /// Supports [`Query::Wcrt`] / [`Query::WcrtAll`] / [`Query::Supremum`].
-    pub wcrt: bool,
-    /// Supports [`Query::DeadlineCheck`] (possibly only in one direction —
-    /// an upper-bound engine proves deadlines met, a lower-bound engine
-    /// refutes them).
-    pub deadline_check: bool,
-    /// Supports [`Query::QueueBounds`].
-    pub queue_bounds: bool,
-}
-
-impl Capabilities {
-    /// `true` iff the engine can (attempt to) answer the query.
-    pub fn supports(&self, query: &Query) -> bool {
-        match query {
-            Query::Wcrt { .. } | Query::WcrtAll | Query::Supremum { .. } => self.wcrt,
-            Query::DeadlineCheck { .. } => self.deadline_check,
-            Query::QueueBounds => self.queue_bounds,
-        }
-    }
-}
 
 /// Budget limits of one engine run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -600,9 +553,10 @@ pub fn upper_bound_row(
 
 /// Drives an analytic upper-bound engine's query dispatch — the shared body
 /// of `RtcEngine::run` and `SymtaEngine::run` (and any future analytic
-/// baseline): checks cancellation, declines TDMA models, routes the query to
-/// the per-requirement (`one`) or all-requirements (`all`) closure, applies
-/// the shared verdict conventions and assembles the uniform report.
+/// baseline): declines [`Query::QueueBounds`], checks cancellation, declines
+/// TDMA models, routes the query to the per-requirement (`one`) or
+/// all-requirements (`all`) closure, applies the shared verdict conventions
+/// and assembles the uniform report.
 pub fn run_upper_bound_engine(
     engine: &'static str,
     model: &ArchitectureModel,
@@ -611,6 +565,14 @@ pub fn run_upper_bound_engine(
     one: &mut dyn FnMut(&str) -> Result<RequirementEstimate, EngineError>,
     all: &mut dyn FnMut() -> Result<Vec<RequirementEstimate>, EngineError>,
 ) -> Result<EngineReport, EngineError> {
+    // Refused before the fault poll, so a query the engine never answers
+    // does not consume a visit of the engine-entry fault site.
+    if matches!(query, Query::QueueBounds) {
+        return Err(EngineError::Unsupported {
+            engine: engine.into(),
+            detail: "queue-boundedness needs the exact state space".into(),
+        });
+    }
     if ctx.is_cancelled() {
         return Err(EngineError::Cancelled);
     }
@@ -622,23 +584,13 @@ pub fn run_upper_bound_engine(
     let started = Instant::now();
     let (estimates, verdict) = match query {
         Query::Wcrt { requirement } => (vec![one(requirement)?], None),
-        Query::Supremum { requirement } => {
-            let mut row = one(requirement)?;
-            row.meets_deadline = None;
-            (vec![row], None)
-        }
         Query::DeadlineCheck { requirement } => {
             let row = one(requirement)?;
             let verdict = row.meets_deadline;
             (vec![row], verdict)
         }
         Query::WcrtAll => (all()?, None),
-        Query::QueueBounds => {
-            return Err(EngineError::Unsupported {
-                engine: engine.into(),
-                detail: "queue-boundedness needs the exact state space".into(),
-            })
-        }
+        Query::QueueBounds => unreachable!("declined on entry"),
     };
     Ok(EngineReport {
         engine: engine.into(),
@@ -657,10 +609,8 @@ pub trait Engine {
     /// "mpa", "portfolio").
     fn name(&self) -> &'static str;
 
-    /// What the engine can answer and what kind of bounds it produces.
-    fn capabilities(&self) -> Capabilities;
-
-    /// Answers `query` about `model` under `ctx`.
+    /// Answers `query` about `model` under `ctx`.  A query or model shape the
+    /// engine cannot answer is declined with [`EngineError::Unsupported`].
     fn run(
         &self,
         model: &ArchitectureModel,
@@ -727,15 +677,6 @@ impl TaEngine {
 impl Engine for TaEngine {
     fn name(&self) -> &'static str {
         "timed-automata"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            bound: BoundKind::Exact,
-            wcrt: true,
-            deadline_check: true,
-            queue_bounds: true,
-        }
     }
 
     fn run(
@@ -812,14 +753,12 @@ impl fmt::Display for EngineStatus {
 pub struct EngineRow {
     /// The engine's [`Engine::name`].
     pub engine: String,
-    /// The kind of bound the engine advertises.
-    pub bound: BoundKind,
     /// Classification of the outcome (ok / truncated / declined / panicked /
     /// timed out / cancelled / failed).
     pub status: EngineStatus,
-    /// How many attempts the engine got (1 normally; 2 when a transient
-    /// failure was retried; 0 when the query was outside the engine's
-    /// capabilities or the shared deadline had already expired).
+    /// How many attempts the engine got (1 normally, a declined query
+    /// included; 2 when a transient failure was retried; 0 only when the
+    /// shared deadline had expired before the first attempt).
     pub attempts: usize,
     /// The run result (engines that declined or failed keep their error so
     /// the comparison stays auditable).
@@ -893,9 +832,8 @@ impl fmt::Display for ComparisonReport {
             match &row.outcome {
                 Ok(report) => writeln!(
                     f,
-                    "  {:<16} [{:?} bounds] {} in {:.2?}{attempts}{}",
+                    "  {:<16} {} in {:.2?}{attempts}{}",
                     row.engine,
-                    row.bound,
                     row.status,
                     report.wall_time,
                     report
@@ -959,11 +897,6 @@ impl Portfolio {
         self
     }
 
-    /// Adds an engine.
-    pub fn push(&mut self, engine: Box<dyn Engine>) {
-        self.engines.push(engine);
-    }
-
     /// The member engines' names, in run order.
     pub fn engine_names(&self) -> Vec<&'static str> {
         self.engines.iter().map(|e| e.name()).collect()
@@ -971,10 +904,9 @@ impl Portfolio {
 
     /// Fans `query` across every member engine and reconciles the answers.
     ///
-    /// Engines whose [`Capabilities`] do not cover the query, or that decline
-    /// at run time ([`EngineError::Unsupported`]), are recorded but excluded
-    /// from reconciliation.  Fails only when *no* engine produced an answer
-    /// or the caller cancelled.
+    /// Engines that decline ([`EngineError::Unsupported`]) are recorded but
+    /// excluded from reconciliation.  Fails only when *no* engine produced an
+    /// answer or the caller cancelled.
     pub fn compare(
         &self,
         model: &ArchitectureModel,
@@ -985,16 +917,9 @@ impl Portfolio {
         let shared_deadline = ctx.effective_deadline(Instant::now());
         let mut rows: Vec<EngineRow> = Vec::with_capacity(self.engines.len());
         for engine in &self.engines {
-            let capabilities = engine.capabilities();
-            let (outcome, attempts) = if capabilities.supports(query) {
+            let (outcome, attempts) = {
                 let _span = tempo_obs::span!("portfolio.engine", engine.name());
                 run_with_retry(engine.as_ref(), model, query, ctx, shared_deadline)
-            } else {
-                let declined = Err(EngineError::Unsupported {
-                    engine: engine.name().into(),
-                    detail: format!("query {query} outside the engine's capabilities"),
-                });
-                (declined, 0)
             };
             let status = EngineStatus::classify(&outcome);
             if !matches!(status, EngineStatus::Ok) {
@@ -1007,7 +932,6 @@ impl Portfolio {
             }
             rows.push(EngineRow {
                 engine: engine.name().into(),
-                bound: capabilities.bound,
                 status,
                 attempts,
                 outcome,
@@ -1169,22 +1093,6 @@ fn run_with_retry(
 impl Engine for Portfolio {
     fn name(&self) -> &'static str {
         "portfolio"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        let mut caps = Capabilities {
-            bound: BoundKind::Mixed,
-            wcrt: false,
-            deadline_check: false,
-            queue_bounds: false,
-        };
-        for engine in &self.engines {
-            let c = engine.capabilities();
-            caps.wcrt |= c.wcrt;
-            caps.deadline_check |= c.deadline_check;
-            caps.queue_bounds |= c.queue_bounds;
-        }
-        caps
     }
 
     fn run(
@@ -1355,8 +1263,6 @@ mod tests {
         let model = two_task_model();
         let engine = TaEngine::default();
         assert_eq!(engine.name(), "timed-automata");
-        assert!(engine.capabilities().supports(&Query::WcrtAll));
-        assert!(engine.capabilities().supports(&Query::QueueBounds));
         let report = engine
             .run(&model, &Query::WcrtAll, &RunContext::default())
             .unwrap();
@@ -1369,18 +1275,10 @@ mod tests {
     #[test]
     fn portfolio_reconciles_and_checks_brackets() {
         /// A fake engine returning a fixed estimate for every requirement.
-        struct Fixed(&'static str, BoundKind, Estimate);
+        struct Fixed(&'static str, Estimate);
         impl Engine for Fixed {
             fn name(&self) -> &'static str {
                 self.0
-            }
-            fn capabilities(&self) -> Capabilities {
-                Capabilities {
-                    bound: self.1,
-                    wcrt: true,
-                    deadline_check: false,
-                    queue_bounds: false,
-                }
             }
             fn run(
                 &self,
@@ -1396,7 +1294,7 @@ mod tests {
                         .iter()
                         .map(|r| RequirementEstimate {
                             requirement: r.name.clone(),
-                            estimate: self.2,
+                            estimate: self.1,
                             deadline: r.deadline,
                             meets_deadline: None,
                         })
@@ -1413,8 +1311,8 @@ mod tests {
         let lo = Estimate::LowerBound(TimeValue::millis(10));
         let hi = Estimate::UpperBound(TimeValue::millis(14));
         let portfolio = Portfolio::new()
-            .with_engine(Box::new(Fixed("low", BoundKind::Lower, lo)))
-            .with_engine(Box::new(Fixed("high", BoundKind::Upper, hi)));
+            .with_engine(Box::new(Fixed("low", lo)))
+            .with_engine(Box::new(Fixed("high", hi)));
         let report = portfolio
             .compare(&model, &Query::WcrtAll, &RunContext::default())
             .unwrap();
@@ -1429,12 +1327,8 @@ mod tests {
         );
         // A contradicting engine is caught by the bracket check.
         let broken = Portfolio::new()
-            .with_engine(Box::new(Fixed("low", BoundKind::Lower, lo)))
-            .with_engine(Box::new(Fixed(
-                "wrong",
-                BoundKind::Upper,
-                Estimate::UpperBound(TimeValue::millis(5)),
-            )));
+            .with_engine(Box::new(Fixed("low", lo)))
+            .with_engine(Box::new(Fixed("wrong", Estimate::UpperBound(TimeValue::millis(5)))));
         // The violation is reported, not raised: one per requirement, each
         // naming both engines.
         let report = broken
@@ -1451,7 +1345,6 @@ mod tests {
     /// A fake engine whose `run` behavior is scripted per attempt.
     struct Scripted<F: Fn(usize, &RunContext) -> Result<EngineReport, EngineError>> {
         name: &'static str,
-        bound: BoundKind,
         calls: std::sync::atomic::AtomicUsize,
         script: F,
     }
@@ -1459,14 +1352,6 @@ mod tests {
     impl<F: Fn(usize, &RunContext) -> Result<EngineReport, EngineError>> Engine for Scripted<F> {
         fn name(&self) -> &'static str {
             self.name
-        }
-        fn capabilities(&self) -> Capabilities {
-            Capabilities {
-                bound: self.bound,
-                wcrt: true,
-                deadline_check: false,
-                queue_bounds: false,
-            }
         }
         fn run(
             &self,
@@ -1508,7 +1393,6 @@ mod tests {
         let model = two_task_model();
         let bomb = Scripted {
             name: "bomb",
-            bound: BoundKind::Lower,
             calls: std::sync::atomic::AtomicUsize::new(0),
             script: |_, _: &RunContext| panic!("chaos-mock: engine detonated"),
         };
@@ -1533,19 +1417,16 @@ mod tests {
         let portfolio = Portfolio::new()
             .with_engine(Box::new(Scripted {
                 name: "low",
-                bound: BoundKind::Lower,
                 calls: std::sync::atomic::AtomicUsize::new(0),
                 script: move |_, _: &RunContext| Ok(fixed_report("low", &two_task_model(), lo)),
             }))
             .with_engine(Box::new(Scripted {
                 name: "bomb",
-                bound: BoundKind::Upper,
                 calls: std::sync::atomic::AtomicUsize::new(0),
                 script: |_, _: &RunContext| panic!("chaos-mock: mid-portfolio panic"),
             }))
             .with_engine(Box::new(Scripted {
                 name: "high",
-                bound: BoundKind::Upper,
                 calls: std::sync::atomic::AtomicUsize::new(0),
                 script: move |_, _: &RunContext| Ok(fixed_report("high", &two_task_model(), hi)),
             }));
@@ -1576,7 +1457,6 @@ mod tests {
         let est = Estimate::LowerBound(TimeValue::millis(9));
         let portfolio = Portfolio::new().with_engine(Box::new(Scripted {
             name: "flaky",
-            bound: BoundKind::Lower,
             calls: std::sync::atomic::AtomicUsize::new(0),
             script: move |call, _: &RunContext| {
                 if call == 0 {
@@ -1599,7 +1479,6 @@ mod tests {
         let portfolio = Portfolio::new()
             .with_engine(Box::new(Scripted {
                 name: "broken",
-                bound: BoundKind::Lower,
                 calls: std::sync::atomic::AtomicUsize::new(0),
                 script: |_, _: &RunContext| {
                     Err(EngineError::Check(tempo_check::CheckError::Transient {
@@ -1609,7 +1488,6 @@ mod tests {
             }))
             .with_engine(Box::new(Scripted {
                 name: "steady",
-                bound: BoundKind::Lower,
                 calls: std::sync::atomic::AtomicUsize::new(0),
                 script: move |_, _: &RunContext| Ok(fixed_report("steady", &two_task_model(), est)),
             }));
@@ -1627,7 +1505,6 @@ mod tests {
         let ctx = RunContext::with_max_states(600);
         let portfolio = Portfolio::new().with_engine(Box::new(Scripted {
             name: "budgeted",
-            bound: BoundKind::Lower,
             calls: std::sync::atomic::AtomicUsize::new(0),
             script: move |_, _: &RunContext| {
                 let m = two_task_model();

@@ -377,18 +377,6 @@ impl AnalysisDb {
         self.wcrt_with(model, requirement, &self.cfg)
     }
 
-    /// The WCRTs of every requirement, one network, exploration and cache
-    /// entry each, so after an edit only the affected requirements
-    /// re-explore.
-    pub fn wcrt_all(&self, model: &ArchitectureModel) -> Result<Vec<WcrtReport>, ArchError> {
-        model.validate()?;
-        model
-            .requirements
-            .iter()
-            .map(|r| self.wcrt_with(model, &r.name, &self.cfg))
-            .collect()
-    }
-
     /// The WCRT of one requirement with a [`RunContext`]'s budgets,
     /// cancellation and progress hooks applied — the entry point the sweep
     /// drivers use.  A cache hit is free and bypasses the budget; a
@@ -530,9 +518,7 @@ impl AnalysisDb {
         }
         // Hash outside the lock, as `run` does.
         let cones: Vec<u64> = match query {
-            Query::Wcrt { requirement }
-            | Query::Supremum { requirement }
-            | Query::DeadlineCheck { requirement } => {
+            Query::Wcrt { requirement } | Query::DeadlineCheck { requirement } => {
                 match model.requirement_by_name(requirement) {
                     Some(req) => vec![estimate_cone_hash(model, req, &self.cfg)],
                     None => return false,
@@ -582,17 +568,13 @@ impl AnalysisDb {
             cfg.search.hook.wall_clock_budget = Some(std::time::Duration::ZERO);
         }
         let (estimates, verdict, states_stored, truncated) = match query {
-            Query::Wcrt { requirement }
-            | Query::Supremum { requirement }
-            | Query::DeadlineCheck { requirement } => {
+            Query::Wcrt { requirement } | Query::DeadlineCheck { requirement } => {
                 let report = self.wcrt_with(model, requirement, &cfg)?;
-                let mut row = RequirementEstimate::from_wcrt(&report);
-                let mut verdict = None;
-                match query {
-                    Query::Supremum { .. } => row.meets_deadline = None,
-                    Query::DeadlineCheck { .. } => verdict = report.meets_deadline,
-                    _ => {}
-                }
+                let row = RequirementEstimate::from_wcrt(&report);
+                let verdict = match query {
+                    Query::DeadlineCheck { .. } => report.meets_deadline,
+                    _ => None,
+                };
                 let stats = &report.stats;
                 (vec![row], verdict, Some(stats.stored_cumulative), stats.truncated)
             }
@@ -837,11 +819,7 @@ mod tests {
 
         // Cached after a complete run, for every query shape that reads it.
         assert!(!db.run(&m, &Query::wcrt("r0"), &ctx).unwrap().truncated);
-        for query in [
-            Query::wcrt("r0"),
-            Query::Supremum { requirement: "r0".into() },
-            Query::DeadlineCheck { requirement: "r0".into() },
-        ] {
+        for query in [Query::wcrt("r0"), Query::deadline_check("r0")] {
             assert!(probe(&m, &query), "{query}");
         }
         assert!(!probe(&m, &Query::wcrt("r1")));

@@ -77,8 +77,8 @@ pub use analysis::{
     WcrtReport,
 };
 pub use engine::{
-    BoundKind, Budget, Capabilities, ComparisonReport, Engine, EngineError, EngineReport,
-    Estimate, Portfolio, Query, RequirementEstimate, RunContext, TaEngine,
+    Budget, ComparisonReport, Engine, EngineError, EngineReport, Estimate, Portfolio, Query,
+    RequirementEstimate, RunContext, TaEngine,
 };
 pub use explore::{DesignPoint, Sweep, SweepOutcome, SweepRow};
 pub use incremental::{AnalysisDb, DbStats};

@@ -38,6 +38,10 @@ impl Bound {
     /// The unconstrained bound `∞`.
     pub const INFINITY: Bound = Bound(INF_RAW);
 
+    /// The largest finite constant a bound can hold; [`Bound::weak`] and
+    /// [`Bound::strict`] panic beyond it.
+    pub const MAX_CONSTANT: i64 = MAX_CONST;
+
     /// The bound `(0, ≤)`, i.e. `x_i − x_j ≤ 0`.
     pub const LE_ZERO: Bound = Bound(1);
 

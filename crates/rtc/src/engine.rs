@@ -2,8 +2,8 @@
 
 use crate::analysis::{analyze_all_impl, analyze_requirement_impl, RtcError, RtcReport};
 use tempo_arch::engine::{
-    run_upper_bound_engine, upper_bound_row, BoundKind, Capabilities, Engine, EngineError,
-    EngineReport, Query, RequirementEstimate, RunContext,
+    run_upper_bound_engine, upper_bound_row, Engine, EngineError, EngineReport, Query,
+    RequirementEstimate, RunContext,
 };
 use tempo_arch::model::ArchitectureModel;
 
@@ -30,15 +30,6 @@ fn estimate_row(model: &ArchitectureModel, report: &RtcReport) -> RequirementEst
 impl Engine for RtcEngine {
     fn name(&self) -> &'static str {
         "mpa"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            bound: BoundKind::Upper,
-            wcrt: true,
-            deadline_check: true,
-            queue_bounds: false,
-        }
     }
 
     fn run(

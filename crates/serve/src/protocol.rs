@@ -162,16 +162,24 @@ pub fn parse_request(line: &str) -> Result<Request, (Option<u64>, WireError)> {
             )
             .map_err(fail)?;
             let cfg = v.get("config");
-            let as_factor = |key: &str| {
-                cfg.and_then(|c| c.get(key))
-                    .and_then(JsonValue::as_i128)
+            let factor = |key: &str| match cfg.and_then(|c| c.get(key)) {
+                None => Ok(None),
+                Some(f) => f
+                    .as_i128()
                     .and_then(|i| i64::try_from(i).ok())
+                    .filter(|&i| i >= 1)
+                    .map(Some)
+                    .ok_or_else(|| {
+                        fail(WireError::bad_request(format!(
+                            "`config.{key}` must be an integer \u{2265} 1"
+                        )))
+                    }),
             };
             Ok(Request::LoadModel {
                 id,
                 model,
-                initial_cap_factor: as_factor("initial_cap_factor"),
-                max_cap_factor: as_factor("max_cap_factor"),
+                initial_cap_factor: factor("initial_cap_factor")?,
+                max_cap_factor: factor("max_cap_factor")?,
             })
         }
         "edit_model" => {
@@ -414,6 +422,35 @@ mod tests {
     }
 
     #[test]
+    fn load_model_cap_factors_must_be_positive_integers() {
+        let model = ArchitectureModel::new("m");
+        let line = request_load_model(5, &model, Some(4), None);
+        match parse_request(&line).unwrap() {
+            Request::LoadModel {
+                initial_cap_factor,
+                max_cap_factor,
+                ..
+            } => assert_eq!((initial_cap_factor, max_cap_factor), (Some(4), None)),
+            other => panic!("wrong request: {other:?}"),
+        }
+        let valid = "\"initial_cap_factor\":4";
+        assert!(line.contains(valid), "{line}");
+        for bad in ["4.0", "\"4\"", "0", "-1", "null"] {
+            let line = line.replace(valid, &format!("\"initial_cap_factor\":{bad}"));
+            let (id, err) = parse_request(&line).unwrap_err();
+            assert_eq!(id, Some(5));
+            assert_eq!(err.kind, "bad_request");
+            assert!(err.detail.contains("config.initial_cap_factor"), "{}", err.detail);
+        }
+        let line = request_load_model(6, &model, None, Some(i64::MAX)).replace(
+            &i64::MAX.to_string(),
+            "9223372036854775808",
+        );
+        let (_, err) = parse_request(&line).unwrap_err();
+        assert!(err.detail.contains("config.max_cap_factor"), "{}", err.detail);
+    }
+
+    #[test]
     fn malformed_lines_carry_ids_when_possible() {
         let (id, err) = parse_request("not json").unwrap_err();
         assert_eq!(id, None);
@@ -424,5 +461,17 @@ mod tests {
         let (id, err) = parse_request("{\"op\":\"query\",\"id\":3}").unwrap_err();
         assert_eq!(id, Some(3));
         assert_eq!(err.kind, "bad_request");
+        // An unknown query kind (`supremum` is answered as `wcrt`) is refused
+        // by name.
+        for kind in ["supremum", "nope"] {
+            let line = format!(
+                "{{\"op\":\"query\",\"id\":4,\"model\":\"m\",\
+                 \"query\":{{\"kind\":\"{kind}\",\"requirement\":\"r\"}}}}"
+            );
+            let (id, err) = parse_request(&line).unwrap_err();
+            assert_eq!(id, Some(4));
+            assert_eq!(err.kind, "bad_request");
+            assert!(err.detail.contains(&format!("`{kind}`")), "{}", err.detail);
+        }
     }
 }

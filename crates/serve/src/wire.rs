@@ -495,10 +495,6 @@ pub fn query_to_json(q: &Query) -> JsonValue {
             ("requirement", requirement.as_str().into()),
         ]),
         Query::QueueBounds => JsonValue::obj([("kind", "queue_bounds".into())]),
-        Query::Supremum { requirement } => JsonValue::obj([
-            ("kind", "supremum".into()),
-            ("requirement", requirement.as_str().into()),
-        ]),
     }
 }
 
@@ -513,9 +509,6 @@ pub fn query_from_json(v: &JsonValue) -> Result<Query, WireError> {
             requirement: field_str(v, "requirement")?.to_string(),
         }),
         "queue_bounds" => Ok(Query::QueueBounds),
-        "supremum" => Ok(Query::Supremum {
-            requirement: field_str(v, "requirement")?.to_string(),
-        }),
         other => Err(WireError::bad_request(format!("unknown query `{other}`"))),
     }
 }
@@ -710,9 +703,6 @@ mod tests {
                 requirement: "b".into(),
             },
             Query::QueueBounds,
-            Query::Supremum {
-                requirement: "c".into(),
-            },
         ] {
             let back = query_from_json(&json::parse(&query_to_json(&q).print()).unwrap()).unwrap();
             assert_eq!(q, back);

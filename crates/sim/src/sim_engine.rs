@@ -3,8 +3,7 @@
 use crate::engine::{simulate, SimConfig, SimError, SimReport};
 use std::time::Instant;
 use tempo_arch::engine::{
-    poll_entry_fault, BoundKind, Capabilities, Engine, EngineError, EngineReport, Query,
-    RequirementEstimate, RunContext,
+    poll_entry_fault, Engine, EngineError, EngineReport, Query, RequirementEstimate, RunContext,
 };
 use tempo_arch::model::ArchitectureModel;
 use tempo_arch::time::TimeValue;
@@ -57,15 +56,6 @@ fn estimate_row(model: &ArchitectureModel, report: &SimReport) -> RequirementEst
 impl Engine for SimEngine {
     fn name(&self) -> &'static str {
         "simulation"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            bound: BoundKind::Lower,
-            wcrt: true,
-            deadline_check: true,
-            queue_bounds: false,
-        }
     }
 
     fn run(
@@ -136,16 +126,6 @@ impl Engine for SimEngine {
         let verdict = match query {
             Query::DeadlineCheck { .. } => estimates.first().and_then(|e| e.meets_deadline),
             _ => None,
-        };
-        let estimates = match query {
-            Query::Supremum { .. } => estimates
-                .into_iter()
-                .map(|mut e| {
-                    e.meets_deadline = None;
-                    e
-                })
-                .collect(),
-            _ => estimates,
         };
         Ok(EngineReport {
             engine: self.name().into(),

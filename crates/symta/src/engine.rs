@@ -2,8 +2,8 @@
 
 use crate::{analyze_all_impl, analyze_requirement_impl, SymtaError, SymtaReport};
 use tempo_arch::engine::{
-    run_upper_bound_engine, upper_bound_row, BoundKind, Capabilities, Engine, EngineError,
-    EngineReport, Query, RequirementEstimate, RunContext,
+    run_upper_bound_engine, upper_bound_row, Engine, EngineError, EngineReport, Query,
+    RequirementEstimate, RunContext,
 };
 use tempo_arch::model::ArchitectureModel;
 
@@ -34,15 +34,6 @@ fn estimate_row(model: &ArchitectureModel, report: &SymtaReport) -> RequirementE
 impl Engine for SymtaEngine {
     fn name(&self) -> &'static str {
         "symta"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            bound: BoundKind::Upper,
-            wcrt: true,
-            deadline_check: true,
-            queue_bounds: false,
-        }
     }
 
     fn run(

@@ -80,7 +80,8 @@ fn main() {
     //    into one network of timed automata per requirement and extracts the
     //    exact worst-case response times with the checker.
     let db = AnalysisDb::new(AnalysisConfig::default());
-    for report in db.wcrt_all(&model).expect("analysis succeeds") {
+    for requirement in &model.requirements {
+        let report = db.wcrt(&model, &requirement.name).expect("analysis succeeds");
         println!(
             "{:<20} WCRT = {:>8.3} ms   deadline = {:>6.1} ms   met = {:?}   ({} symbolic states)",
             report.requirement,

@@ -23,10 +23,10 @@ use common::{
 use std::collections::HashMap;
 use std::sync::Arc;
 use tempo::arch::prelude::*;
-use tempo::check::FaultPlan;
+use tempo::check::{FaultKind, FaultPlan, FaultSite};
 use tempo::engine::{
-    quiet_injected_panics, BoundKind, Capabilities, Engine, EngineError, EngineReport,
-    EngineStatus, Portfolio, SimEngine, SymtaEngine, TaEngine,
+    quiet_injected_panics, Engine, EngineError, EngineReport, EngineStatus, Portfolio, SimEngine,
+    SymtaEngine, TaEngine,
 };
 use tempo::rtc::RtcEngine;
 use tempo::sim::SimConfig;
@@ -248,6 +248,46 @@ fn faulted_portfolio_reconciles_soundly() {
     }
 }
 
+/// An engine declines `QueueBounds` before it polls the engine-entry fault
+/// site, so a query it never answers does not shift which engine a seeded
+/// rule hits.  The analytic engines' TDMA refusal stays after the poll.
+#[test]
+fn declined_queue_bounds_poll_no_fault_site() {
+    let entry_fault = || {
+        let plan = Arc::new(FaultPlan::single(
+            FaultSite::EngineEntry,
+            FaultKind::TransientError,
+            0,
+        ));
+        let ctx = RunContext {
+            faults: Some(Arc::clone(&plan)),
+            ..RunContext::default()
+        };
+        (plan, ctx)
+    };
+    let decliners: [Box<dyn Engine>; 3] = [
+        Box::new(SimEngine::default()),
+        Box::new(SymtaEngine),
+        Box::new(RtcEngine),
+    ];
+    for engine in &decliners {
+        let (plan, ctx) = entry_fault();
+        let declined = engine.run(&burst_model(), &Query::QueueBounds, &ctx);
+        assert!(
+            matches!(declined, Err(EngineError::Unsupported { .. })),
+            "{}: {declined:?}",
+            engine.name()
+        );
+        assert_eq!(plan.injected(), 0, "{} polled a fault site", engine.name());
+    }
+    for engine in &decliners[1..] {
+        let (plan, ctx) = entry_fault();
+        let polled = engine.run(&tdma_model(), &Query::WcrtAll, &ctx);
+        assert!(matches!(polled, Err(EngineError::Check(_))), "{}: {polled:?}", engine.name());
+        assert_eq!(plan.injected(), 1);
+    }
+}
+
 /// A deliberately panicking engine in the line-up must never prevent the
 /// portfolio from reconciling the survivors (the acceptance criterion).
 #[test]
@@ -258,14 +298,6 @@ fn panicking_mock_engine_never_blocks_reconciliation() {
     impl Engine for Bomb {
         fn name(&self) -> &'static str {
             "bomb"
-        }
-        fn capabilities(&self) -> Capabilities {
-            Capabilities {
-                bound: BoundKind::Upper,
-                wcrt: true,
-                deadline_check: true,
-                queue_bounds: true,
-            }
         }
         fn run(
             &self,

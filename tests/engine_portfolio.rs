@@ -17,7 +17,9 @@ mod common;
 
 use common::{burst_model, random_model_with_policies, tdma_model, ANALYTIC_SOUND_POLICIES};
 use tempo::arch::prelude::*;
-use tempo::engine::{standard_portfolio, EngineError, Portfolio, SimEngine, SymtaEngine, TaEngine};
+use tempo::engine::{
+    standard_portfolio, EngineError, EngineStatus, Portfolio, SimEngine, SymtaEngine, TaEngine,
+};
 use tempo::rtc::RtcEngine;
 use tempo::sim::SimConfig;
 
@@ -157,7 +159,8 @@ fn bracket_holds_on_quick_case_study_column() {
     assert_eq!(req.meets_deadline, Some(true));
 }
 
-/// `standard_portfolio` wires all four engines in the documented order.
+/// `standard_portfolio` wires all four engines in the documented order, and
+/// only the exact engine answers queue boundedness: the others decline it.
 #[test]
 fn standard_portfolio_lineup() {
     let portfolio = standard_portfolio();
@@ -165,6 +168,18 @@ fn standard_portfolio_lineup() {
         portfolio.engine_names(),
         vec!["timed-automata", "simulation", "symta", "mpa"]
     );
-    assert!(portfolio.capabilities().wcrt);
-    assert!(portfolio.capabilities().queue_bounds);
+    let report = portfolio
+        .compare(&burst_model(), &Query::QueueBounds, &RunContext::default())
+        .unwrap();
+    assert_eq!(report.verdict, Some(true));
+    let statuses: Vec<EngineStatus> = report.rows.iter().map(|r| r.status).collect();
+    assert_eq!(
+        statuses,
+        [
+            EngineStatus::Ok,
+            EngineStatus::Declined,
+            EngineStatus::Declined,
+            EngineStatus::Declined
+        ]
+    );
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tempo::arch::prelude::*;
 use tempo::check::SearchProgress;
-use tempo::engine::{Capabilities, EngineError, SymtaEngine};
+use tempo::engine::{EngineError, SymtaEngine};
 
 #[test]
 fn session_caches_across_query_kinds() {
@@ -29,7 +29,6 @@ fn session_caches_across_query_kinds() {
     // Drill-downs on one requirement answer from its cached estimate.
     engine.run(&model, &Query::wcrt("r0"), &ctx).unwrap();
     engine.run(&model, &Query::deadline_check("r0"), &ctx).unwrap();
-    engine.run(&model, &Query::Supremum { requirement: "r0".into() }, &ctx).unwrap();
     assert_eq!(generations(), per_requirement);
     // The observer-free functional network for queue checks.
     let queues = engine.run(&model, &Query::QueueBounds, &ctx).unwrap();
@@ -58,10 +57,6 @@ struct SharedTa(Arc<TaEngine>);
 impl Engine for SharedTa {
     fn name(&self) -> &'static str {
         self.0.name()
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        self.0.capabilities()
     }
 
     fn run(

@@ -141,6 +141,44 @@ fn wire_answers_are_byte_identical_cold_and_warm() {
     conn.join().unwrap();
 }
 
+/// A `load_model` with a cap-factor override selects its own shared
+/// database, and a larger initial cap changes no answer.
+#[test]
+fn cap_factor_overrides_get_their_own_database_and_the_same_answers() {
+    let model = random_model(11);
+    let mut wide = model.clone();
+    wide.name = format!("{} (icf=4)", model.name);
+    let (mut client, conn) = pipe_pair();
+    client.load_model(&model).unwrap().unwrap();
+    let loaded = client.load_model_with(&wide, Some(4), None).unwrap().unwrap();
+    assert_eq!(loaded.get("config").and_then(JsonValue::as_str), Some("icf=4,mcf=64"));
+    for q in &queries_for(&model) {
+        let mut key = |name: &str| {
+            let report = client.query(name, q, &QueryOpts::default()).unwrap().unwrap();
+            wire::wire_answer_key(&report)
+        };
+        assert_eq!(key(&model.name), key(&wide.name), "{q:?}");
+    }
+    let stats = client.stats().unwrap().unwrap();
+    let dbs: Vec<(&str, i128)> = stats
+        .get("dbs")
+        .and_then(JsonValue::as_array)
+        .unwrap()
+        .iter()
+        .map(|d| {
+            let config = d.get("config").and_then(JsonValue::as_str).unwrap();
+            let misses = d.get("stats").and_then(|s| s.get("misses")?.as_i128()).unwrap();
+            (config, misses)
+        })
+        .collect();
+    assert_eq!(dbs.len(), 2, "{dbs:?}");
+    assert_eq!((dbs[0].0, dbs[1].0), ("icf=2,mcf=64", "icf=4,mcf=64"));
+    assert!(dbs[0].1 > 0 && dbs[0].1 == dbs[1].1, "each database explores its own cones: {dbs:?}");
+    client.shutdown().unwrap().unwrap();
+    drop(client);
+    conn.join().unwrap();
+}
+
 #[test]
 fn batches_collapse_when_they_cover_the_requirement_set() {
     let model = random_model(21);
