@@ -95,13 +95,17 @@ fn state_counts(
                 search: SearchOptions {
                     order: SearchOrder::Bfs,
                     active_clock_reduction: reduction,
-                    max_states: if reduction { None } else { Some(400_000) },
                     ..SearchOptions::default()
                 },
                 ..AnalysisConfig::default()
             };
+            let ctx = if reduction {
+                RunContext::default()
+            } else {
+                RunContext::with_max_states(400_000)
+            };
             let on_off = if reduction { "on" } else { "off" };
-            let report = match AnalysisDb::new(cfg).wcrt(model, REQUIREMENT) {
+            let report = match AnalysisDb::new(cfg).wcrt_in(model, REQUIREMENT, &ctx) {
                 Ok(report) => report,
                 Err(e) => {
                     eprintln!("{:<22} {on_off:>9} analysis failed: {e}", column.label());
@@ -169,14 +173,8 @@ fn engine_matrix(columns: &[(EventModelColumn, ArchitectureModel)], ok: &mut boo
     // The exact engine runs with the default search options and a
     // truncation budget, so a blown-up corner reports a lower bound instead
     // of running unbounded.
-    let ta = TaEngine::with_config(AnalysisConfig {
-        search: SearchOptions {
-            order: SearchOrder::Bfs,
-            max_states: Some(600_000),
-            ..SearchOptions::default()
-        },
-        ..AnalysisConfig::default()
-    });
+    let ta = TaEngine::default();
+    let ctx = RunContext::with_max_states(600_000);
     let sim = SimEngine::with_config(SimConfig {
         horizon: tempo_arch::TimeValue::seconds(60),
         runs: 3,
@@ -196,24 +194,23 @@ fn engine_matrix(columns: &[(EventModelColumn, ArchitectureModel)], ok: &mut boo
     let mut rows = Vec::new();
     for (column, model) in columns {
         for (name, engine) in engines {
-            let (estimate, states, wall_seconds, error) =
-                match engine.run(model, &query, &RunContext::default()) {
-                    Ok(report) => (
-                        report.estimate_for(REQUIREMENT).map(|r| r.estimate),
-                        report.states_stored,
-                        report.wall_time.as_secs_f64(),
-                        None,
-                    ),
-                    Err(e) => {
-                        let detail = match e {
-                            EngineError::Unsupported { detail, .. } => detail,
-                            other => other.to_string(),
-                        };
-                        eprintln!("{:<22} {name:>16} failed: {detail}", column.label());
-                        *ok = false;
-                        (None, None, 0.0, Some(detail))
-                    }
-                };
+            let (estimate, states, wall_seconds, error) = match engine.run(model, &query, &ctx) {
+                Ok(report) => (
+                    report.estimate_for(REQUIREMENT).map(|r| r.estimate),
+                    report.states_stored,
+                    report.wall_time.as_secs_f64(),
+                    None,
+                ),
+                Err(e) => {
+                    let detail = match e {
+                        EngineError::Unsupported { detail, .. } => detail,
+                        other => other.to_string(),
+                    };
+                    eprintln!("{:<22} {name:>16} failed: {detail}", column.label());
+                    *ok = false;
+                    (None, None, 0.0, Some(detail))
+                }
+            };
             let states_text = states.map_or_else(|| "-".into(), |s| s.to_string());
             if let Some(e) = &estimate {
                 println!(

@@ -14,7 +14,7 @@
 //! ```
 
 use tempo_arch::casestudy::{radio_navigation, table1_rows, CaseStudyParams, EventModelColumn};
-use tempo_arch::engine::{Engine, Portfolio, Query, RunContext};
+use tempo_arch::engine::{Engine, Portfolio, Query};
 use tempo_arch::TaEngine;
 use tempo_bench::{engine_estimate_cell, print_table, quick_params, CellConfig};
 use tempo_sim::{SimConfig, SimEngine};
@@ -29,7 +29,7 @@ fn main() {
     };
     let cell_cfg = CellConfig::default();
     let ta = TaEngine::with_config(cell_cfg.analysis_config());
-    let ctx = RunContext::default();
+    let ctx = cell_cfg.run_context();
 
     println!("Table 2 — comparison of the analysis techniques (worst-case response times, ms)");
     println!(

@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 use tempo_arch::casestudy::{radio_navigation, CaseStudyParams, EventModelColumn, ScenarioCombo};
-use tempo_arch::{AnalysisConfig, AnalysisDb};
+use tempo_arch::{AnalysisConfig, AnalysisDb, RunContext};
 use tempo_bench::quick_params;
 use tempo_check::{SearchOptions, SearchOrder};
 
@@ -48,16 +48,13 @@ fn main() {
                 // The paper only falls back to df/rdf when breadth-first is
                 // infeasible; report both so the difference is visible.
                 let cfg = AnalysisConfig {
-                    search: SearchOptions {
-                        order,
-                        max_states: Some(budget),
-                        ..SearchOptions::default()
-                    },
+                    search: SearchOptions::with_order(order),
                     ..AnalysisConfig::default()
                 };
                 let model = radio_navigation(combo, column, &params);
                 let start = Instant::now();
-                match AnalysisDb::new(cfg).wcrt(&model, requirement) {
+                let ctx = RunContext::with_max_states(budget);
+                match AnalysisDb::new(cfg).wcrt_in(&model, requirement, &ctx) {
                     Ok(report) => {
                         let value = match report.wcrt_ms() {
                             Some(ms) => format!("{ms:.3} ms (exact)"),

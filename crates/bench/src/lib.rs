@@ -24,7 +24,7 @@
 use tempo_arch::casestudy::{
     radio_navigation, table1_rows, CaseStudyParams, EventModelColumn, ScenarioCombo,
 };
-use tempo_arch::engine::{EngineError, EngineReport, Estimate};
+use tempo_arch::engine::{EngineError, EngineReport, Estimate, RunContext};
 use tempo_arch::{AnalysisConfig, AnalysisDb, WcrtReport};
 use tempo_check::{SearchOptions, SearchOrder};
 
@@ -56,12 +56,16 @@ impl CellConfig {
     pub fn analysis_config(&self) -> AnalysisConfig {
         let mut cfg = AnalysisConfig::default();
         cfg.generator.queue_capacity = self.queue_capacity;
-        cfg.search = SearchOptions {
-            order: self.order,
-            max_states: self.state_budget,
-            ..SearchOptions::default()
-        };
+        cfg.search = SearchOptions::with_order(self.order);
         cfg
+    }
+
+    /// The run context carrying this cell configuration's state budget.
+    pub fn run_context(&self) -> RunContext {
+        RunContext {
+            max_states: self.state_budget,
+            ..RunContext::default()
+        }
     }
 }
 
@@ -140,7 +144,7 @@ pub fn table1_cell(
     let model = radio_navigation(combo, column, params);
     let start = std::time::Instant::now();
     let report = AnalysisDb::new(cell_cfg.analysis_config())
-        .wcrt(&model, requirement)
+        .wcrt_in(&model, requirement, &cell_cfg.run_context())
         .map_err(|e| e.to_string());
     Cell {
         requirement,
@@ -246,8 +250,8 @@ mod tests {
 
     #[test]
     fn cell_config_produces_truncating_search() {
-        let cfg = CellConfig::default().analysis_config();
-        assert_eq!(cfg.search.max_states, Some(600_000));
+        let ctx = CellConfig::default().run_context();
+        assert_eq!(ctx.max_states, Some(600_000));
     }
 
     #[test]

@@ -25,8 +25,8 @@ pub enum CheckError {
         what: String,
     },
     /// The exploration was cancelled through the
-    /// [`SearchHook::cancel`](crate::SearchHook::cancel) flag.  Unlike a
-    /// wall-clock budget expiry (which truncates gracefully and yields lower
+    /// [`RunContext::cancel`](crate::RunContext::cancel) flag.  Unlike an
+    /// expired deadline (which truncates gracefully and yields lower
     /// bounds), cancellation aborts with no usable result.
     Cancelled,
     /// A transient internal failure: the run produced no usable result but

@@ -31,11 +31,11 @@ pub enum SearchOrder {
     RandomDfs,
 }
 
-/// The callback type of [`SearchHook::progress`].
+/// The callback type of [`RunContext::progress`].
 pub type ProgressFn = dyn Fn(&SearchProgress) + Send + Sync;
 
 /// A periodic snapshot of a running exploration, handed to the
-/// [`SearchHook::progress`] callback.
+/// [`RunContext::progress`] callback.
 #[derive(Clone, Copy, Debug)]
 pub struct SearchProgress {
     /// Symbolic states expanded so far.
@@ -50,23 +50,30 @@ pub struct SearchProgress {
     pub elapsed: Duration,
 }
 
-/// Budget, cancellation and progress hook threaded through explorations.
+/// Everything ambient to one run: its deadline and state budget,
+/// cooperative cancellation, progress reporting and fault injection.
 ///
-/// This is the seam the architecture layer's `RunContext` plugs into: a
-/// long-running query can be bounded by wall-clock time (the exploration then
-/// stops gracefully with [`ExplorationStats::truncated`] set, so supremum
-/// queries still yield well-formed *lower bounds*), cancelled cooperatively
-/// (the exploration aborts with [`CheckError::Cancelled`]), and observed
-/// through a periodic progress callback.
+/// One context bounds every exploration run under it, from a whole query
+/// down to each cap-doubling retry: the deadline is one absolute instant, so
+/// a run that explores several times (every requirement of a `WcrtAll`, a
+/// sweep, a portfolio retry) still stops by it.  An exploration past the
+/// deadline or the state budget stops gracefully with
+/// [`ExplorationStats::truncated`] set, so supremum queries still yield
+/// well-formed *lower bounds*; a cancelled one aborts with
+/// [`CheckError::Cancelled`].  The default context bounds nothing.
 #[derive(Clone, Default)]
-pub struct SearchHook {
-    /// Stop the exploration (gracefully, marking the statistics truncated)
-    /// once this much wall-clock time has elapsed.
-    pub wall_clock_budget: Option<Duration>,
-    /// Abort the exploration with [`CheckError::Cancelled`] as soon as this
-    /// flag is observed `true`.
+pub struct RunContext {
+    /// Stop exploring (gracefully, marking the statistics truncated) at
+    /// this instant.
+    pub deadline: Option<Instant>,
+    /// Stop an exploration after this many stored states and mark the
+    /// statistics truncated.  Truncated explorations yield *lower bounds* on
+    /// suprema (the paper's `df`/`rdf` "structured testing" usage).
+    pub max_states: Option<usize>,
+    /// Abort the run with [`CheckError::Cancelled`] as soon as this flag is
+    /// observed `true`.
     pub cancel: Option<Arc<AtomicBool>>,
-    /// Invoked periodically (every [`SearchHook::progress_every`] expanded
+    /// Invoked periodically (every [`RunContext::progress_every`] expanded
     /// states) from the exploring thread.
     pub progress: Option<Arc<ProgressFn>>,
     /// States expanded between progress callbacks; `0` selects the default
@@ -80,37 +87,50 @@ pub struct SearchHook {
     pub faults: Option<Arc<FaultPlan>>,
 }
 
-impl SearchHook {
-    /// A hook carrying only a wall-clock budget.
-    pub fn with_wall_clock_budget(budget: Duration) -> SearchHook {
-        SearchHook {
-            wall_clock_budget: Some(budget),
-            ..SearchHook::default()
+impl RunContext {
+    /// A context whose deadline lies `budget` from now.
+    pub fn with_wall_clock(budget: Duration) -> RunContext {
+        RunContext {
+            deadline: Some(Instant::now() + budget),
+            ..RunContext::default()
         }
     }
 
+    /// A context carrying only a state budget.
+    pub fn with_max_states(max_states: usize) -> RunContext {
+        RunContext {
+            max_states: Some(max_states),
+            ..RunContext::default()
+        }
+    }
+
+    /// `true` iff the cancellation flag is set.
+    pub fn is_cancelled(&self) -> bool {
+        self.cancel
+            .as_ref()
+            .is_some_and(|c| c.load(Ordering::Relaxed))
+    }
+
+    /// `true` iff the deadline has passed.
+    pub fn is_expired(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+
     /// The effective progress interval.
-    pub(crate) fn effective_progress_every(&self) -> usize {
+    fn effective_progress_every(&self) -> usize {
         if self.progress_every == 0 {
             8192
         } else {
             self.progress_every
         }
     }
-
-    /// `true` iff the hook can never influence an exploration.
-    pub fn is_noop(&self) -> bool {
-        self.wall_clock_budget.is_none()
-            && self.cancel.is_none()
-            && self.progress.is_none()
-            && self.faults.is_none()
-    }
 }
 
-impl fmt::Debug for SearchHook {
+impl fmt::Debug for RunContext {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SearchHook")
-            .field("wall_clock_budget", &self.wall_clock_budget)
+        f.debug_struct("RunContext")
+            .field("deadline", &self.deadline)
+            .field("max_states", &self.max_states)
             .field("cancel", &self.cancel.is_some())
             .field("progress", &self.progress.is_some())
             .field("progress_every", &self.progress_every)
@@ -144,13 +164,6 @@ pub struct SearchOptions {
     /// (supremum queries, [`Explorer::explore`]) — never to targeted
     /// reachability searches, whose diagnostic traces must stay concrete.
     pub exact_zone_merging: bool,
-    /// Stop after this many stored states and mark the statistics as
-    /// truncated.  Truncated explorations yield *lower bounds* on suprema
-    /// (the paper's `df`/`rdf` "structured testing" usage).
-    pub max_states: Option<usize>,
-    /// Wall-clock budget, cancellation and progress reporting (see
-    /// [`SearchHook`]; the default hook does nothing).
-    pub hook: SearchHook,
 }
 
 impl Default for SearchOptions {
@@ -160,8 +173,6 @@ impl Default for SearchOptions {
             seed: 0x7e4d0,
             active_clock_reduction: true,
             exact_zone_merging: true,
-            max_states: None,
-            hook: SearchHook::default(),
         }
     }
 }
@@ -184,7 +195,7 @@ pub struct ExplorationStats {
     /// Cumulative successful insertions into the passed/waiting structure
     /// (after inclusion subsumption; zones later absorbed by merging or
     /// eviction still count).  This is the quantity
-    /// [`SearchOptions::max_states`] bounds.
+    /// [`RunContext::max_states`] bounds.
     pub stored_cumulative: usize,
     /// Net number of symbolic states (zones) held by the passed/waiting
     /// store when the exploration finished — the store's memory footprint,
@@ -194,7 +205,8 @@ pub struct ExplorationStats {
     pub transitions: usize,
     /// Wall-clock duration of the exploration.
     pub duration: Duration,
-    /// `true` if the exploration stopped because of the state limit.
+    /// `true` if the exploration stopped early: the state budget, the
+    /// deadline or an injected budget exhaustion cut it short.
     pub truncated: bool,
     /// Largest number of states simultaneously awaiting expansion (the
     /// waiting-list high-water mark).
@@ -254,19 +266,33 @@ struct Node {
     action: Option<ActionLabel>,
 }
 
-/// The model checker façade: owns the system reference and the search options
-/// and exposes the reachability / safety / WCRT queries.
+/// The model checker façade: owns the system reference, the search options
+/// and the run context, and exposes the reachability / safety / WCRT
+/// queries.
 pub struct Explorer<'s> {
     sys: &'s System,
     opts: SearchOptions,
+    ctx: RunContext,
 }
 
 impl<'s> Explorer<'s> {
-    /// Creates an explorer after validating the system.
+    /// Creates an explorer after validating the system.  It runs unbounded
+    /// until given a context with [`Explorer::with_context`].
     pub fn new(sys: &'s System, opts: SearchOptions) -> Result<Explorer<'s>, CheckError> {
         // Constructing a generator performs validation and feature checks.
         SuccessorGen::new(sys, &opts)?;
-        Ok(Explorer { sys, opts })
+        Ok(Explorer {
+            sys,
+            opts,
+            ctx: RunContext::default(),
+        })
+    }
+
+    /// Runs every exploration of this explorer under `ctx`: its deadline,
+    /// state budget, cancellation flag, progress callback and fault plan.
+    pub fn with_context(mut self, ctx: &RunContext) -> Explorer<'s> {
+        self.ctx = ctx.clone();
+        self
     }
 
     /// The system under analysis.
@@ -296,9 +322,8 @@ impl<'s> Explorer<'s> {
     ) -> Result<(Option<Vec<TraceStep>>, bool, ExplorationStats), CheckError> {
         let start = Instant::now();
         let gen = SuccessorGen::for_query(self.sys, &self.opts, query)?;
-        let hook = &self.opts.hook;
-        let deadline = hook.wall_clock_budget.map(|b| start + b);
-        let progress_every = hook.effective_progress_every();
+        let ctx = &self.ctx;
+        let progress_every = ctx.effective_progress_every();
         let mut last_progress = 0usize;
         // Exact zone merging is restricted to untargeted explorations: a
         // merged node has no single concrete predecessor path, so diagnostic
@@ -340,28 +365,22 @@ impl<'s> Explorer<'s> {
         } {
             // Cooperative cancellation is checked on every pop (an atomic
             // load is cheap next to an expansion, and bounded cancellation
-            // latency matters more than the load); the wall-clock budget —
-            // an `Instant::now` syscall — stays on a coarse stride.
-            if let Some(cancel) = &hook.cancel {
-                if cancel.load(Ordering::Relaxed) {
-                    return Err(CheckError::Cancelled);
-                }
+            // latency matters more than the load); the deadline — an
+            // `Instant::now` syscall — stays on a coarse stride.
+            if ctx.is_cancelled() {
+                return Err(CheckError::Cancelled);
             }
-            if stats.states_explored & 0x3f == 0 {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        stats.truncated = true;
-                        break 'search;
-                    }
-                }
+            if stats.states_explored & 0x3f == 0 && ctx.is_expired() {
+                stats.truncated = true;
+                break 'search;
             }
-            if let Some(progress) = &hook.progress {
+            if let Some(progress) = &ctx.progress {
                 // Gate on the counter having *advanced* since the last
                 // report: stale queued states are skipped without expanding,
                 // so a plain modulo test would re-fire on every stale pop.
                 if stats.states_explored >= last_progress + progress_every {
                     last_progress = stats.states_explored;
-                    if let Some(plan) = &hook.faults {
+                    if let Some(plan) = &ctx.faults {
                         if plan.poll(FaultSite::Progress)? {
                             stats.truncated = true;
                             break 'search;
@@ -390,7 +409,7 @@ impl<'s> Explorer<'s> {
                     break;
                 }
             }
-            if let Some(plan) = &hook.faults {
+            if let Some(plan) = &ctx.faults {
                 if plan.poll(FaultSite::SuccessorGen)? {
                     stats.truncated = true;
                     break 'search;
@@ -414,7 +433,7 @@ impl<'s> Explorer<'s> {
                 if !gen.can_reach_query(&succ.discrete) {
                     continue;
                 }
-                if let Some(plan) = &hook.faults {
+                if let Some(plan) = &ctx.faults {
                     if plan.poll(FaultSite::StoreInsert)? {
                         stats.truncated = true;
                         break;
@@ -444,8 +463,7 @@ impl<'s> Explorer<'s> {
                 waiting.push_back((node_idx, succ));
                 stats.stored_cumulative += 1;
                 stats.peak_waiting = stats.peak_waiting.max(waiting.len());
-                if self
-                    .opts
+                if ctx
                     .max_states
                     .is_some_and(|limit| stats.stored_cumulative > limit)
                 {
@@ -704,11 +722,11 @@ mod tests {
         // first of them and must not insert its sibling.
         let sys = unprotected_mutex();
         for limit in 1..=3 {
-            let opts = SearchOptions {
-                max_states: Some(limit),
-                ..SearchOptions::default()
-            };
-            let stats = Explorer::new(&sys, opts).unwrap().explore(|_| {}).unwrap();
+            let stats = Explorer::new(&sys, SearchOptions::default())
+                .unwrap()
+                .with_context(&RunContext::with_max_states(limit))
+                .explore(|_| {})
+                .unwrap();
             assert!(stats.truncated, "limit {limit}");
             assert_eq!(stats.stored_cumulative, limit + 1, "limit {limit}");
         }
@@ -732,14 +750,13 @@ mod tests {
         use crate::fault::{FaultKind, FaultPlan, FaultSite};
         let sys = unprotected_mutex();
         let with_plan = |plan: FaultPlan| {
-            let opts = SearchOptions {
-                hook: SearchHook {
-                    faults: Some(Arc::new(plan)),
-                    ..SearchHook::default()
-                },
-                ..SearchOptions::default()
+            let ctx = RunContext {
+                faults: Some(Arc::new(plan)),
+                ..RunContext::default()
             };
-            Explorer::new(&sys, opts).unwrap()
+            Explorer::new(&sys, SearchOptions::default())
+                .unwrap()
+                .with_context(&ctx)
         };
 
         // A spurious cancellation surfaces exactly like a real one.
@@ -782,14 +799,13 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
         let sys = unprotected_mutex();
         let cancel = Arc::new(AtomicBool::new(false));
-        let opts = SearchOptions {
-            hook: SearchHook {
-                cancel: Some(cancel.clone()),
-                ..SearchHook::default()
-            },
-            ..SearchOptions::default()
+        let ctx = RunContext {
+            cancel: Some(cancel.clone()),
+            ..RunContext::default()
         };
-        let ex = Explorer::new(&sys, opts).unwrap();
+        let ex = Explorer::new(&sys, SearchOptions::default())
+            .unwrap()
+            .with_context(&ctx);
         let visits = Arc::new(AtomicUsize::new(0));
         let v = visits.clone();
         let c = cancel.clone();

@@ -2,9 +2,8 @@
 //!
 //! A seeded [`FaultPlan`] describes *where* and *when* an exploration (or an
 //! engine wrapping one) should fail on purpose.  The plan is threaded through
-//! [`SearchHook::faults`](crate::SearchHook::faults) — and, one layer up,
-//! through the architecture crate's `RunContext` — into the instrumented
-//! points of the explorer:
+//! [`RunContext::faults`](crate::RunContext::faults) into the instrumented
+//! points of the explorer and of the engines above it:
 //!
 //! * [`FaultSite::EngineEntry`] — the entry of an engine's `run`,
 //! * [`FaultSite::StoreInsert`] — before a passed/waiting-store insertion,
@@ -28,17 +27,22 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use tempo_check::{FaultKind, FaultPlan, FaultSite, SearchHook};
+//! use tempo_check::{CheckError, FaultKind, FaultPlan, FaultSite, RunContext};
 //!
 //! // A plan derived from a seed (the chaos harness sweeps these)...
 //! let plan = Arc::new(FaultPlan::from_seed(42));
-//! // ...or a targeted plan: cancel spuriously at the third store insert.
+//! // ...or a targeted plan: cancel spuriously at the fourth store insert
+//! // (visit 3, counting from 0).
 //! let targeted = Arc::new(FaultPlan::single(FaultSite::StoreInsert, FaultKind::Cancel, 3));
-//! let hook = SearchHook {
+//! let ctx = RunContext {
 //!     faults: Some(targeted),
-//!     ..SearchHook::default()
+//!     ..RunContext::default()
 //! };
-//! assert!(!hook.is_noop());
+//! let faults = ctx.faults.as_ref().unwrap();
+//! for _ in 0..3 {
+//!     assert_eq!(faults.poll(FaultSite::StoreInsert), Ok(false));
+//! }
+//! assert_eq!(faults.poll(FaultSite::StoreInsert), Err(CheckError::Cancelled));
 //! ```
 
 use crate::error::CheckError;

@@ -71,7 +71,7 @@ mod wcrt;
 pub use error::CheckError;
 pub use fault::{panic_message, quiet_injected_panics, FaultKind, FaultPlan, FaultSite};
 pub use explorer::{
-    ExplorationStats, Explorer, ProgressFn, ReachReport, SearchHook, SearchOptions, SearchOrder,
+    ExplorationStats, Explorer, ProgressFn, ReachReport, RunContext, SearchOptions, SearchOrder,
     SearchProgress, TraceStep,
 };
 pub use state::{DiscreteState, SymState};

@@ -116,7 +116,7 @@ impl<'s> Explorer<'s> {
 
     /// Like [`Explorer::sup_clock_at`] but automatically doubles the cap (up
     /// to `max_cap`) until the supremum no longer touches it.  A truncated
-    /// exploration (state limit or wall-clock budget) stops the doubling: the
+    /// exploration (state budget or deadline) stops the doubling: the
     /// supremum is only a lower bound there and a larger cap cannot fix that.
     /// Both caps are clamped to [`Bound::MAX_CONSTANT`], the largest clock
     /// constant a zone can hold.
@@ -367,14 +367,12 @@ mod tests {
 
     #[test]
     fn zero_wall_clock_budget_truncates_gracefully() {
-        use crate::explorer::SearchHook;
+        use crate::explorer::RunContext;
         let sys = job_with_observer();
         let y = sys.clock_by_name("y").unwrap();
-        let opts = SearchOptions {
-            hook: SearchHook::with_wall_clock_budget(std::time::Duration::ZERO),
-            ..SearchOptions::default()
-        };
-        let ex = Explorer::new(&sys, opts).unwrap();
+        let ex = Explorer::new(&sys, SearchOptions::default())
+            .unwrap()
+            .with_context(&RunContext::with_wall_clock(std::time::Duration::ZERO));
         let seen = TargetSpec::location(&sys, "job", "seen").unwrap();
         let report = ex.sup_clock_at_auto(&seen, y, 2, 1_000).unwrap();
         // Nothing was explored; the (empty) supremum is a trustworthy
@@ -385,20 +383,19 @@ mod tests {
 
     #[test]
     fn cancellation_aborts_with_cancelled_error() {
-        use crate::explorer::SearchHook;
+        use crate::explorer::RunContext;
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
         let sys = job_with_observer();
         let y = sys.clock_by_name("y").unwrap();
         let cancel = Arc::new(AtomicBool::new(true));
-        let opts = SearchOptions {
-            hook: SearchHook {
-                cancel: Some(Arc::clone(&cancel)),
-                ..SearchHook::default()
-            },
-            ..SearchOptions::default()
+        let ctx = RunContext {
+            cancel: Some(Arc::clone(&cancel)),
+            ..RunContext::default()
         };
-        let ex = Explorer::new(&sys, opts).unwrap();
+        let ex = Explorer::new(&sys, SearchOptions::default())
+            .unwrap()
+            .with_context(&ctx);
         let seen = TargetSpec::location(&sys, "job", "seen").unwrap();
         let err = ex.sup_clock_at(&seen, y, 1_000).unwrap_err();
         assert!(matches!(err, CheckError::Cancelled));
@@ -410,24 +407,23 @@ mod tests {
 
     #[test]
     fn progress_hook_fires() {
-        use crate::explorer::SearchHook;
+        use crate::explorer::RunContext;
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
         let sys = two_observed_jobs();
         let calls = Arc::new(AtomicUsize::new(0));
         let calls_in_hook = Arc::clone(&calls);
-        let opts = SearchOptions {
-            hook: SearchHook {
-                progress: Some(Arc::new(move |p: &crate::explorer::SearchProgress| {
-                    assert!(p.states_explored > 0);
-                    calls_in_hook.fetch_add(1, Ordering::Relaxed);
-                })),
-                progress_every: 1,
-                ..SearchHook::default()
-            },
-            ..SearchOptions::default()
+        let ctx = RunContext {
+            progress: Some(Arc::new(move |p: &crate::explorer::SearchProgress| {
+                assert!(p.states_explored > 0);
+                calls_in_hook.fetch_add(1, Ordering::Relaxed);
+            })),
+            progress_every: 1,
+            ..RunContext::default()
         };
-        let ex = Explorer::new(&sys, opts).unwrap();
+        let ex = Explorer::new(&sys, SearchOptions::default())
+            .unwrap()
+            .with_context(&ctx);
         ex.explore(|_| {}).unwrap();
         assert!(
             calls.load(Ordering::Relaxed) > 0,

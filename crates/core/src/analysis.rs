@@ -1,16 +1,16 @@
 //! The analysis driver: generate the timed-automata network for a requirement
 //! and extract its worst-case response time with the model checker.
 
-use crate::engine::Estimate;
+use crate::engine::{EngineError, Estimate, RunContext};
 use crate::generator::{generate, GeneratedModel, GeneratorOptions};
-use crate::model::{ArchitectureModel, ModelError, Requirement};
+use crate::model::{ArchitectureModel, Requirement};
 use crate::time::TimeValue;
 use std::fmt;
 use tempo_check::{CheckError, ExplorationStats, Explorer, SearchOptions, TargetSpec};
 use tempo_ta::{EvalError, System};
 
 /// The kind of named model entity a reference failed to resolve to — used by
-/// [`ArchError::UnknownEntity`] so callers (and error messages) can tell a
+/// [`EngineError::UnknownEntity`] so callers (and error messages) can tell a
 /// misspelled processor from a misspelled bus or scenario.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EntityKind {
@@ -32,86 +32,28 @@ impl fmt::Display for EntityKind {
     }
 }
 
-/// Errors of the analysis layer.
-#[derive(Debug)]
-pub enum ArchError {
-    /// The architecture model itself is inconsistent.
-    Model(ModelError),
-    /// The model checker rejected or failed on the generated network.
-    Check(CheckError),
-    /// A requirement name could not be resolved.
-    UnknownRequirement {
-        /// The requested name.
-        name: String,
-    },
-    /// A named processor, bus or scenario could not be resolved (e.g. a sweep
-    /// axis targeting an entity the model does not contain).
-    UnknownEntity {
-        /// What kind of entity the name was expected to resolve to.
-        kind: EntityKind,
-        /// The requested name.
-        name: String,
-    },
-    /// A bounded variable of the generated network left its declared range
-    /// during exploration: an event queue counter (`q_…`) outgrew the queue
-    /// capacity, or another counter such as a preemption accumulator
-    /// (`D_…`) outgrew the bound the generator gave it.  Either the bound is
-    /// too small or a resource is overloaded.
-    QueueOverflow {
-        /// The message, naming the variable by its declared name.
-        detail: String,
-    },
-}
-
-impl fmt::Display for ArchError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArchError::Model(e) => write!(f, "invalid architecture model: {e}"),
-            ArchError::Check(e) => write!(f, "model checking failed: {e}"),
-            ArchError::UnknownRequirement { name } => {
-                write!(f, "unknown requirement `{name}`")
-            }
-            ArchError::UnknownEntity { kind, name } => {
-                write!(f, "unknown {kind} `{name}`")
-            }
-            ArchError::QueueOverflow { detail } => f.write_str(detail),
+/// Maps a checker error raised while exploring `sys`: a variable leaving its
+/// declared range becomes [`EngineError::Overload`], named by its declaration
+/// in `sys`; every other error maps as [`EngineError::from`] maps it.
+pub(crate) fn from_check(e: CheckError, sys: &System) -> EngineError {
+    match e {
+        CheckError::Eval(EvalError::OutOfRange {
+            var, value, max, ..
+        }) => {
+            let name = &sys.vars[var.index()].name;
+            EngineError::Overload(if name.starts_with("q_") {
+                format!(
+                    "event queue {name} overflowed (reached {value}, max {max}); increase \
+                     the queue capacity or check whether the resource is overloaded"
+                )
+            } else {
+                format!(
+                    "variable {name} left its declared range (reached {value}, max {max}); \
+                     check whether the resource is overloaded"
+                )
+            })
         }
-    }
-}
-
-impl std::error::Error for ArchError {}
-
-impl From<ModelError> for ArchError {
-    fn from(e: ModelError) -> Self {
-        ArchError::Model(e)
-    }
-}
-
-impl ArchError {
-    /// Maps a checker error raised while exploring `sys`: a variable leaving
-    /// its declared range becomes [`ArchError::QueueOverflow`], named by its
-    /// declaration in `sys`; every other error stays [`ArchError::Check`].
-    pub(crate) fn from_check(e: CheckError, sys: &System) -> ArchError {
-        match e {
-            CheckError::Eval(EvalError::OutOfRange {
-                var, value, max, ..
-            }) => {
-                let name = &sys.vars[var.index()].name;
-                let detail = if name.starts_with("q_") {
-                    format!(
-                        "event queue {name} overflowed (reached {value}, max {max}); increase \
-                         the queue capacity or check whether the resource is overloaded"
-                    )
-                } else {
-                    format!(
-                        "variable {name} left its declared range (reached {value}, max {max}); \
-                         check whether the resource is overloaded"
-                    )
-                };
-                ArchError::QueueOverflow { detail }
-            }
-            e => ArchError::Check(e),
-        }
+        e => e.into(),
     }
 }
 
@@ -196,18 +138,22 @@ impl fmt::Display for WcrtReport {
     }
 }
 
-/// Runs the WCRT extraction on an already generated model.
+/// Runs the WCRT extraction on an already generated model, every
+/// exploration under `ctx`.
 pub fn analyze_generated(
     generated: &GeneratedModel,
     req: &Requirement,
     cfg: &AnalysisConfig,
-) -> Result<WcrtReport, ArchError> {
+    ctx: &RunContext,
+) -> Result<WcrtReport, EngineError> {
     let observer = generated
         .observer
         .as_ref()
         .expect("generated model has an observer for the measured requirement");
-    let check = |e| ArchError::from_check(e, &generated.system);
-    let explorer = Explorer::new(&generated.system, cfg.search.clone()).map_err(check)?;
+    let check = |e| from_check(e, &generated.system);
+    let explorer = Explorer::new(&generated.system, cfg.search.clone())
+        .map_err(check)?
+        .with_context(ctx);
     let target = TargetSpec::location(
         &generated.system,
         &observer.automaton,
@@ -223,7 +169,7 @@ pub fn analyze_generated(
     let quantizer = &generated.quantizer;
     let (wcrt, lower_bound) = if report.stats.truncated {
         // The exploration was cut short (bounded "structured testing" in the
-        // sense of Section 4, or an expired wall-clock budget): the observed
+        // sense of Section 4, or an expired deadline): the observed
         // supremum is only a lower bound.
         (
             None,
@@ -266,16 +212,14 @@ pub fn analyze_requirement_binary_search(
     model: &ArchitectureModel,
     requirement_name: &str,
     cfg: &AnalysisConfig,
-) -> Result<WcrtReport, ArchError> {
+) -> Result<WcrtReport, EngineError> {
     let req = model
         .requirement_by_name(requirement_name)
-        .ok_or_else(|| ArchError::UnknownRequirement {
-            name: requirement_name.to_string(),
-        })?
+        .ok_or_else(|| EngineError::UnknownRequirement(requirement_name.to_string()))?
         .clone();
     let generated = generate(model, Some(&req), &cfg.generator)?;
     let observer = generated.observer.as_ref().expect("observer present");
-    let check = |e| ArchError::from_check(e, &generated.system);
+    let check = |e| from_check(e, &generated.system);
     let explorer = Explorer::new(&generated.system, cfg.search.clone()).map_err(check)?;
     let target = TargetSpec::location(
         &generated.system,
@@ -302,7 +246,7 @@ pub fn analyze_requirement_binary_search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Query, RunContext};
+    use crate::engine::Query;
     use crate::incremental::AnalysisDb;
     use crate::model::{
         EventModel, MeasurePoint, Scenario, SchedulingPolicy, Step,
@@ -310,13 +254,13 @@ mod tests {
 
     /// One-shot WCRT through the engine layer (what the dropped
     /// `analyze_requirement` shim wrapped).
-    fn wcrt(m: &ArchitectureModel, name: &str) -> Result<WcrtReport, ArchError> {
+    fn wcrt(m: &ArchitectureModel, name: &str) -> Result<WcrtReport, EngineError> {
         AnalysisDb::new(AnalysisConfig::default()).wcrt(m, name)
     }
 
     /// One-shot queue-bound check through the engine layer (what the dropped
     /// `check_queues_bounded` shim wrapped).
-    fn queues_bounded(m: &ArchitectureModel) -> Result<(), ArchError> {
+    fn queues_bounded(m: &ArchitectureModel) -> Result<(), EngineError> {
         AnalysisDb::new(AnalysisConfig::default())
             .queue_check(m)
             .map(|_| ())
@@ -373,8 +317,10 @@ mod tests {
         // 20 ms of work every 10 ms: the queue must grow without bound.
         let m = single_task_model(10, 20_000);
         let err = wcrt(&m, "rt").unwrap_err();
-        assert!(matches!(err, ArchError::QueueOverflow { .. }), "{err}");
-        assert!(err.to_string().starts_with("event queue q_task_"), "{err}");
+        let EngineError::Overload(detail) = &err else {
+            panic!("expected Overload, got {err}");
+        };
+        assert!(detail.starts_with("event queue q_task_"), "{detail}");
         assert!(queues_bounded(&m).is_err());
         // The healthy variant passes the queue check.
         let ok = single_task_model(10, 2_000);
@@ -419,10 +365,11 @@ mod tests {
             queues_bounded(&m).unwrap_err(),
         ];
         for err in errors {
-            assert!(matches!(err, ArchError::QueueOverflow { .. }), "{err}");
-            let message = err.to_string();
-            assert!(message.contains("D_CPU"), "{message}");
-            assert!(!message.contains("queue"), "{message}");
+            let EngineError::Overload(detail) = &err else {
+                panic!("expected Overload, got {err}");
+            };
+            assert!(detail.contains("D_CPU"), "{detail}");
+            assert!(!detail.contains("queue"), "{detail}");
         }
     }
 
@@ -431,7 +378,7 @@ mod tests {
         let m = single_task_model(10, 2_000);
         assert!(matches!(
             wcrt(&m, "nope"),
-            Err(ArchError::UnknownRequirement { .. })
+            Err(EngineError::UnknownRequirement(_))
         ));
     }
 

@@ -15,9 +15,12 @@
 //! * [`Engine`] — the trait every technique implements (`TaEngine` here,
 //!   `RtcEngine`, `SymtaEngine` and `SimEngine` in their crates); an engine
 //!   declines a query it cannot answer with [`EngineError::Unsupported`],
-//! * [`RunContext`] — wall-clock/state budgets, cooperative cancellation and
-//!   progress reporting, threaded down into the model checker's explorer
-//!   through [`tempo_check::SearchHook`],
+//! * [`RunContext`] — one absolute deadline, a state budget, cooperative
+//!   cancellation, progress reporting and fault injection.  It is
+//!   `tempo_check`'s own type, so the explorer reads the caller's context
+//!   directly and every exploration of a run stops by the same deadline;
+//!   the non-symbolic engines honor it at their own granularity (e.g.
+//!   between simulation runs),
 //! * [`TaEngine`] — the exact engine.  It answers through its own
 //!   [`AnalysisDb`], the one cache and query dispatcher of the exact
 //!   analysis: one measuring observer and one exploration per requirement
@@ -32,20 +35,18 @@
 //! lived on for a while as deprecated shims over this surface and have since
 //! been dropped; the engine API is the only entry point.
 
-use crate::analysis::{AnalysisConfig, ArchError, WcrtReport};
+use crate::analysis::{AnalysisConfig, EntityKind, WcrtReport};
 use crate::incremental::AnalysisDb;
-use crate::model::ArchitectureModel;
+use crate::model::{ArchitectureModel, ModelError};
 use crate::time::TimeValue;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tempo_check::{CheckError, FaultPlan, FaultSite, SearchHook};
+use tempo_check::{CheckError, FaultSite};
 
-// Fault-injection vocabulary, re-exported so engine users can build a
-// [`RunContext`] with a fault plan without depending on `tempo_check`
+// The run context and fault-injection vocabulary, re-exported so engine users
+// can bound, cancel and observe a run without depending on `tempo_check`
 // directly.
-pub use tempo_check::{quiet_injected_panics, FaultKind};
+pub use tempo_check::{quiet_injected_panics, FaultKind, RunContext};
 
 // ---------------------------------------------------------------------------
 // Queries
@@ -241,111 +242,6 @@ impl fmt::Display for Estimate {
 // Engine trait, context, reports, errors
 // ---------------------------------------------------------------------------
 
-/// Budget limits of one engine run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Budget {
-    /// Wall-clock budget: the run stops gracefully (truncating to a lower
-    /// bound where applicable) once this much time has elapsed.
-    pub wall_clock: Option<Duration>,
-    /// State budget for the symbolic explorer (merged with any configured
-    /// `max_states`, truncating instead of erroring).
-    pub max_states: Option<usize>,
-}
-
-/// Everything ambient to one engine run: budgets, cooperative cancellation
-/// and progress reporting.  Threaded down into `tempo_check`'s explorer
-/// through [`SearchHook`]; the non-symbolic engines honor
-/// the budget and the cancellation flag at their own natural granularity
-/// (e.g. between simulation runs).
-#[derive(Clone, Default)]
-pub struct RunContext {
-    /// Budget limits.
-    pub budget: Budget,
-    /// Cooperative cancellation: set to `true` to abort the run with
-    /// [`EngineError::Cancelled`].
-    pub cancel: Option<Arc<AtomicBool>>,
-    /// Periodic progress callback (invoked from the exploring threads).
-    pub progress: Option<Arc<tempo_check::ProgressFn>>,
-    /// An absolute deadline shared across several runs (a [`Portfolio`]
-    /// runs all its members and their retries under one such deadline).
-    /// Combined with the relative wall-clock budget by
-    /// [`RunContext::effective_deadline`]: whichever is earlier wins.
-    pub deadline: Option<Instant>,
-    /// Deterministic fault-injection plan (see [`FaultPlan`]), threaded into
-    /// the explorer through [`SearchHook::faults`] and polled by engines at
-    /// their entry point.  `None` (the default) costs nothing.
-    pub faults: Option<Arc<FaultPlan>>,
-}
-
-impl RunContext {
-    /// A context carrying only a wall-clock budget.
-    pub fn with_wall_clock(budget: Duration) -> RunContext {
-        RunContext {
-            budget: Budget {
-                wall_clock: Some(budget),
-                max_states: None,
-            },
-            ..RunContext::default()
-        }
-    }
-
-    /// A context carrying only a state budget.
-    pub fn with_max_states(max_states: usize) -> RunContext {
-        RunContext {
-            budget: Budget {
-                wall_clock: None,
-                max_states: Some(max_states),
-            },
-            ..RunContext::default()
-        }
-    }
-
-    /// `true` iff the cancellation flag is set.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .map(|c| c.load(Ordering::Relaxed))
-            .unwrap_or(false)
-    }
-
-    /// The earliest instant by which work started at `from` must stop: the
-    /// relative wall-clock budget and the absolute shared deadline, whichever
-    /// comes first.  `None` when the context is unbounded.
-    pub fn effective_deadline(&self, from: Instant) -> Option<Instant> {
-        let budget = self.budget.wall_clock.map(|b| from + b);
-        match (budget, self.deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// The [`SearchHook`] carrying this context into the model checker.
-    pub fn search_hook(&self) -> SearchHook {
-        let now = Instant::now();
-        SearchHook {
-            wall_clock_budget: self
-                .effective_deadline(now)
-                .map(|d| d.saturating_duration_since(now)),
-            cancel: self.cancel.clone(),
-            progress: self.progress.clone(),
-            progress_every: 0,
-            faults: self.faults.clone(),
-        }
-    }
-}
-
-impl fmt::Debug for RunContext {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RunContext")
-            .field("budget", &self.budget)
-            .field("cancel", &self.cancel.is_some())
-            .field("progress", &self.progress.is_some())
-            .field("deadline", &self.deadline)
-            .field("faults", &self.faults)
-            .finish()
-    }
-}
-
 /// One requirement's answer within an [`EngineReport`].
 #[derive(Clone, Debug)]
 pub struct RequirementEstimate {
@@ -415,6 +311,14 @@ pub enum EngineError {
     Model(String),
     /// A requirement name could not be resolved.
     UnknownRequirement(String),
+    /// A named processor, bus or scenario could not be resolved (e.g. a sweep
+    /// axis targeting an entity the model does not contain).
+    UnknownEntity {
+        /// What kind of entity the name was expected to resolve to.
+        kind: EntityKind,
+        /// The requested name.
+        name: String,
+    },
     /// The engine cannot answer this query or analyze this model shape
     /// (e.g. the analytic baselines on TDMA buses, whose slot gating their
     /// resource model does not cover).
@@ -424,12 +328,15 @@ pub enum EngineError {
         /// Why.
         detail: String,
     },
-    /// A resource is overloaded; no finite answer exists.
+    /// A resource is overloaded; no finite answer exists.  For the exact
+    /// engine: a bounded variable of the generated network left its
+    /// declared range, an event queue counter (`q_…`) or another counter
+    /// such as a preemption accumulator (`D_…`); the detail names it.
     Overload(String),
     /// The run was cancelled through [`RunContext::cancel`].
     Cancelled,
-    /// The shared deadline ([`RunContext::deadline`]) expired before the
-    /// engine could produce any answer.
+    /// The deadline ([`RunContext::deadline`]) expired before the engine
+    /// could produce any answer.
     TimedOut,
     /// The model checker failed; the structured [`CheckError`] is preserved
     /// so callers can tell a retryable transient ([`CheckError::Transient`])
@@ -464,6 +371,7 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Model(m) => write!(f, "invalid architecture model: {m}"),
             EngineError::UnknownRequirement(n) => write!(f, "unknown requirement `{n}`"),
+            EngineError::UnknownEntity { kind, name } => write!(f, "unknown {kind} `{name}`"),
             EngineError::Unsupported { engine, detail } => {
                 write!(f, "engine `{engine}` cannot answer this query: {detail}")
             }
@@ -481,15 +389,17 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-impl From<ArchError> for EngineError {
-    fn from(e: ArchError) -> Self {
+impl From<ModelError> for EngineError {
+    fn from(e: ModelError) -> Self {
+        EngineError::Model(e.to_string())
+    }
+}
+
+impl From<CheckError> for EngineError {
+    fn from(e: CheckError) -> Self {
         match e {
-            ArchError::Model(m) => EngineError::Model(m.to_string()),
-            ArchError::UnknownRequirement { name } => EngineError::UnknownRequirement(name),
-            e @ ArchError::UnknownEntity { .. } => EngineError::Model(e.to_string()),
-            ArchError::QueueOverflow { detail } => EngineError::Overload(detail),
-            ArchError::Check(CheckError::Cancelled) => EngineError::Cancelled,
-            ArchError::Check(e) => EngineError::Check(e),
+            CheckError::Cancelled => EngineError::Cancelled,
+            e => EngineError::Check(e),
         }
     }
 }
@@ -503,11 +413,7 @@ impl From<ArchError> for EngineError {
 pub fn poll_entry_fault(ctx: &RunContext) -> Result<bool, EngineError> {
     match &ctx.faults {
         None => Ok(false),
-        Some(plan) => match plan.poll(FaultSite::EngineEntry) {
-            Ok(exhausted) => Ok(exhausted),
-            Err(CheckError::Cancelled) => Err(EngineError::Cancelled),
-            Err(e) => Err(EngineError::Check(e)),
-        },
+        Some(plan) => Ok(plan.poll(FaultSite::EngineEntry)?),
     }
 }
 
@@ -876,8 +782,8 @@ pub const BRACKET_TOLERANCE: TimeValue = TimeValue::micros(1);
 /// out, is truncated by a budget, declines, or fails transiently gets its
 /// [`EngineStatus`] recorded in its row while reconciliation runs over the
 /// survivors.  A transient failure ([`EngineError::is_transient`]) is retried
-/// once under the comparison's shared deadline; a truncated answer is kept as
-/// it is.  The comparison errs only when *no* engine produced an answer or
+/// once under the context's one deadline; a truncated answer is kept as it
+/// is.  The comparison errs only when *no* engine produced an answer or
 /// the caller's own cancellation flag is set; bracket violations are
 /// reported ([`ComparisonReport::violations`]), not raised.
 #[derive(Default)]
@@ -913,13 +819,11 @@ impl Portfolio {
         query: &Query,
         ctx: &RunContext,
     ) -> Result<ComparisonReport, EngineError> {
-        // One shared deadline for the whole comparison, retries included.
-        let shared_deadline = ctx.effective_deadline(Instant::now());
         let mut rows: Vec<EngineRow> = Vec::with_capacity(self.engines.len());
         for engine in &self.engines {
             let (outcome, attempts) = {
                 let _span = tempo_obs::span!("portfolio.engine", engine.name());
-                run_with_retry(engine.as_ref(), model, query, ctx, shared_deadline)
+                run_with_retry(engine.as_ref(), model, query, ctx)
             };
             let status = EngineStatus::classify(&outcome);
             if !matches!(status, EngineStatus::Ok) {
@@ -1061,24 +965,21 @@ impl Portfolio {
 
 /// Runs one member engine of a [`Portfolio`]: a transient failure
 /// ([`EngineError::is_transient`]) is retried once as it was, and every
-/// attempt stays under the one `shared_deadline`.  Returns the outcome and
+/// attempt stays under the context's one deadline.  Returns the outcome and
 /// the attempt count.
 fn run_with_retry(
     engine: &dyn Engine,
     model: &ArchitectureModel,
     query: &Query,
     ctx: &RunContext,
-    shared_deadline: Option<Instant>,
 ) -> (Result<EngineReport, EngineError>, usize) {
-    let mut attempt_ctx = ctx.clone();
-    attempt_ctx.deadline = shared_deadline;
     let mut attempts = 0usize;
     loop {
-        if shared_deadline.is_some_and(|d| Instant::now() >= d) {
+        if ctx.is_expired() {
             return (Err(EngineError::TimedOut), attempts);
         }
         attempts += 1;
-        match engine.run_isolated(model, query, &attempt_ctx) {
+        match engine.run_isolated(model, query, ctx) {
             Err(e) if attempts == 1 && e.is_transient() => tempo_obs::event!(
                 "portfolio.retry",
                 engine = engine.name(),
@@ -1132,6 +1033,8 @@ impl Engine for Portfolio {
 mod tests {
     use super::*;
     use crate::model::{EventModel, MeasurePoint, Requirement, Scenario, SchedulingPolicy, Step};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
 
     fn two_task_model() -> ArchitectureModel {
         let mut m = ArchitectureModel::new("engine-test");

@@ -14,8 +14,8 @@
 //! [`AnalysisDb`]: queries whose input cone is unchanged between design
 //! points (or between successive sweeps over an edited model, via
 //! [`Sweep::run_with`]) answer from cache instead of re-exploring, and
-//! [`Sweep::run_with`] threads a [`RunContext`] — budgets, cancellation,
-//! progress — into every exploration.
+//! [`Sweep::run_with`] runs every exploration under one [`RunContext`] —
+//! one deadline, a state budget, cancellation, progress.
 //!
 //! ```
 //! use tempo_arch::prelude::*;
@@ -47,8 +47,8 @@
 //! assert_eq!(outcome.rows[2].reports[0].meets_deadline, Some(true));
 //! ```
 
-use crate::analysis::{AnalysisConfig, ArchError, EntityKind, WcrtReport};
-use crate::engine::RunContext;
+use crate::analysis::{AnalysisConfig, EntityKind, WcrtReport};
+use crate::engine::{EngineError, RunContext};
 use crate::incremental::AnalysisDb;
 use crate::model::{ArchitectureModel, EventModel};
 use crate::time::TimeValue;
@@ -94,14 +94,14 @@ impl Axis {
 
     /// Applies the `index`-th value of this axis to the model and returns the
     /// label fragment describing it.
-    fn apply(&self, model: &mut ArchitectureModel, index: usize) -> Result<String, ArchError> {
+    fn apply(&self, model: &mut ArchitectureModel, index: usize) -> Result<String, EngineError> {
         match self {
             Axis::ProcessorMips { processor, values } => {
                 let p = model
                     .processors
                     .iter_mut()
                     .find(|p| &p.name == processor)
-                    .ok_or_else(|| ArchError::UnknownEntity {
+                    .ok_or_else(|| EngineError::UnknownEntity {
                         kind: EntityKind::Processor,
                         name: processor.clone(),
                     })?;
@@ -113,7 +113,7 @@ impl Axis {
                     .buses
                     .iter_mut()
                     .find(|b| &b.name == bus)
-                    .ok_or_else(|| ArchError::UnknownEntity {
+                    .ok_or_else(|| EngineError::UnknownEntity {
                         kind: EntityKind::Bus,
                         name: bus.clone(),
                     })?;
@@ -125,7 +125,7 @@ impl Axis {
                     .scenarios
                     .iter_mut()
                     .find(|s| &s.name == scenario)
-                    .ok_or_else(|| ArchError::UnknownEntity {
+                    .ok_or_else(|| EngineError::UnknownEntity {
                         kind: EntityKind::Scenario,
                         name: scenario.clone(),
                     })?;
@@ -295,7 +295,7 @@ impl Sweep {
     }
 
     /// The cartesian product of all axes as concrete design points.
-    pub fn points(&self) -> Result<Vec<DesignPoint>, ArchError> {
+    pub fn points(&self) -> Result<Vec<DesignPoint>, EngineError> {
         let mut points = Vec::new();
         let sizes: Vec<usize> = self.axes.iter().map(Axis::len).collect();
         if sizes.contains(&0) {
@@ -338,24 +338,25 @@ impl Sweep {
     /// `workers` bounds the number of concurrently analysed points (each
     /// point's analysis is independent); `0` selects the machine's available
     /// parallelism.
-    pub fn run(&self, cfg: &AnalysisConfig, workers: usize) -> Result<SweepOutcome, ArchError> {
+    pub fn run(&self, cfg: &AnalysisConfig, workers: usize) -> Result<SweepOutcome, EngineError> {
         self.run_with(&AnalysisDb::new(cfg.clone()), workers, &RunContext::default())
     }
 
-    /// Runs the sweep against a shared [`AnalysisDb`], threading a
-    /// [`RunContext`] (wall-clock/state budgets, cooperative cancellation,
-    /// progress callbacks) into every exploration.
+    /// Runs the sweep against a shared [`AnalysisDb`] under one
+    /// [`RunContext`]: every exploration of every design point stops by the
+    /// context's one deadline and honors its state budget, cancellation
+    /// flag and progress callback.
     ///
     /// Queries whose input cone is already cached answer without exploring;
     /// [`AnalysisDb::stats`] shows the hit/miss split afterwards.  A set
-    /// cancellation flag surfaces as
-    /// [`ArchError::Check`]`(`[`CheckError::Cancelled`](tempo_check::CheckError::Cancelled)`)`.
+    /// cancellation flag surfaces as [`EngineError::Cancelled`], as it does
+    /// from [`AnalysisDb::run`].
     pub fn run_with(
         &self,
         db: &AnalysisDb,
         workers: usize,
         ctx: &RunContext,
-    ) -> Result<SweepOutcome, ArchError> {
+    ) -> Result<SweepOutcome, EngineError> {
         let points = self.points()?;
         let requirement_names: Vec<String> = match &self.requirements {
             Some(names) => names.clone(),
@@ -371,7 +372,7 @@ impl Sweep {
         .min(points.len().max(1));
 
         let next = AtomicUsize::new(0);
-        let results: Vec<Mutex<Option<Result<SweepRow, ArchError>>>> =
+        let results: Vec<Mutex<Option<Result<SweepRow, EngineError>>>> =
             points.iter().map(|_| Mutex::new(None)).collect();
 
         std::thread::scope(|scope| {
@@ -509,7 +510,7 @@ mod tests {
         ];
         for (sweep, expected_kind, expected_name) in cases {
             let err = sweep.points().unwrap_err();
-            let ArchError::UnknownEntity { kind, name } = &err else {
+            let EngineError::UnknownEntity { kind, name } = &err else {
                 panic!("expected UnknownEntity, got {err}");
             };
             assert_eq!(*kind, expected_kind);
@@ -556,10 +557,7 @@ mod tests {
         let err = sweep
             .run_with(&AnalysisDb::new(AnalysisConfig::default()), 1, &ctx)
             .unwrap_err();
-        assert!(
-            matches!(err, ArchError::Check(tempo_check::CheckError::Cancelled)),
-            "{err}"
-        );
+        assert!(matches!(err, EngineError::Cancelled), "{err}");
     }
 
     #[test]

@@ -79,7 +79,7 @@
 //! assert_eq!((stats.misses, stats.hits, stats.invalidations), (1, 1, 0));
 //! ```
 
-use crate::analysis::{analyze_generated, AnalysisConfig, ArchError, WcrtReport};
+use crate::analysis::{analyze_generated, from_check, AnalysisConfig, WcrtReport};
 use crate::engine::{
     poll_entry_fault, EngineError, EngineReport, Query, RequirementEstimate, RunContext,
 };
@@ -230,18 +230,6 @@ fn base_cone_hash(model: &ArchitectureModel, cfg: &AnalysisConfig) -> u64 {
     h.finish()
 }
 
-/// Overlays a [`RunContext`]'s budget and hooks onto an analysis
-/// configuration — the single translation behind the database's query
-/// entry points.
-fn apply_run_context(cfg: &AnalysisConfig, ctx: &RunContext) -> AnalysisConfig {
-    let mut cfg = cfg.clone();
-    cfg.search.hook = ctx.search_hook();
-    if let Some(limit) = ctx.budget.max_states {
-        cfg.search.max_states = Some(cfg.search.max_states.map_or(limit, |l| l.min(limit)));
-    }
-    cfg
-}
-
 /// Hit/miss/invalidation counters of an [`AnalysisDb`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DbStats {
@@ -359,7 +347,7 @@ impl AnalysisDb {
         &self,
         model: &ArchitectureModel,
         observed: Option<&Requirement>,
-    ) -> Result<GeneratedModel, ArchError> {
+    ) -> Result<GeneratedModel, EngineError> {
         let gen_started = Instant::now();
         let generated = generate(model, observed, &self.cfg.generator)?;
         let gen_nanos = u64::try_from(gen_started.elapsed().as_nanos())
@@ -371,42 +359,42 @@ impl AnalysisDb {
         Ok(generated)
     }
 
-    /// The WCRT of one requirement under the database's configuration.
-    pub fn wcrt(&self, model: &ArchitectureModel, requirement: &str) -> Result<WcrtReport, ArchError> {
-        model.validate()?;
-        self.wcrt_with(model, requirement, &self.cfg)
+    /// The WCRT of one requirement under the database's configuration,
+    /// unbounded.
+    pub fn wcrt(
+        &self,
+        model: &ArchitectureModel,
+        requirement: &str,
+    ) -> Result<WcrtReport, EngineError> {
+        self.wcrt_in(model, requirement, &RunContext::default())
     }
 
-    /// The WCRT of one requirement with a [`RunContext`]'s budgets,
-    /// cancellation and progress hooks applied — the entry point the sweep
-    /// drivers use.  A cache hit is free and bypasses the budget; a
-    /// cancellation surfaces as `ArchError::Check(CheckError::Cancelled)`.
+    /// The WCRT of one requirement under a [`RunContext`] — the entry point
+    /// the sweep drivers use.  A cache hit is free and bypasses the budget;
+    /// a cancelled context is refused with [`EngineError::Cancelled`].
     pub fn wcrt_in(
         &self,
         model: &ArchitectureModel,
         requirement: &str,
         ctx: &RunContext,
-    ) -> Result<WcrtReport, ArchError> {
+    ) -> Result<WcrtReport, EngineError> {
         model.validate()?;
         if ctx.is_cancelled() {
-            return Err(ArchError::Check(tempo_check::CheckError::Cancelled));
+            return Err(EngineError::Cancelled);
         }
-        let cfg = apply_run_context(&self.cfg, ctx);
-        self.wcrt_with(model, requirement, &cfg)
+        self.wcrt_with(model, requirement, ctx)
     }
 
     fn wcrt_with(
         &self,
         model: &ArchitectureModel,
         requirement: &str,
-        cfg: &AnalysisConfig,
-    ) -> Result<WcrtReport, ArchError> {
+        ctx: &RunContext,
+    ) -> Result<WcrtReport, EngineError> {
         let req = model
             .requirement_by_name(requirement)
             .cloned()
-            .ok_or_else(|| ArchError::UnknownRequirement {
-                name: requirement.to_string(),
-            })?;
+            .ok_or_else(|| EngineError::UnknownRequirement(requirement.to_string()))?;
         let cone = estimate_cone_hash(model, &req, &self.cfg);
         {
             let mut inner = self.inner.lock().expect("analysis db lock");
@@ -423,7 +411,7 @@ impl AnalysisDb {
         // a racing duplicate of the same cone is wasted work, not an error.
         let generated = self.network(model, Some(&req))?;
         let explore_started = Instant::now();
-        let report = analyze_generated(&generated, &req, cfg)?;
+        let report = analyze_generated(&generated, &req, &self.cfg, ctx)?;
         let explore_nanos = u64::try_from(explore_started.elapsed().as_nanos())
             .unwrap_or(u64::MAX)
             .max(1);
@@ -439,17 +427,17 @@ impl AnalysisDb {
 
     /// Verifies that no event queue can overflow: explores the functional
     /// (observer-free) network and surfaces a reachable overflow as
-    /// [`ArchError::QueueOverflow`].
-    pub fn queue_check(&self, model: &ArchitectureModel) -> Result<ExplorationStats, ArchError> {
+    /// [`EngineError::Overload`].
+    pub fn queue_check(&self, model: &ArchitectureModel) -> Result<ExplorationStats, EngineError> {
         model.validate()?;
-        self.queue_check_with(model, &self.cfg)
+        self.queue_check_with(model, &RunContext::default())
     }
 
     fn queue_check_with(
         &self,
         model: &ArchitectureModel,
-        cfg: &AnalysisConfig,
-    ) -> Result<ExplorationStats, ArchError> {
+        ctx: &RunContext,
+    ) -> Result<ExplorationStats, EngineError> {
         let cone = base_cone_hash(model, &self.cfg);
         {
             let mut inner = self.inner.lock().expect("analysis db lock");
@@ -459,16 +447,17 @@ impl AnalysisDb {
                 tempo_obs::event!("db.hit", query = "queues", cone = cone);
                 return match outcome {
                     QueueOutcome::Bounded(stats) => Ok(stats),
-                    QueueOutcome::Overflow(detail) => Err(ArchError::QueueOverflow { detail }),
+                    QueueOutcome::Overflow(detail) => Err(EngineError::Overload(detail)),
                 };
             }
             inner.stats.misses += 1;
             tempo_obs::event!("db.miss", query = "queues", cone = cone);
         }
         let generated = self.network(model, None)?;
-        let check = |e| ArchError::from_check(e, &generated.system);
-        let explorer =
-            tempo_check::Explorer::new(&generated.system, cfg.search.clone()).map_err(check)?;
+        let check = |e| from_check(e, &generated.system);
+        let explorer = tempo_check::Explorer::new(&generated.system, self.cfg.search.clone())
+            .map_err(check)?
+            .with_context(ctx);
         let explore_started = Instant::now();
         let outcome = explorer.explore(|_| {});
         let explore_nanos = u64::try_from(explore_started.elapsed().as_nanos())
@@ -477,9 +466,7 @@ impl AnalysisDb {
         let result = outcome.map_err(check);
         let cacheable = match &result {
             Ok(stats) if !stats.truncated => Some(QueueOutcome::Bounded(stats.clone())),
-            Err(ArchError::QueueOverflow { detail }) => {
-                Some(QueueOutcome::Overflow(detail.clone()))
-            }
+            Err(EngineError::Overload(detail)) => Some(QueueOutcome::Overflow(detail.clone())),
             _ => None,
         };
         {
@@ -495,12 +482,12 @@ impl AnalysisDb {
     fn queues_bounded_with(
         &self,
         model: &ArchitectureModel,
-        cfg: &AnalysisConfig,
-    ) -> Result<Option<bool>, ArchError> {
-        match self.queue_check_with(model, cfg) {
+        ctx: &RunContext,
+    ) -> Result<Option<bool>, EngineError> {
+        match self.queue_check_with(model, ctx) {
             Ok(stats) if stats.truncated => Ok(None),
             Ok(_) => Ok(Some(true)),
-            Err(ArchError::QueueOverflow { .. }) => Ok(Some(false)),
+            Err(EngineError::Overload(_)) => Ok(Some(false)),
             Err(e) => Err(e),
         }
     }
@@ -543,12 +530,13 @@ impl AnalysisDb {
         cones.iter().all(|cone| inner.estimates.contains_key(cone))
     }
 
-    /// Answers a typed [`Query`] with the context's budgets and cancellation
-    /// applied — the only function that turns a query into an exact
-    /// [`EngineReport`].  A cancelled context is refused on entry, even for
-    /// a query the cache could answer.  Cache hits are free and bypass the
-    /// budget; answers computed under an exhausted budget are truncated and
-    /// therefore never cached.
+    /// Answers a typed [`Query`] under `ctx` — the only function that turns
+    /// a query into an exact [`EngineReport`].  Every exploration the query
+    /// needs (one per requirement of a [`Query::WcrtAll`]) runs under the
+    /// context's one deadline.  A cancelled context is refused on entry,
+    /// even for a query the cache could answer.  Cache hits are free and
+    /// bypass the budget; answers computed under an exhausted budget are
+    /// truncated and therefore never cached.
     pub fn run(
         &self,
         model: &ArchitectureModel,
@@ -556,20 +544,26 @@ impl AnalysisDb {
         ctx: &RunContext,
     ) -> Result<EngineReport, EngineError> {
         let started = Instant::now();
-        model.validate().map_err(ArchError::from)?;
+        model.validate()?;
         if ctx.is_cancelled() {
             return Err(EngineError::Cancelled);
         }
-        let mut cfg = apply_run_context(&self.cfg, ctx);
-        if poll_entry_fault(ctx)? {
-            // Injected budget exhaustion: degrade exactly as if the
-            // wall-clock budget had expired on entry — the exploration
-            // truncates immediately and the answers are sound lower bounds.
-            cfg.search.hook.wall_clock_budget = Some(std::time::Duration::ZERO);
-        }
+        let exhausted;
+        let ctx = if poll_entry_fault(ctx)? {
+            // Injected budget exhaustion: degrade exactly as if the deadline
+            // had passed on entry — the exploration truncates immediately
+            // and the answers are sound lower bounds.
+            exhausted = RunContext {
+                deadline: Some(started),
+                ..ctx.clone()
+            };
+            &exhausted
+        } else {
+            ctx
+        };
         let (estimates, verdict, states_stored, truncated) = match query {
             Query::Wcrt { requirement } | Query::DeadlineCheck { requirement } => {
-                let report = self.wcrt_with(model, requirement, &cfg)?;
+                let report = self.wcrt_with(model, requirement, ctx)?;
                 let row = RequirementEstimate::from_wcrt(&report);
                 let verdict = match query {
                     Query::DeadlineCheck { .. } => report.meets_deadline,
@@ -582,7 +576,7 @@ impl AnalysisDb {
                 let reports: Vec<WcrtReport> = model
                     .requirements
                     .iter()
-                    .map(|r| self.wcrt_with(model, &r.name, &cfg))
+                    .map(|r| self.wcrt_with(model, &r.name, ctx))
                     .collect::<Result<_, _>>()?;
                 let states = reports.iter().map(|r| r.stats.stored_cumulative).max();
                 let truncated = reports.iter().any(|r| r.stats.truncated);
@@ -594,7 +588,7 @@ impl AnalysisDb {
                 )
             }
             Query::QueueBounds => {
-                let verdict = self.queues_bounded_with(model, &cfg)?;
+                let verdict = self.queues_bounded_with(model, ctx)?;
                 // An undecided verdict means the exploration truncated.
                 (Vec::new(), verdict, None, verdict.is_none())
             }
@@ -759,7 +753,9 @@ mod tests {
         for (a, req) in via_db.estimates.iter().zip(&m.requirements) {
             // The uncached reference: a fresh network and exploration.
             let generated = generate(&m, Some(req), &cfg.generator).unwrap();
-            let b = RequirementEstimate::from_wcrt(&analyze_generated(&generated, req, &cfg).unwrap());
+            let b = RequirementEstimate::from_wcrt(
+                &analyze_generated(&generated, req, &cfg, &RunContext::default()).unwrap(),
+            );
             assert_eq!(a.requirement, b.requirement);
             assert_eq!(a.estimate, b.estimate);
             assert_eq!(a.meets_deadline, b.meets_deadline);
@@ -807,13 +803,7 @@ mod tests {
         };
 
         // A budget-truncated run is never cached.
-        let budgeted = RunContext {
-            budget: crate::engine::Budget {
-                wall_clock: None,
-                max_states: Some(2),
-            },
-            ..RunContext::default()
-        };
+        let budgeted = RunContext::with_max_states(2);
         assert!(db.run(&m, &Query::wcrt("r0"), &budgeted).unwrap().truncated);
         assert!(!probe(&m, &Query::wcrt("r0")));
 
@@ -855,7 +845,7 @@ mod tests {
         let db = AnalysisDb::new(AnalysisConfig::default());
         assert!(matches!(
             db.wcrt(&two_island_model(), "nope"),
-            Err(ArchError::UnknownRequirement { .. })
+            Err(EngineError::UnknownRequirement(_))
         ));
     }
 

@@ -73,11 +73,10 @@ pub mod time;
 pub mod transform;
 
 pub use analysis::{
-    analyze_generated, analyze_requirement_binary_search, AnalysisConfig, ArchError, EntityKind,
-    WcrtReport,
+    analyze_generated, analyze_requirement_binary_search, AnalysisConfig, EntityKind, WcrtReport,
 };
 pub use engine::{
-    Budget, ComparisonReport, Engine, EngineError, EngineReport, Estimate, Portfolio, Query,
+    ComparisonReport, Engine, EngineError, EngineReport, Estimate, Portfolio, Query,
     RequirementEstimate, RunContext, TaEngine,
 };
 pub use explore::{DesignPoint, Sweep, SweepOutcome, SweepRow};
@@ -87,7 +86,7 @@ pub use model::{
     ArchitectureModel, Bus, BusArbitration, BusId, EventModel, MeasurePoint, ModelError,
     Processor, ProcessorId, Requirement, Scenario, ScenarioId, SchedulingPolicy, Step,
 };
-pub use tempo_check::{SearchHook, SearchOptions, SearchProgress};
+pub use tempo_check::{SearchOptions, SearchProgress};
 pub use time::{Quantizer, TimeValue};
 pub use transform::fragment_transfers;
 

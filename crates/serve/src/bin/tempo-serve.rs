@@ -10,8 +10,10 @@
 //!   exits non-zero on any failure.  Used by CI to exercise a loopback
 //!   daemon end to end.
 //!
-//! Options: `--workers N`, `--queue-cap N`, `--budget-ms N` (default
-//! per-request wall budget).
+//! Options: `--workers N`, `--queue-cap N`, `--budget-ms N` (the wall-clock
+//! budget of a request that names no `budget_ms`).  A request's budget fixes
+//! one deadline when its job starts; every query of a `query_batch` must
+//! answer by it.
 
 use std::net::TcpListener;
 use std::process::ExitCode;
@@ -31,7 +33,9 @@ enum Mode {
 
 fn usage() -> &'static str {
     "usage: tempo-serve [--stdio | --listen ADDR | --drive ADDR] \
-     [--workers N] [--queue-cap N] [--budget-ms N]"
+     [--workers N] [--queue-cap N] [--budget-ms N]\n\
+     --budget-ms N  wall-clock budget of a request without `budget_ms`; it \
+     fixes one deadline when the job starts, shared by every query of a batch"
 }
 
 fn main() -> ExitCode {

@@ -23,8 +23,8 @@ use tempo_check::SearchProgress;
 /// Per-request execution options of `query` / `query_batch`.
 #[derive(Clone, Debug, Default)]
 pub struct RequestOpts {
-    /// Wall-clock budget in milliseconds (merged with, and capped by, the
-    /// server's configured budgets).
+    /// Wall-clock budget in milliseconds: the job's one deadline lies this
+    /// far from its start (default: the server's `default_wall_budget`).
     pub budget_ms: Option<u64>,
     /// Symbolic-state budget.
     pub max_states: Option<usize>,

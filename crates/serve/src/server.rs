@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-use tempo_arch::engine::{Budget, Query, RunContext};
+use tempo_arch::engine::{Query, RunContext};
 use tempo_arch::incremental::AnalysisDb;
 use tempo_arch::model::ArchitectureModel;
 use tempo_arch::AnalysisConfig;
@@ -68,20 +68,8 @@ pub struct ServerConfig {
     /// Maximum queries waiting for a worker; a request beyond this is
     /// answered with a typed `overloaded` error.
     pub queue_cap: usize,
-    /// Default per-request wall-clock budget when the request names none.
+    /// Wall-clock budget of a request that names none (`budget_ms`).
     pub default_wall_budget: Option<Duration>,
-    /// Hard cap on any per-request wall-clock budget (requested or default).
-    pub max_wall_budget: Option<Duration>,
-    /// Default per-request symbolic-state budget.
-    pub default_max_states: Option<usize>,
-    /// Server-wide deadline, measured from server start: every run's
-    /// `RunContext::deadline` is pinned to it, so a drained daemon winds down
-    /// instead of accepting unbounded work.
-    pub server_deadline: Option<Duration>,
-    /// Install a process-global [`MetricsRegistry`] at startup (the `stats`
-    /// response embeds its snapshot either way; installation is what routes
-    /// span/counter traffic into it).
-    pub install_metrics: bool,
 }
 
 impl Default for ServerConfig {
@@ -90,10 +78,6 @@ impl Default for ServerConfig {
             workers: 2,
             queue_cap: 16,
             default_wall_budget: None,
-            max_wall_budget: None,
-            default_max_states: None,
-            server_deadline: None,
-            install_metrics: true,
         }
     }
 }
@@ -189,12 +173,10 @@ pub struct ServerHandle {
 }
 
 impl Server {
-    /// Starts the worker pool and (optionally) installs the metrics registry.
+    /// Starts the worker pool and installs the metrics registry.
     pub fn new(cfg: ServerConfig) -> Server {
         let registry = Arc::new(MetricsRegistry::new());
-        if cfg.install_metrics {
-            tempo_obs::install(registry.clone());
-        }
+        tempo_obs::install(registry.clone());
         let worker_count = cfg.workers.max(1);
         let state = Arc::new(ServerState {
             cfg,
@@ -642,17 +624,16 @@ impl ServerState {
         ])
     }
 
-    /// Builds the run context of one job from its options and the server
-    /// budget policy.
+    /// Builds the run context of one job from its options alone, when the
+    /// job starts: its `budget_ms` (or the server's default) fixes the
+    /// deadline that every query of the job, each batch element included,
+    /// must meet.
     fn run_context(&self, job: &Job) -> RunContext {
-        let mut wall = job
+        let budget = job
             .opts
             .budget_ms
             .map(Duration::from_millis)
             .or(self.cfg.default_wall_budget);
-        if let Some(cap) = self.cfg.max_wall_budget {
-            wall = Some(wall.map_or(cap, |w| w.min(cap)));
-        }
         let progress = job.opts.progress.then(|| {
             let out = job.out.clone();
             let id = job.id;
@@ -662,17 +643,14 @@ impl ServerState {
             f
         });
         RunContext {
-            budget: Budget {
-                wall_clock: wall,
-                max_states: job.opts.max_states.or(self.cfg.default_max_states),
-            },
+            max_states: job.opts.max_states,
             cancel: Some(job.cancel.clone()),
             progress,
-            deadline: self.cfg.server_deadline.map(|d| self.started + d),
             faults: job
                 .opts
                 .fault_seed
                 .map(|s| Arc::new(FaultPlan::from_seed(s))),
+            ..budget.map_or_else(RunContext::default, RunContext::with_wall_clock)
         }
     }
 

@@ -25,7 +25,8 @@ use tempo_check::SearchProgress;
 
 /// A typed protocol error: a stable `kind` tag plus human-readable detail.
 ///
-/// Kinds mapped from [`EngineError`]: `model`, `unknown_requirement`,
+/// Kinds mapped from [`EngineError`]: `model` (an unknown processor, bus or
+/// scenario included), `unknown_requirement`,
 /// `unsupported`, `overload`, `cancelled`, `timed_out`, `check`, `panicked`,
 /// `internal`.  Protocol-level kinds: `parse`, `bad_request`,
 /// `unknown_model`, `overloaded` (admission queue full), `shutting_down`.
@@ -55,6 +56,7 @@ impl WireError {
     pub fn from_engine(e: &EngineError) -> WireError {
         let (kind, detail) = match e {
             EngineError::Model(d) => ("model", d.clone()),
+            EngineError::UnknownEntity { .. } => ("model", e.to_string()),
             EngineError::UnknownRequirement(n) => ("unknown_requirement", n.clone()),
             EngineError::Unsupported { engine, detail } => {
                 ("unsupported", format!("{engine}: {detail}"))
@@ -726,6 +728,13 @@ mod tests {
     fn engine_errors_keep_their_kind_on_the_wire() {
         let cases = [
             (EngineError::Model("bad".into()), "model"),
+            (
+                EngineError::UnknownEntity {
+                    kind: tempo_arch::EntityKind::Bus,
+                    name: "CAN".into(),
+                },
+                "model",
+            ),
             (
                 EngineError::UnknownRequirement("r".into()),
                 "unknown_requirement",

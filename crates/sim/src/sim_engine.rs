@@ -10,9 +10,9 @@ use tempo_arch::time::TimeValue;
 
 /// The simulation engine: lower bounds observed by executing the model.
 ///
-/// The run context's wall-clock budget is honored between simulation runs —
-/// a budgeted campaign simply performs fewer runs, and the partial maximum is
-/// still a sound lower bound.
+/// The run context's deadline is honored between simulation runs — a
+/// campaign past its deadline simply performs fewer runs, and the partial
+/// maximum is still a sound lower bound.
 #[derive(Clone, Debug, Default)]
 pub struct SimEngine {
     /// The simulation campaign configuration (horizon, runs, base seed).
@@ -71,13 +71,10 @@ impl Engine for SimEngine {
             });
         }
         let started = Instant::now();
-        let mut deadline = ctx.effective_deadline(started);
-        if poll_entry_fault(ctx)? {
-            // Injected budget exhaustion: degrade to the shortest campaign —
-            // the first run still executes, so the answer stays a sound
-            // (if loose) lower bound.
-            deadline = Some(started);
-        }
+        // Injected budget exhaustion degrades to the shortest campaign: the
+        // first run still executes, so the answer stays a sound (if loose)
+        // lower bound.
+        let exhausted = poll_entry_fault(ctx)?;
 
         // Run the campaign one run at a time so the budget and cancellation
         // are honored between runs; seeds match `simulate` with `runs` runs,
@@ -88,7 +85,7 @@ impl Engine for SimEngine {
             if ctx.is_cancelled() {
                 return Err(EngineError::Cancelled);
             }
-            if run > 0 && deadline.is_some_and(|d| Instant::now() >= d) {
+            if run > 0 && (exhausted || ctx.is_expired()) {
                 truncated = true;
                 break;
             }

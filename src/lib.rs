@@ -8,7 +8,7 @@
 //! |-------|----------|--------|
 //! | [`tempo_dbm`]   | difference bound matrices (zones) | — |
 //! | [`tempo_ta`]    | networks of timed automata with bounded integers, urgent/broadcast channels and committed locations | — |
-//! | [`tempo_check`] | UPPAAL-style zone-graph model checker (reachability, safety, WCRT suprema, budget/cancel hooks) | — |
+//! | [`tempo_check`] | UPPAAL-style zone-graph model checker (reachability, safety, WCRT suprema, the `RunContext` that bounds and cancels a run) | — |
 //! | [`tempo_arch`]  | the paper's contribution: architecture models → timed automata → exact WCRTs; the [`Query`](arch::engine::Query)/[`Engine`](arch::engine::Engine)/[`AnalysisDb`](arch::incremental::AnalysisDb)/[`Portfolio`](arch::engine::Portfolio) surface | `TaEngine` (exact) |
 //! | [`tempo_rtc`]   | Modular Performance Analysis / real-time calculus baseline | `RtcEngine` (upper bounds) |
 //! | [`tempo_symta`] | SymTA/S-style compositional busy-window analysis baseline | `SymtaEngine` (upper bounds) |
@@ -67,11 +67,12 @@
 //! );
 //! ```
 //!
-//! Long-running queries take a [`RunContext`](arch::engine::RunContext) with
-//! a wall-clock/state budget (a budgeted exact query degrades to a
-//! well-formed *lower bound* instead of failing), a cancellation flag, an
-//! optional shared deadline and a progress callback, all threaded down into
-//! the model checker's explorer.
+//! Long-running queries take a [`RunContext`](arch::engine::RunContext):
+//! one absolute deadline (`RunContext::with_wall_clock` fixes it when the
+//! context is built) and a state budget — a budgeted exact query degrades to
+//! a well-formed *lower bound* instead of failing — plus a cancellation flag
+//! and a progress callback.  The model checker's explorer reads the same
+//! context, so every exploration of a run stops by the one deadline.
 //!
 //! ## Incremental design-space exploration
 //!
@@ -135,12 +136,13 @@
 //! in the [`ComparisonReport`](arch::engine::ComparisonReport) while the
 //! survivors still reconcile.  A transient failure
 //! ([`EngineError::is_transient`](arch::engine::EngineError::is_transient))
-//! is retried once beneath the comparison's one shared deadline; a
+//! is retried once beneath the run context's one deadline, which bounds
+//! every engine of the comparison and every exploration inside each; a
 //! budget-truncated answer is kept as the sound lower bound it is.
 //!
 //! These paths are testable deterministically: a seeded
 //! [`FaultPlan`](check::FaultPlan) threaded through
-//! [`RunContext::faults`](arch::engine::RunContext) injects panics, spurious
+//! [`RunContext::faults`](arch::engine::RunContext::faults) injects panics, spurious
 //! cancellations, budget exhaustion and transient errors at instrumented
 //! points in the engines and the explorer (engine entry, store insert,
 //! successor generation, progress callbacks) — zero-cost when absent. The

@@ -109,3 +109,49 @@ fn default_config_answers_exactly_within_a_budget_the_reference_overruns() {
         "the budget does not separate the configurations"
     );
 }
+
+/// One run context has one deadline: a `WcrtAll` query on the paper-parameter
+/// `bur` ChangeVolume model, whose four requirements each outrun the budget,
+/// stops by that deadline instead of granting each requirement a fresh
+/// budget.  Checked for a budget fixed by `with_wall_clock` and for an
+/// absolute `deadline` alike.
+#[test]
+fn wcrt_all_stops_by_the_one_deadline_of_its_context() {
+    use std::time::{Duration, Instant};
+    use tempo::arch::casestudy::{
+        radio_navigation, CaseStudyParams, EventModelColumn, ScenarioCombo,
+    };
+    let model = radio_navigation(
+        ScenarioCombo::ChangeVolumeWithTmc,
+        EventModelColumn::Burst,
+        &CaseStudyParams::default(),
+    );
+    assert!(
+        model.requirements.len() > 1,
+        "the query must span several explorations"
+    );
+    let budget = Duration::from_millis(200);
+    for name in ["with_wall_clock", "deadline"] {
+        let started = Instant::now();
+        let ctx = match name {
+            "with_wall_clock" => RunContext::with_wall_clock(budget),
+            _ => RunContext {
+                deadline: Some(started + budget),
+                ..RunContext::default()
+            },
+        };
+        let report = TaEngine::default()
+            .run(&model, &Query::WcrtAll, &ctx)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let elapsed = started.elapsed();
+        assert!(
+            report.truncated,
+            "{name}: the model does not outrun the budget"
+        );
+        assert_eq!(report.estimates.len(), model.requirements.len(), "{name}");
+        assert!(
+            elapsed < 2 * budget,
+            "{name}: answered after {elapsed:?}, budget {budget:?}"
+        );
+    }
+}

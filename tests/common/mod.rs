@@ -55,7 +55,7 @@ pub fn reference_wcrt(model: &ArchitectureModel, req: &str, cfg: &AnalysisConfig
         .unwrap_or_else(|| panic!("{}: no requirement `{req}`", model.name));
     let generated = generate(model, Some(req), &cfg.generator)
         .unwrap_or_else(|e| panic!("{}/{}: {e}", model.name, req.name));
-    analyze_generated(&generated, req, cfg)
+    analyze_generated(&generated, req, cfg, &RunContext::default())
         .unwrap_or_else(|e| panic!("{}/{}: {e}", model.name, req.name))
 }
 

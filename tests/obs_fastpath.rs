@@ -14,7 +14,7 @@ use common::burst_model;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tempo::arch::prelude::*;
-use tempo::check::{SearchHook, SearchOptions, SearchProgress};
+use tempo::check::SearchProgress;
 use tempo::obs::{JsonlSubscriber, MetricsRegistry};
 
 #[test]
@@ -63,19 +63,13 @@ fn progress_stream_populates_waiting() {
             max_waiting.fetch_max(p.waiting, Ordering::SeqCst);
         }
     });
-    let cfg = AnalysisConfig {
-        search: SearchOptions {
-            hook: SearchHook {
-                progress: Some(progress),
-                progress_every: 8,
-                ..SearchHook::default()
-            },
-            ..SearchOptions::default()
-        },
-        ..AnalysisConfig::default()
+    let ctx = RunContext {
+        progress: Some(progress),
+        progress_every: 8,
+        ..RunContext::default()
     };
-    AnalysisDb::new(cfg)
-        .wcrt(&model, &model.requirements[0].name)
+    AnalysisDb::new(AnalysisConfig::default())
+        .wcrt_in(&model, &model.requirements[0].name, &ctx)
         .unwrap();
 
     assert!(

@@ -15,7 +15,7 @@ use common::{burst_model, random_model, tdma_model};
 use std::io::BufReader;
 use std::sync::Arc;
 use tempo::arch::casestudy::{radio_navigation, CaseStudyParams, EventModelColumn, ScenarioCombo};
-use tempo::arch::engine::{Budget, Query, RunContext};
+use tempo::arch::engine::{Query, RunContext};
 use tempo::arch::incremental::AnalysisDb;
 use tempo::arch::prelude::*;
 use tempo::engine::quiet_injected_panics;
@@ -277,15 +277,8 @@ fn batches_collapse_when_they_cover_the_requirement_set() {
         .iter()
         .map(|r| Query::wcrt(&r.name))
         .collect();
-    let budget = Budget {
-        wall_clock: None,
-        max_states: Some(97),
-    };
     let db = AnalysisDb::new(AnalysisConfig::default());
-    let ctx = RunContext {
-        budget,
-        ..RunContext::default()
-    };
+    let ctx = RunContext::with_max_states(97);
     let direct: Vec<_> = queries
         .iter()
         .map(|q| db.run(&budgeted, q, &ctx).unwrap())
@@ -295,7 +288,7 @@ fn batches_collapse_when_they_cover_the_requirement_set() {
         [false, true]
     );
     let opts = QueryOpts {
-        max_states: budget.max_states,
+        max_states: ctx.max_states,
         ..QueryOpts::default()
     };
     let batch = client
@@ -316,6 +309,60 @@ fn batches_collapse_when_they_cover_the_requirement_set() {
             want.states_stored.map(|s| s as i128)
         );
     }
+
+    client.shutdown().unwrap().unwrap();
+    drop(client);
+    conn.join().unwrap();
+}
+
+/// A request's `budget_ms` fixes one deadline when its job starts, and every
+/// element of a `query_batch` answers by it: on the paper-parameter `bur`
+/// ChangeVolume model, where each requirement alone outruns the budget, the
+/// batch answers within the one budget's reach, not one budget per element.
+#[test]
+fn a_budgeted_batch_answers_by_its_one_deadline() {
+    let model = radio_navigation(
+        ScenarioCombo::ChangeVolumeWithTmc,
+        EventModelColumn::Burst,
+        &CaseStudyParams::default(),
+    );
+    let queries: Vec<Query> = model
+        .requirements
+        .iter()
+        .map(|r| Query::wcrt(&r.name))
+        .collect();
+    assert!(
+        queries.len() > 1,
+        "the batch must span several explorations"
+    );
+    let (mut client, conn) = pipe_pair();
+    client.load_model(&model).unwrap().unwrap();
+
+    let budget = std::time::Duration::from_millis(200);
+    let opts = QueryOpts {
+        budget_ms: Some(budget.as_millis() as u64),
+        ..QueryOpts::default()
+    };
+    let started = std::time::Instant::now();
+    let batch = client
+        .query_batch(&model.name, &queries, &opts)
+        .unwrap()
+        .unwrap();
+    let elapsed = started.elapsed();
+    let results = batch.get("results").and_then(JsonValue::as_array).unwrap();
+    assert_eq!(results.len(), queries.len());
+    for r in results {
+        let report = r.get("report").unwrap_or_else(|| panic!("{}", r.print()));
+        assert_eq!(
+            report.get("truncated").and_then(JsonValue::as_bool),
+            Some(true),
+            "every element outruns the budget"
+        );
+    }
+    assert!(
+        elapsed < 2 * budget,
+        "the batch answered after {elapsed:?}, budget {budget:?}"
+    );
 
     client.shutdown().unwrap().unwrap();
     drop(client);
