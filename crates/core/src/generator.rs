@@ -15,6 +15,13 @@
 //!   non-deterministically picks one stimulus occurrence, starts a clock, and
 //!   enters a committed `seen` location at the instant the corresponding
 //!   response is produced.
+//!
+//! Without a measured requirement every scenario, processor and bus is
+//! translated.  With one, only its resource-sharing closure is: the scenarios
+//! reachable from the requirement's scenario through shared processors and
+//! buses, and the resources they touch.  Scenarios outside the closure cannot
+//! delay it, as the paper's Table 1 pairs each requirement with the scenarios
+//! that interfere with it.  The quantizer tick stays the whole model's.
 
 use crate::model::{
     ArchitectureModel, BusArbitration, EventModel, MeasurePoint, ModelError, Requirement,
@@ -72,11 +79,65 @@ struct StepRef {
     step: usize,
 }
 
+/// The resource-sharing closure of one scenario: every scenario reachable
+/// from `root` through shared processors/buses, plus the resources touched
+/// along the way.  Returned as membership masks over the model's scenarios,
+/// processors and buses.  It is the one definition of what a WCRT answer
+/// depends on: [`generate`] translates only this part of the model for a
+/// measured requirement, and the analysis database hashes the same part as
+/// the query's input cone.
+pub(crate) fn sharing_closure(
+    model: &ArchitectureModel,
+    root: usize,
+) -> (Vec<bool>, Vec<bool>, Vec<bool>) {
+    let mut scenarios = vec![false; model.scenarios.len()];
+    let mut processors = vec![false; model.processors.len()];
+    let mut buses = vec![false; model.buses.len()];
+    let mut work = vec![root];
+    while let Some(si) = work.pop() {
+        if std::mem::replace(&mut scenarios[si], true) {
+            continue;
+        }
+        for step in &model.scenarios[si].steps {
+            match step {
+                Step::Execute { on, .. } => {
+                    if let Some(slot) = processors.get_mut(on.0) {
+                        *slot = true;
+                    }
+                }
+                Step::Transfer { over, .. } => {
+                    if let Some(slot) = buses.get_mut(over.0) {
+                        *slot = true;
+                    }
+                }
+            }
+        }
+        // Any scenario touching one of the marked resources joins the cone.
+        for (oi, other) in model.scenarios.iter().enumerate() {
+            if scenarios[oi] {
+                continue;
+            }
+            let shares = other.steps.iter().any(|step| match step {
+                Step::Execute { on, .. } => processors.get(on.0).copied().unwrap_or(false),
+                Step::Transfer { over, .. } => buses.get(over.0).copied().unwrap_or(false),
+            });
+            if shares {
+                work.push(oi);
+            }
+        }
+    }
+    (scenarios, processors, buses)
+}
+
 /// Translates an architecture model into a network of timed automata.
 ///
-/// `measure` selects the requirement for which a measuring observer is added;
-/// `None` generates only the functional model (useful for the figures and for
-/// schedulability-style queries such as queue-overflow checks).
+/// `measure` selects the requirement for which a measuring observer is
+/// added, and the network then holds only that requirement's
+/// resource-sharing closure: its scenarios with their queue counters and
+/// environment automata, the processors and buses they touch, the `Urg`
+/// listener and the observer.  `None` generates the whole functional model
+/// (the figures and whole-model queries such as queue-overflow checks).
+/// Either way the clock constants use the whole model's quantizer tick.
 pub fn generate(
     model: &ArchitectureModel,
     measure: Option<&Requirement>,
@@ -85,19 +146,25 @@ pub fn generate(
     model.validate()?;
     let durations = model.all_durations();
     let quantizer = Quantizer::for_durations(durations.iter());
+    let in_cone = match measure {
+        Some(req) => sharing_closure(model, req.scenario.0).0,
+        None => vec![true; model.scenarios.len()],
+    };
     let mut sb = SystemBuilder::new(model.name.clone());
 
     // ---- shared declarations -------------------------------------------------
     let hurry = sb.add_channel("hurry", ChannelKind::Urgent);
 
     // Queue counters: q[scenario][step] feeds `step`; index 0 is fed by the
-    // environment automaton.
+    // environment automaton.  Scenarios outside the cone get none.
     let cap = opts.queue_capacity;
     let mut queues: Vec<Vec<VarId>> = Vec::new();
-    for s in &model.scenarios {
+    for (s, &kept) in model.scenarios.iter().zip(&in_cone) {
         let mut per_step = Vec::new();
-        for (i, step) in s.steps.iter().enumerate() {
-            per_step.push(sb.add_var(format!("q_{}_{}_{}", s.name, i, step.name()), 0, cap, 0));
+        if kept {
+            for (i, step) in s.steps.iter().enumerate() {
+                per_step.push(sb.add_var(format!("q_{}_{}_{}", s.name, i, step.name()), 0, cap, 0));
+            }
         }
         queues.push(per_step);
     }
@@ -146,12 +213,14 @@ pub fn generate(
     }
 
     // ---- per-processor resource automata --------------------------------------
+    // A resource no scenario of the cone uses serves nothing and is skipped.
     for (pid, proc_) in model.processors.iter().enumerate() {
-        // All Execute steps deployed on this processor.
+        // All Execute steps of the cone deployed on this processor.
         let served: Vec<StepRef> = model
             .scenarios
             .iter()
             .enumerate()
+            .filter(|(si, _)| in_cone[*si])
             .flat_map(|(si, s)| {
                 s.steps.iter().enumerate().filter_map(move |(sti, st)| {
                     matches!(st, Step::Execute { on, .. } if on.0 == pid)
@@ -182,6 +251,7 @@ pub fn generate(
             .scenarios
             .iter()
             .enumerate()
+            .filter(|(si, _)| in_cone[*si])
             .flat_map(|(si, s)| {
                 s.steps.iter().enumerate().filter_map(move |(sti, st)| {
                     matches!(st, Step::Transfer { over, .. } if over.0 == bid)
@@ -227,6 +297,9 @@ pub fn generate(
 
     // ---- per-scenario environment automata -------------------------------------
     for (si, s) in model.scenarios.iter().enumerate() {
+        if !in_cone[si] {
+            continue;
+        }
         let stim = stim_channel.filter(|(sid, _)| *sid == si).map(|(_, ch)| ch);
         build_environment(&mut sb, &quantizer, si, &s.name, &s.stimulus, queues[si][0], stim, cap);
     }
@@ -845,6 +918,134 @@ mod tests {
             deadline: TimeValue::millis(10),
         });
         m
+    }
+
+    /// One island per `(name, period)`: a 1 + 3 + 2 ms chain on its own
+    /// 1-MIPS fixed-priority preemptive processor, with requirement `r{name}`
+    /// from the stimulus to the end of the chain.  Whole-millisecond
+    /// durations keep the tick at 1 ms whatever the periods.
+    fn islands(periods_ms: &[(&str, i128)]) -> ArchitectureModel {
+        let mut m = ArchitectureModel::new("islands");
+        for &(name, period_ms) in periods_ms {
+            let cpu = m.add_processor(
+                format!("CPU{name}"),
+                1,
+                SchedulingPolicy::FixedPriorityPreemptive,
+            );
+            let steps = [1_000, 3_000, 2_000]
+                .iter()
+                .enumerate()
+                .map(|(i, &instructions)| Step::Execute {
+                    operation: format!("stage{i}{name}"),
+                    instructions,
+                    on: cpu,
+                })
+                .collect();
+            let sid = m.add_scenario(Scenario {
+                name: format!("s{name}"),
+                stimulus: EventModel::Periodic {
+                    period: TimeValue::millis(period_ms),
+                },
+                priority: 0,
+                steps,
+            });
+            m.add_requirement(Requirement {
+                name: format!("r{name}"),
+                scenario: sid,
+                from: MeasurePoint::Stimulus,
+                to: MeasurePoint::AfterStep(2),
+                deadline: TimeValue::millis(period_ms),
+            });
+        }
+        m
+    }
+
+    #[test]
+    fn sharing_closure_separates_islands_and_follows_buses() {
+        let m = islands(&[("A", 20), ("B", 20)]);
+        let (scen, procs, buses) = sharing_closure(&m, 0);
+        assert_eq!(scen, vec![true, false]);
+        assert_eq!(procs, vec![true, false]);
+        assert_eq!(buses, Vec::<bool>::new());
+
+        // Adding a bus transfer to both scenarios merges the islands.
+        let mut linked = m.clone();
+        let bus = linked.add_bus("BUS", 8_000, BusArbitration::FixedPriority);
+        for s in &mut linked.scenarios {
+            s.steps.push(Step::Transfer {
+                message: "x".into(),
+                bytes: 1,
+                over: bus,
+            });
+        }
+        let (scen, procs, buses) = sharing_closure(&linked, 0);
+        assert_eq!(scen, vec![true, true]);
+        assert_eq!(procs, vec![true, true]);
+        assert_eq!(buses, vec![true]);
+    }
+
+    #[test]
+    fn measured_network_holds_only_the_requirements_cone() {
+        let mut m = islands(&[("A", 20), ("B", 20)]);
+        // Island B alone sets a 0.5 ms tick; A's cone alone would have 1 ms.
+        m.scenarios[1].stimulus = EventModel::Periodic {
+            period: TimeValue::micros(20_500),
+        };
+        let r_a = m.requirement_by_name("rA").unwrap();
+        let g = generate(&m, Some(r_a), &GeneratorOptions::default()).unwrap();
+        let sys = &g.system;
+        assert!(sys.validate().is_ok());
+        let names: Vec<&str> = sys.automata.iter().map(|a| a.name.as_str()).collect();
+        assert_eq!(names, ["observer", "Urg", "CPUA", "env_sA"]);
+        assert!(sys.var_by_name("q_sB_0_stage0B").is_none());
+        assert!(sys.clock_by_name("x_CPUB").is_none());
+        // The tick stays the whole model's.
+        assert_eq!(g.quantizer.tick(), TimeValue::micros(500));
+        let whole = generate(&m, None, &GeneratorOptions::default()).unwrap();
+        assert_eq!(
+            whole.system.automata.len(),
+            5,
+            "Urg + two CPUs + two environments"
+        );
+    }
+
+    #[test]
+    fn cold_answer_ignores_an_overloaded_island() {
+        use crate::analysis::AnalysisConfig;
+        use crate::engine::{Estimate, Query, RunContext};
+        use crate::incremental::AnalysisDb;
+        // Island B needs 6 ms of work every 4 ms, so its queues overflow;
+        // island A shares nothing with it.
+        let mixed = islands(&[("A", 30), ("B", 4)]);
+        let ctx = RunContext::default();
+        let ask = |db: &AnalysisDb, model: &ArchitectureModel, query: &Query| {
+            db.run(model, query, &ctx)
+                .unwrap_or_else(|e| panic!("{query}: {e}"))
+        };
+        let wcrt_a = Query::wcrt("rA");
+        let cold = ask(&AnalysisDb::new(AnalysisConfig::default()), &mixed, &wcrt_a);
+        assert_eq!(
+            cold.estimates[0].estimate,
+            Estimate::Exact(TimeValue::millis(6))
+        );
+        let alone = ask(
+            &AnalysisDb::new(AnalysisConfig::default()),
+            &islands(&[("A", 30)]),
+            &wcrt_a,
+        );
+        assert_eq!(cold.estimates[0].estimate, alone.estimates[0].estimate);
+        assert_eq!(cold.states_stored, alone.states_stored);
+
+        // A database warmed on a schedulable B answers the same cone alike.
+        let warmed = AnalysisDb::new(AnalysisConfig::default());
+        ask(&warmed, &islands(&[("A", 30), ("B", 40)]), &wcrt_a);
+        let warm = ask(&warmed, &mixed, &wcrt_a);
+        assert_eq!(warm.estimates[0].estimate, cold.estimates[0].estimate);
+        assert_eq!(warmed.stats().hits, 1);
+
+        // The whole-model queue check still sees island B overflow.
+        let queues = ask(&warmed, &mixed, &Query::QueueBounds);
+        assert_eq!(queues.verdict, Some(false));
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! *input cone*, the subset of the model the answer actually depends on.
 //! Re-running a query whose cone is unchanged is a cache hit and costs a
 //! hash; editing one task's duration or one processor's MIPS invalidates only
-//! the queries whose cone contains the edited entity.  A miss generates the
-//! timed-automata network it explores and drops it with the exploration: no
-//! network outlives its query.
+//! the queries whose cone contains the edited entity.  A WCRT miss generates
+//! a timed-automata network of its cone alone (the scenarios and resources
+//! the cone hash reads, plus the observer) and drops it with the
+//! exploration: no network outlives its query.
 //!
 //! ## What is in a WCRT query's cone?
 //!
@@ -22,7 +23,10 @@
 //! processors and buses — the *resource-sharing closure* (priority
 //! interference, non-preemptive blocking and TDMA slot ordering all travel
 //! through resources; scenarios on disjoint resources cannot affect each
-//! other's response times).  The cone therefore contains:
+//! other's response times).  One function,
+//! [`generator::sharing_closure`](crate::generator), computes that closure
+//! for both the hash and the generator, so the network a miss explores holds
+//! exactly what the hash reads.  The cone therefore contains:
 //!
 //! * the requirement itself (measure points, deadline),
 //! * the scenarios of the sharing closure, with their indices, event models,
@@ -83,7 +87,7 @@ use crate::analysis::{analyze_generated, from_check, AnalysisConfig, WcrtReport}
 use crate::engine::{
     poll_entry_fault, EngineError, EngineReport, Query, RequirementEstimate, RunContext,
 };
-use crate::generator::{generate, GeneratedModel};
+use crate::generator::{generate, sharing_closure, GeneratedModel};
 use crate::model::{ArchitectureModel, Requirement};
 use crate::time::Quantizer;
 use std::collections::HashMap;
@@ -122,57 +126,6 @@ fn stable_hash<T: Hash + ?Sized>(value: &T) -> u64 {
     let mut h = StableHasher::new();
     value.hash(&mut h);
     h.finish()
-}
-
-/// The resource-sharing closure of one scenario: every scenario reachable
-/// from `root` through shared processors/buses, plus the resources touched
-/// along the way.  Returned as membership masks over the model's index
-/// spaces.
-fn sharing_closure(
-    model: &ArchitectureModel,
-    root: usize,
-) -> (Vec<bool>, Vec<bool>, Vec<bool>) {
-    let mut scenarios = vec![false; model.scenarios.len()];
-    let mut processors = vec![false; model.processors.len()];
-    let mut buses = vec![false; model.buses.len()];
-    let mut work = vec![root];
-    while let Some(si) = work.pop() {
-        if std::mem::replace(&mut scenarios[si], true) {
-            continue;
-        }
-        for step in &model.scenarios[si].steps {
-            match step {
-                crate::model::Step::Execute { on, .. } => {
-                    if let Some(slot) = processors.get_mut(on.0) {
-                        *slot = true;
-                    }
-                }
-                crate::model::Step::Transfer { over, .. } => {
-                    if let Some(slot) = buses.get_mut(over.0) {
-                        *slot = true;
-                    }
-                }
-            }
-        }
-        // Any scenario touching one of the marked resources joins the cone.
-        for (oi, other) in model.scenarios.iter().enumerate() {
-            if scenarios[oi] {
-                continue;
-            }
-            let shares = other.steps.iter().any(|step| match step {
-                crate::model::Step::Execute { on, .. } => {
-                    processors.get(on.0).copied().unwrap_or(false)
-                }
-                crate::model::Step::Transfer { over, .. } => {
-                    buses.get(over.0).copied().unwrap_or(false)
-                }
-            });
-            if shares {
-                work.push(oi);
-            }
-        }
-    }
-    (scenarios, processors, buses)
 }
 
 /// Hashes the configuration fields that are part of every cone: the queue
@@ -608,9 +561,7 @@ impl AnalysisDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{
-        BusArbitration, EventModel, MeasurePoint, Scenario, SchedulingPolicy, Step,
-    };
+    use crate::model::{EventModel, MeasurePoint, Scenario, SchedulingPolicy, Step};
     use crate::time::TimeValue;
 
     /// Two islands sharing nothing: r0 runs on CPU_A, r1 on CPU_B, and a
@@ -649,30 +600,6 @@ mod tests {
             });
         }
         m
-    }
-
-    #[test]
-    fn sharing_closure_separates_islands_and_follows_buses() {
-        let m = two_island_model();
-        let (scen, procs, buses) = sharing_closure(&m, 0);
-        assert_eq!(scen, vec![true, false]);
-        assert_eq!(procs, vec![true, false]);
-        assert_eq!(buses, Vec::<bool>::new());
-
-        // Adding a bus transfer to both scenarios merges the islands.
-        let mut linked = m.clone();
-        let bus = linked.add_bus("BUS", 8_000, BusArbitration::FixedPriority);
-        for s in &mut linked.scenarios {
-            s.steps.push(Step::Transfer {
-                message: "x".into(),
-                bytes: 1,
-                over: bus,
-            });
-        }
-        let (scen, procs, buses) = sharing_closure(&linked, 0);
-        assert_eq!(scen, vec![true, true]);
-        assert_eq!(procs, vec![true, true]);
-        assert_eq!(buses, vec![true]);
     }
 
     #[test]

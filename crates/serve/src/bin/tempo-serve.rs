@@ -6,8 +6,9 @@
 //! * `--listen ADDR`      — serve TCP connections until a client sends
 //!   `shutdown`.
 //! * `--drive ADDR`       — connect as a client and run a self-check drive
-//!   (load a sample model, batched queries, an in-place model edit, stats);
-//!   exits non-zero on any failure.  Used by CI to exercise a loopback
+//!   (load a sample model, batched queries, a one-subsystem model whose
+//!   stored-state count must equal the batch's, an in-place model edit,
+//!   stats); exits non-zero on any failure.  Used by CI to exercise a loopback
 //!   daemon end to end.
 //!
 //! Options: `--workers N`, `--queue-cap N`, `--budget-ms N` (the wall-clock
@@ -109,14 +110,11 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// A small two-subsystem model for the self-check drive.  Parameterized by
-/// the control step's instruction count so an edit changes only the control
-/// cone: scaling a processor's MIPS instead would rescale durations and move
-/// the quantizer tick, soundly invalidating the filter cone too.
-fn drive_model(ctl_instructions: u64) -> ArchitectureModel {
-    let mut m = ArchitectureModel::new("drive");
-    let cpu = m.add_processor("CPU", 100, SchedulingPolicy::FixedPriorityPreemptive);
-    let dsp = m.add_processor("DSP", 50, SchedulingPolicy::FixedPriorityNonPreemptive);
+/// The control subsystem of the drive model on its own: one periodic
+/// control step on a preemptive processor named `cpu`.
+fn control_model(name: &str, cpu: &str, ctl_instructions: u64) -> ArchitectureModel {
+    let mut m = ArchitectureModel::new(name);
+    let cpu = m.add_processor(cpu, 100, SchedulingPolicy::FixedPriorityPreemptive);
     let a = m.add_scenario(Scenario {
         name: "control".into(),
         stimulus: EventModel::Periodic {
@@ -129,6 +127,24 @@ fn drive_model(ctl_instructions: u64) -> ArchitectureModel {
             on: cpu,
         }],
     });
+    m.add_requirement(Requirement {
+        name: "control-latency".into(),
+        scenario: a,
+        from: MeasurePoint::Stimulus,
+        to: MeasurePoint::AfterStep(0),
+        deadline: TimeValue::millis(10),
+    });
+    m
+}
+
+/// A small two-subsystem model for the self-check drive: the control
+/// subsystem plus a filter on a DSP of its own.  Parameterized by the control
+/// step's instruction count so an edit changes only the control cone:
+/// scaling a processor's MIPS instead would rescale durations and move the
+/// quantizer tick, soundly invalidating the filter cone too.
+fn drive_model(ctl_instructions: u64) -> ArchitectureModel {
+    let mut m = control_model("drive", "CPU", ctl_instructions);
+    let dsp = m.add_processor("DSP", 50, SchedulingPolicy::FixedPriorityNonPreemptive);
     let b = m.add_scenario(Scenario {
         name: "filter".into(),
         stimulus: EventModel::PeriodicJitter {
@@ -141,13 +157,6 @@ fn drive_model(ctl_instructions: u64) -> ArchitectureModel {
             instructions: 4_000,
             on: dsp,
         }],
-    });
-    m.add_requirement(Requirement {
-        name: "control-latency".into(),
-        scenario: a,
-        from: MeasurePoint::Stimulus,
-        to: MeasurePoint::AfterStep(0),
-        deadline: TimeValue::millis(10),
     });
     m.add_requirement(Requirement {
         name: "filter-latency".into(),
@@ -201,6 +210,48 @@ fn drive(addr: &str) -> Result<(), String> {
         )?;
     }
 
+    // The filter shares no resource with the control subsystem, so the
+    // batch's control answer must come from a network of the control
+    // subsystem alone.  `drive-control` holds only that subsystem (same
+    // 20 µs tick); its processor has another name, which reaches the cone
+    // hash but not the exploration, so its query explores instead of hitting
+    // the batch's answer.
+    let control = model
+        .requirements
+        .iter()
+        .position(|r| r.name == "control-latency")
+        .ok_or("drive model has no control-latency")?;
+    let batch_states = results[control]
+        .get("report")
+        .and_then(|r| r.get("states_stored"))
+        .and_then(JsonValue::as_i128);
+    client
+        .load_model(&control_model("drive-control", "CTL", 2_000))
+        .map_err(io)?
+        .map_err(wire)?;
+    let misses_before = db_total(&client.stats().map_err(io)?.map_err(wire)?, "misses");
+    let alone = client
+        .query(
+            "drive-control",
+            &Query::wcrt("control-latency"),
+            &Default::default(),
+        )
+        .map_err(io)?
+        .map_err(wire)?;
+    let misses_after = db_total(&client.stats().map_err(io)?.map_err(wire)?, "misses");
+    expect(
+        misses_after == misses_before + 1,
+        "the control-only query explored instead of hitting the cache",
+    )?;
+    let alone_states = alone.get("states_stored").and_then(JsonValue::as_i128);
+    expect(
+        batch_states.is_some() && batch_states == alone_states,
+        &format!(
+            "the batch explored control-latency on the control subsystem alone \
+             (states_stored {batch_states:?} in the batch, {alone_states:?} alone)"
+        ),
+    )?;
+
     // Edit the model in place: a longer control step changes the control
     // cone only, so the filter requirement answers warm.  2 000 → 6 000
     // instructions is 20 µs → 60 µs on the 100-MIPS CPU; both are odd
@@ -221,21 +272,25 @@ fn drive(addr: &str) -> Result<(), String> {
     )?;
 
     let stats = client.stats().map_err(io)?.map_err(wire)?;
-    let hits: i128 = stats
-        .get("dbs")
-        .and_then(JsonValue::as_array)
-        .map(|dbs| {
-            dbs.iter()
-                .filter_map(|d| d.get("stats")?.get("hits")?.as_i128())
-                .sum()
-        })
-        .unwrap_or(0);
     expect(
-        hits >= 1,
+        db_total(&stats, "hits") >= 1,
         "the untouched filter cone should hit after edit_model",
     )?;
     println!("{}", stats.print());
 
     client.shutdown().map_err(io)?.map_err(wire)?;
     Ok(())
+}
+
+/// A counter of a `stats` response, summed over the daemon's databases.
+fn db_total(stats: &JsonValue, counter: &str) -> i128 {
+    stats
+        .get("dbs")
+        .and_then(JsonValue::as_array)
+        .map(|dbs| {
+            dbs.iter()
+                .filter_map(|d| d.get("stats")?.get(counter)?.as_i128())
+                .sum()
+        })
+        .unwrap_or(0)
 }

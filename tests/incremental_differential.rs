@@ -12,12 +12,19 @@
 //!   touch were answered from the cache (not silently recomputed),
 //! * a no-op "edit" (rebuilding the identical model) invalidates nothing,
 //! * a design-space sweep collapses onto its distinct cones: the hit/miss
-//!   counts of a cold pass, a warm re-run and a one-island edit are exact.
+//!   counts of a cold pass, a warm re-run and a one-island edit are exact,
+//! * the cone is what a miss explores: appending an island that shares no
+//!   resource changes no answer and no stored-state count, and a measured
+//!   network shares no variable, clock or channel (but `hurry`) with the
+//!   automata it leaves out.
 
 mod common;
 
 use common::{burst_model, random_model, reference_wcrt, tdma_model};
+use std::collections::BTreeSet;
 use tempo::arch::prelude::*;
+use tempo::arch::Quantizer;
+use tempo::ta::{Automaton, System, VarId};
 
 /// Database/uncached-reference agreement on everything a user can observe.
 fn assert_matches_reference(db: &AnalysisDb, model: &ArchitectureModel) {
@@ -208,4 +215,217 @@ fn sweep_explores_each_distinct_cone_exactly_once() {
     let after_edit = run(&sweep_of(edited));
     assert_eq!(after_edit.misses, G, "only island 1's cones re-explore");
     assert_eq!(after_edit.hits, 2 * G * G - G);
+}
+
+/// Two scenarios on processors of their own that interfere only through a
+/// shared bus (in the corpus, every bus user also shares a processor).
+fn bus_linked_model() -> ArchitectureModel {
+    let mut m = ArchitectureModel::new("bus-linked");
+    let bus = m.add_bus("BUS", 8_000, BusArbitration::FixedPriority);
+    for i in 0..2u32 {
+        let cpu = m.add_processor(format!("CPU{i}"), 1, SchedulingPolicy::NonPreemptiveNd);
+        let sid = m.add_scenario(Scenario {
+            name: format!("s{i}"),
+            stimulus: EventModel::Periodic {
+                period: TimeValue::millis(20),
+            },
+            priority: i,
+            steps: vec![
+                Step::Execute {
+                    operation: format!("work{i}"),
+                    instructions: 2_000,
+                    on: cpu,
+                },
+                Step::Transfer {
+                    message: format!("msg{i}"),
+                    bytes: 2,
+                    over: bus,
+                },
+            ],
+        });
+        m.add_requirement(Requirement {
+            name: format!("r{i}"),
+            scenario: sid,
+            from: MeasurePoint::Stimulus,
+            to: MeasurePoint::AfterStep(1),
+            deadline: TimeValue::millis(20),
+        });
+    }
+    m
+}
+
+/// The models of the cone differentials: the pseudo-random corpus, the TDMA
+/// and burst fixtures, the two-island edit fixture and a bus-only link.
+fn cone_fixtures() -> Vec<ArchitectureModel> {
+    let mut models: Vec<ArchitectureModel> = (0..6).map(random_model).collect();
+    models.extend([
+        tdma_model(),
+        burst_model(),
+        disjoint_cones_model(),
+        bus_linked_model(),
+    ]);
+    models
+}
+
+/// `model` plus an island that shares no resource with it: its own
+/// processor running one 2 ms step every 40 ms (5% utilisation), with a
+/// requirement of its own.  Both durations are whole multiples of every
+/// fixture's tick, so the whole-model tick does not move.
+fn with_island(model: &ArchitectureModel) -> ArchitectureModel {
+    let mut m = model.clone();
+    let cpu = m.add_processor("ISLAND", 1, SchedulingPolicy::NonPreemptiveNd);
+    let sid = m.add_scenario(Scenario {
+        name: "island".into(),
+        stimulus: EventModel::Periodic {
+            period: TimeValue::millis(40),
+        },
+        priority: 0,
+        steps: vec![Step::Execute {
+            operation: "chore".into(),
+            instructions: 2_000,
+            on: cpu,
+        }],
+    });
+    m.add_requirement(Requirement {
+        name: "island-latency".into(),
+        scenario: sid,
+        from: MeasurePoint::Stimulus,
+        to: MeasurePoint::AfterStep(0),
+        deadline: TimeValue::millis(40),
+    });
+    m
+}
+
+fn tick(model: &ArchitectureModel) -> TimeValue {
+    Quantizer::for_durations(&model.all_durations()).tick()
+}
+
+#[test]
+fn a_disjoint_island_changes_no_answer_and_no_count() {
+    let cfg = AnalysisConfig::default();
+    for model in cone_fixtures() {
+        let islanded = with_island(&model);
+        assert_eq!(
+            tick(&islanded),
+            tick(&model),
+            "{}: the island moved the tick",
+            model.name
+        );
+        for req in &model.requirements {
+            let what = format!("{}/{}", model.name, req.name);
+            let before = reference_wcrt(&model, &req.name, &cfg);
+            let after = reference_wcrt(&islanded, &req.name, &cfg);
+            assert_eq!(after.estimate(), before.estimate(), "{what}: estimate");
+            assert_eq!(
+                after.meets_deadline, before.meets_deadline,
+                "{what}: deadline verdict"
+            );
+            assert_eq!(
+                after.stats.truncated, before.stats.truncated,
+                "{what}: truncation"
+            );
+            assert_eq!(
+                after.stats.stored_cumulative, before.stats.stored_cumulative,
+                "{what}: the island was explored, not cut"
+            );
+        }
+    }
+}
+
+/// Everything one automaton of `sys` reads, writes or syncs on, by
+/// declaration name: the variables of its guards, invariants and updates, its
+/// clocks and its channels.
+fn footprint(sys: &System, automaton: &Automaton) -> BTreeSet<String> {
+    let mut vars: Vec<VarId> = Vec::new();
+    let mut channels = Vec::new();
+    for location in &automaton.locations {
+        for cc in &location.invariant {
+            cc.rhs.collect_vars(&mut vars);
+        }
+    }
+    for edge in &automaton.edges {
+        edge.guard.collect_vars(&mut vars);
+        for cc in &edge.clock_guard {
+            cc.rhs.collect_vars(&mut vars);
+        }
+        for update in &edge.updates {
+            vars.push(update.var);
+            update.expr.collect_vars(&mut vars);
+        }
+        channels.extend(edge.sync.channel());
+    }
+    let vars = vars
+        .iter()
+        .map(|v| format!("var {}", sys.vars[v.index()].name));
+    let clocks = automaton
+        .referenced_clocks()
+        .into_iter()
+        .map(|c| format!("clock {}", sys.clocks[c.index()].name));
+    let channels = channels
+        .iter()
+        .map(|c| format!("channel {}", sys.channels[c.index()].name));
+    vars.chain(clocks).chain(channels).collect()
+}
+
+/// Every variable, clock and channel `sys` declares, named as in
+/// [`footprint`].
+fn declarations(sys: &System) -> BTreeSet<String> {
+    let vars = sys.vars.iter().map(|v| format!("var {}", v.name));
+    let clocks = sys.clocks.iter().map(|c| format!("clock {}", c.name));
+    let channels = sys.channels.iter().map(|c| format!("channel {}", c.name));
+    vars.chain(clocks).chain(channels).collect()
+}
+
+/// The structural oracle of the cone, independent of the closure the
+/// generator computes: a measured network is compared with the whole
+/// functional network, automaton by automaton.
+#[test]
+fn a_measured_network_shares_nothing_with_what_it_omits() {
+    let opts = GeneratorOptions::default();
+    let models = cone_fixtures()
+        .into_iter()
+        .flat_map(|m| [with_island(&m), m]);
+    for model in models {
+        let full = generate(&model, None, &opts).unwrap().system;
+        for req in &model.requirements {
+            let what = format!("{}/{}", model.name, req.name);
+            let sliced = generate(&model, Some(req), &opts).unwrap().system;
+            for a in &sliced.automata {
+                assert!(
+                    a.name == "observer" || full.automaton_by_name(&a.name).is_some(),
+                    "{what}: `{}` is not an automaton of the whole model",
+                    a.name
+                );
+            }
+            let (kept, omitted): (Vec<&Automaton>, Vec<&Automaton>) = full
+                .automata
+                .iter()
+                .partition(|a| sliced.automaton_by_name(&a.name).is_some());
+            let uses = |automata: &[&Automaton]| -> BTreeSet<String> {
+                automata.iter().flat_map(|a| footprint(&full, a)).collect()
+            };
+            let (kept_uses, omitted_uses) = (uses(&kept), uses(&omitted));
+            let shared: Vec<&String> = omitted_uses
+                .intersection(&kept_uses)
+                .filter(|name| *name != "channel hurry")
+                .collect();
+            assert!(
+                shared.is_empty(),
+                "{what}: omitted automata touch {shared:?}"
+            );
+            let declared = declarations(&sliced);
+            let leaked: Vec<&String> = omitted_uses
+                .difference(&kept_uses)
+                .filter(|name| declared.contains(*name))
+                .collect();
+            assert!(leaked.is_empty(), "{what}: the slice declares {leaked:?}");
+            // The appended island is cut from every original requirement's
+            // network, and the original model from the island's.
+            if model.scenario_by_name("island").is_some() {
+                let island_kept = sliced.automaton_by_name("env_island").is_some();
+                assert_eq!(island_kept, req.name == "island-latency", "{what}");
+                assert!(!omitted.is_empty(), "{what}: nothing was cut");
+            }
+        }
+    }
 }
