@@ -286,10 +286,7 @@ mod tests {
         assert_eq!(single.draw(FaultSite::StoreInsert), None);
         assert_eq!(single.draw(FaultSite::SuccessorGen), None);
         assert_eq!(single.draw(FaultSite::StoreInsert), None);
-        assert_eq!(
-            single.draw(FaultSite::StoreInsert),
-            Some(FaultKind::Cancel)
-        );
+        assert_eq!(single.draw(FaultSite::StoreInsert), Some(FaultKind::Cancel));
         // One-shot: later visits draw nothing.
         assert_eq!(single.draw(FaultSite::StoreInsert), None);
         assert_eq!(single.injected(), 1);

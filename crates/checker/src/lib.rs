@@ -60,20 +60,20 @@
 #![warn(missing_docs)]
 
 mod error;
+mod explorer;
 mod fault;
 mod state;
 mod store;
-mod target;
 mod successor;
-mod explorer;
+mod target;
 mod wcrt;
 
 pub use error::CheckError;
-pub use fault::{panic_message, quiet_injected_panics, FaultKind, FaultPlan, FaultSite};
 pub use explorer::{
     ExplorationStats, Explorer, ProgressFn, ReachReport, RunContext, SearchOptions, SearchOrder,
     SearchProgress, TraceStep,
 };
+pub use fault::{panic_message, quiet_injected_panics, FaultKind, FaultPlan, FaultSite};
 pub use state::{DiscreteState, SymState};
 pub use successor::ActionLabel;
 pub use target::TargetSpec;

@@ -100,7 +100,12 @@ impl Hash for DiscreteState {
 
 impl fmt::Debug for DiscreteState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "DiscreteState({:?}, {:?})", self.locations, self.vars.values())
+        write!(
+            f,
+            "DiscreteState({:?}, {:?})",
+            self.locations,
+            self.vars.values()
+        )
     }
 }
 

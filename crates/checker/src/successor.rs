@@ -386,11 +386,7 @@ impl<'s> SuccessorGen<'s> {
 
     /// Applies the invariants of every automaton (at the given locations,
     /// under the given variable valuation) to the zone.
-    fn apply_invariants(
-        &self,
-        zone: &mut Dbm,
-        discrete: &DiscreteState,
-    ) -> Result<(), EvalError> {
+    fn apply_invariants(&self, zone: &mut Dbm, discrete: &DiscreteState) -> Result<(), EvalError> {
         for (a, loc) in self.sys.automata.iter().zip(discrete.locations()) {
             let inv = &a.location(*loc).invariant;
             if !inv.is_empty() {
@@ -427,9 +423,10 @@ impl<'s> SuccessorGen<'s> {
                     }
                 }
             }
-            let possible = sync.senders.iter().any(|&(s, _)| {
-                sync.broadcast || sync.receivers.iter().any(|&(r, _)| r != s)
-            });
+            let possible = sync
+                .senders
+                .iter()
+                .any(|&(s, _)| sync.broadcast || sync.receivers.iter().any(|&(r, _)| r != s));
             if possible {
                 syncs.push(sync);
             }
@@ -588,9 +585,9 @@ impl<'s> SuccessorGen<'s> {
         let mut out: Vec<Successor> = Vec::new();
 
         let push = |participants: &[(usize, usize)],
-                        label: ActionLabel,
-                        this: &Self,
-                        out: &mut Vec<Successor>|
+                    label: ActionLabel,
+                    this: &Self,
+                    out: &mut Vec<Successor>|
          -> Result<(), CheckError> {
             if let Some((succ, consts)) = this.apply_transition(state, participants)? {
                 out.push((succ, label, consts));
@@ -634,14 +631,12 @@ impl<'s> SuccessorGen<'s> {
                 let loc = discrete.locations()[ai];
                 for (ei, e) in a.outgoing(loc) {
                     match e.sync {
-                        Sync::Send(c) if c == channel
-                            && e.guard.eval(vars)? => {
-                                senders.push((ai, ei));
-                            }
-                        Sync::Recv(c) if c == channel
-                            && e.guard.eval(vars)? => {
-                                receivers.push((ai, ei));
-                            }
+                        Sync::Send(c) if c == channel && e.guard.eval(vars)? => {
+                            senders.push((ai, ei));
+                        }
+                        Sync::Recv(c) if c == channel && e.guard.eval(vars)? => {
+                            receivers.push((ai, ei));
+                        }
                         _ => {}
                     }
                 }
@@ -779,7 +774,13 @@ mod tests {
         let succ = gen.successors(&init).unwrap();
         assert_eq!(succ.len(), 1);
         let (s, label, _) = &succ[0];
-        assert!(matches!(label, ActionLabel::Internal { automaton: 0, edge: 0 }));
+        assert!(matches!(
+            label,
+            ActionLabel::Internal {
+                automaton: 0,
+                edge: 0
+            }
+        ));
         assert_eq!(s.discrete.vars().get(sys.var_by_name("n").unwrap()), 1);
         let x = sys.clock_by_name("x").unwrap().dbm_clock();
         // After the tick the clock was reset and may again delay up to 10.
@@ -833,7 +834,10 @@ mod tests {
         assert_eq!(succ.len(), 1);
         let (s, label, _) = &succ[0];
         assert!(matches!(label, ActionLabel::Binary { .. }));
-        assert_eq!(s.discrete.vars().get(sys.var_by_name("pending").unwrap()), 0);
+        assert_eq!(
+            s.discrete.vars().get(sys.var_by_name("pending").unwrap()),
+            0
+        );
         assert!(gen
             .delay_allowed(&s.discrete, &gen.state_consts(&s.discrete))
             .unwrap());
@@ -889,9 +893,7 @@ mod tests {
         // Find the successor where `a` entered the committed location.
         let committed_state = succ
             .iter()
-            .find(|(s, _, _)| {
-                sys.automata[0].location(s.discrete.locations()[0]).name == "mid"
-            })
+            .find(|(s, _, _)| sys.automata[0].location(s.discrete.locations()[0]).name == "mid")
             .map(|(s, _, _)| s.clone())
             .unwrap();
         // No delay was permitted in the committed state.
@@ -902,7 +904,10 @@ mod tests {
         assert_eq!(succ2.len(), 1);
         assert!(matches!(
             succ2[0].1,
-            ActionLabel::Internal { automaton: 0, edge: 1 }
+            ActionLabel::Internal {
+                automaton: 0,
+                edge: 1
+            }
         ));
     }
 
@@ -942,9 +947,18 @@ mod tests {
             other => panic!("expected broadcast, got {other:?}"),
         }
         // r1 and r2 moved, r3 stayed.
-        assert_eq!(sys.automata[1].location(st.discrete.locations()[1]).name, "got");
-        assert_eq!(sys.automata[2].location(st.discrete.locations()[2]).name, "got");
-        assert_eq!(sys.automata[3].location(st.discrete.locations()[3]).name, "wait");
+        assert_eq!(
+            sys.automata[1].location(st.discrete.locations()[1]).name,
+            "got"
+        );
+        assert_eq!(
+            sys.automata[2].location(st.discrete.locations()[2]).name,
+            "got"
+        );
+        assert_eq!(
+            sys.automata[3].location(st.discrete.locations()[3]).name,
+            "wait"
+        );
     }
 
     /// `x` is read on the way into `l1` and reset on the way out, so it is
@@ -957,7 +971,11 @@ mod tests {
         let l0 = a.location("l0").add();
         let l1 = a.location("l1").add();
         a.edge(l0, l1).guard_clock(x.ge(2)).add();
-        a.edge(l1, l0).guard_clock(y.ge(100)).reset(x).reset(y).add();
+        a.edge(l1, l0)
+            .guard_clock(y.ge(100))
+            .reset(x)
+            .reset(y)
+            .add();
         a.set_initial(l0);
         a.build();
         sb.build()
@@ -973,7 +991,9 @@ mod tests {
         let succ = gen.successors(&init).unwrap();
         assert_eq!(succ.len(), 1);
         let (s, _, _) = &succ[0];
-        assert!(gen.delay_allowed(&s.discrete, &gen.state_consts(&s.discrete)).unwrap());
+        assert!(gen
+            .delay_allowed(&s.discrete, &gen.state_consts(&s.discrete))
+            .unwrap());
         // Time passed in `l1` (y is unbounded), yet the dead clock did not
         // advance with it.
         assert_eq!(s.zone.sup(y), tempo_dbm::Bound::INFINITY);

@@ -12,9 +12,7 @@
 
 use crate::error::CheckError;
 use crate::state::SymState;
-use tempo_ta::{
-    satisfies_constraints, BoolExpr, ClockConstraint, EvalError, LocId, System,
-};
+use tempo_ta::{satisfies_constraints, BoolExpr, ClockConstraint, EvalError, LocId, System};
 
 /// A conjunction of location, data and clock atoms describing the goal states
 /// of a reachability query.
@@ -36,17 +34,21 @@ impl TargetSpec {
 
     /// Target "automaton `automaton` is in location `location`", resolved by
     /// name.
-    pub fn location(sys: &System, automaton: &str, location: &str) -> Result<TargetSpec, CheckError> {
-        let ai = sys
-            .automaton_by_name(automaton)
-            .ok_or_else(|| CheckError::UnknownQueryEntity {
-                what: format!("automaton `{automaton}`"),
-            })?;
-        let li = sys.automata[ai]
-            .location_by_name(location)
-            .ok_or_else(|| CheckError::UnknownQueryEntity {
+    pub fn location(
+        sys: &System,
+        automaton: &str,
+        location: &str,
+    ) -> Result<TargetSpec, CheckError> {
+        let ai =
+            sys.automaton_by_name(automaton)
+                .ok_or_else(|| CheckError::UnknownQueryEntity {
+                    what: format!("automaton `{automaton}`"),
+                })?;
+        let li = sys.automata[ai].location_by_name(location).ok_or_else(|| {
+            CheckError::UnknownQueryEntity {
                 what: format!("location `{automaton}.{location}`"),
-            })?;
+            }
+        })?;
         Ok(TargetSpec {
             locations: vec![(ai, li)],
             int_guard: None,
@@ -181,6 +183,8 @@ mod tests {
     #[test]
     fn any_matches_everything() {
         let s = sys();
-        assert!(TargetSpec::any().matches(&state_at(&s, "idle", 0, 0)).unwrap());
+        assert!(TargetSpec::any()
+            .matches(&state_at(&s, "idle", 0, 0))
+            .unwrap());
     }
 }

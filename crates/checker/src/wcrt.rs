@@ -205,7 +205,7 @@ impl<'s> Explorer<'s> {
 mod tests {
     use super::*;
     use crate::explorer::SearchOptions;
-    use tempo_ta::{ClockRef, SystemBuilder, System};
+    use tempo_ta::{ClockRef, System, SystemBuilder};
 
     /// A job that takes between 3 and 7 time units, measured by an observer
     /// clock `y` that is never reset.

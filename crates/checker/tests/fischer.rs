@@ -117,7 +117,10 @@ fn each_process_can_reach_its_critical_section() {
     let ex = Explorer::new(&sys, SearchOptions::default()).unwrap();
     for p in ["P1", "P2"] {
         let t = TargetSpec::location(&sys, p, "cs").unwrap();
-        assert!(ex.check_reachable(&t).unwrap().reachable, "{p} never enters cs");
+        assert!(
+            ex.check_reachable(&t).unwrap().reachable,
+            "{p} never enters cs"
+        );
     }
 }
 
@@ -158,9 +161,7 @@ fn id_variable_stays_in_declared_range() {
     let sys = fischer(2, true);
     let ex = Explorer::new(&sys, SearchOptions::default()).unwrap();
     let id = sys.var_by_name("id").unwrap();
-    let bad = TargetSpec::any().with_int_guard(tempo_ta::BoolExpr::Gt(
-        IntExpr::Var(id),
-        IntExpr::Const(2),
-    ));
+    let bad = TargetSpec::any()
+        .with_int_guard(tempo_ta::BoolExpr::Gt(IntExpr::Var(id), IntExpr::Const(2)));
     assert!(!ex.check_reachable(&bad).unwrap().reachable);
 }

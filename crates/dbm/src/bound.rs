@@ -262,7 +262,12 @@ mod tests {
 
     #[test]
     fn negation_roundtrip() {
-        for b in [Bound::weak(5), Bound::strict(5), Bound::weak(-3), Bound::LE_ZERO] {
+        for b in [
+            Bound::weak(5),
+            Bound::strict(5),
+            Bound::weak(-3),
+            Bound::LE_ZERO,
+        ] {
             assert_eq!(b.negated().negated(), b);
         }
         // x - y <= 5 and y - x < -5 are inconsistent (sum < 0)
@@ -335,9 +340,15 @@ mod tests {
         // path this loose can never beat an existing entry in a min().
         let loose = Bound::weak(MAX_CONST) + Bound::weak(1);
         assert!(loose.is_infinity());
-        assert_eq!(Bound::weak(MAX_CONST) + Bound::weak(MAX_CONST), Bound::INFINITY);
+        assert_eq!(
+            Bound::weak(MAX_CONST) + Bound::weak(MAX_CONST),
+            Bound::INFINITY
+        );
         // The largest non-saturating sum is exact.
-        assert_eq!(Bound::weak(MAX_CONST) + Bound::weak(0), Bound::weak(MAX_CONST));
+        assert_eq!(
+            Bound::weak(MAX_CONST) + Bound::weak(0),
+            Bound::weak(MAX_CONST)
+        );
         assert_eq!(
             Bound::weak(MAX_CONST) + Bound::strict(0),
             Bound::strict(MAX_CONST)

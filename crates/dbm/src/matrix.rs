@@ -1028,7 +1028,7 @@ mod tests {
         z.constrain(Clock::REF, Clock(1), Bound::weak(-900)); // x in [900, 1000]
         let mut e = z.clone();
         e.extrapolate_lu(&[0, 10], &[0, 10]); // max constant for x is 10
-        // After extrapolation the zone must include the original zone.
+                                              // After extrapolation the zone must include the original zone.
         assert!(e.includes(&z));
         // And bounds beyond the max constant are gone.
         assert_eq!(e.sup(Clock(1)), Bound::INFINITY);
@@ -1183,7 +1183,7 @@ mod tests {
         let h = a.convex_hull(&b);
         assert!(h.includes(&a) && h.includes(&b));
         assert!(h.contains_point(&[0, 3])); // the gap is filled
-        // Hull with an empty zone is the other operand.
+                                            // Hull with an empty zone is the other operand.
         assert_eq!(Dbm::empty(1).convex_hull(&a), a);
         assert_eq!(a.convex_hull(&Dbm::empty(1)), a);
         // Canonical: re-closing changes nothing.
@@ -1232,7 +1232,10 @@ mod tests {
         // A zone merges with itself and with any subset.
         let z = interval(2, 9);
         assert_eq!(z.try_merge(&z).unwrap().relation(&z), Relation::Equal);
-        assert_eq!(z.try_merge(&interval(3, 5)).unwrap().relation(&z), Relation::Equal);
+        assert_eq!(
+            z.try_merge(&interval(3, 5)).unwrap().relation(&z),
+            Relation::Equal
+        );
     }
 
     #[test]
@@ -1240,9 +1243,15 @@ mod tests {
         // [0,1) ∪ [1,2] = [0,2]: the opposing bounds sum to (0,<), a shared
         // boundary, not a gap.
         let merged = interval_with(0, false, 1, true).try_merge(&interval(1, 2));
-        assert_eq!(merged.map(|m| m.relation(&interval(0, 2))), Some(Relation::Equal));
+        assert_eq!(
+            merged.map(|m| m.relation(&interval(0, 2))),
+            Some(Relation::Equal)
+        );
         // (0,1) ∪ (1,2) misses the point 1, which the hull (0,2) holds.
-        let (a, b) = (interval_with(0, true, 1, true), interval_with(1, true, 2, true));
+        let (a, b) = (
+            interval_with(0, true, 1, true),
+            interval_with(1, true, 2, true),
+        );
         assert!(a.try_merge(&b).is_none() && b.try_merge(&a).is_none());
     }
 

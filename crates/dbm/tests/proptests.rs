@@ -14,11 +14,29 @@ const NUM_CLOCKS: usize = 3;
 #[derive(Clone, Debug)]
 enum Op {
     Up,
-    UpperBound { clock: u32, value: i64, strict: bool },
-    LowerBound { clock: u32, value: i64, strict: bool },
-    Diff { a: u32, b: u32, value: i64, strict: bool },
-    Reset { clock: u32, value: i64 },
-    Free { clock: u32 },
+    UpperBound {
+        clock: u32,
+        value: i64,
+        strict: bool,
+    },
+    LowerBound {
+        clock: u32,
+        value: i64,
+        strict: bool,
+    },
+    Diff {
+        a: u32,
+        b: u32,
+        value: i64,
+        strict: bool,
+    },
+    Reset {
+        clock: u32,
+        value: i64,
+    },
+    Free {
+        clock: u32,
+    },
 }
 
 fn clock_idx() -> impl Strategy<Value = u32> {
@@ -28,12 +46,24 @@ fn clock_idx() -> impl Strategy<Value = u32> {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         Just(Op::Up),
-        (clock_idx(), 0i64..50, any::<bool>())
-            .prop_map(|(clock, value, strict)| Op::UpperBound { clock, value, strict }),
-        (clock_idx(), 0i64..50, any::<bool>())
-            .prop_map(|(clock, value, strict)| Op::LowerBound { clock, value, strict }),
-        (clock_idx(), clock_idx(), -30i64..30, any::<bool>())
-            .prop_map(|(a, b, value, strict)| Op::Diff { a, b, value, strict }),
+        (clock_idx(), 0i64..50, any::<bool>()).prop_map(|(clock, value, strict)| Op::UpperBound {
+            clock,
+            value,
+            strict
+        }),
+        (clock_idx(), 0i64..50, any::<bool>()).prop_map(|(clock, value, strict)| Op::LowerBound {
+            clock,
+            value,
+            strict
+        }),
+        (clock_idx(), clock_idx(), -30i64..30, any::<bool>()).prop_map(|(a, b, value, strict)| {
+            Op::Diff {
+                a,
+                b,
+                value,
+                strict,
+            }
+        }),
         (clock_idx(), 0i64..20).prop_map(|(clock, value)| Op::Reset { clock, value }),
         clock_idx().prop_map(|clock| Op::Free { clock }),
     ]
@@ -44,13 +74,26 @@ fn apply(z: &mut Dbm, op: &Op) {
         Op::Up => {
             z.up();
         }
-        Op::UpperBound { clock, value, strict } => {
+        Op::UpperBound {
+            clock,
+            value,
+            strict,
+        } => {
             z.constrain(Clock(clock), Clock::REF, Bound::new(value, strict));
         }
-        Op::LowerBound { clock, value, strict } => {
+        Op::LowerBound {
+            clock,
+            value,
+            strict,
+        } => {
             z.constrain(Clock::REF, Clock(clock), Bound::new(-value, strict));
         }
-        Op::Diff { a, b, value, strict } => {
+        Op::Diff {
+            a,
+            b,
+            value,
+            strict,
+        } => {
             if a != b {
                 z.constrain(Clock(a), Clock(b), Bound::new(value, strict));
             }

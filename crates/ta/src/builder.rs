@@ -275,11 +275,7 @@ mod tests {
 
         let mut a = sb.automaton("a");
         let l0 = a.location("idle").add();
-        let l1 = a
-            .location("busy")
-            .invariant(x.le(7))
-            .committed(false)
-            .add();
+        let l1 = a.location("busy").invariant(x.le(7)).committed(false).add();
         let l2 = a.location("done").committed(true).add();
         a.edge(l0, l1)
             .guard(n.gt_(0))
@@ -314,7 +310,10 @@ mod tests {
         let y = sb.add_clock("y");
         let d = sb.add_var("d", 0, 250, 0);
         let mut a = sb.automaton("a");
-        let l0 = a.location("l0").invariant(x.le(crate::IntExpr::Var(d))).add();
+        let l0 = a
+            .location("l0")
+            .invariant(x.le(crate::IntExpr::Var(d)))
+            .add();
         let l1 = a.location("l1").add();
         a.edge(l0, l1).guard_clock(y.ge(40)).add();
         a.set_initial(l0);

@@ -26,7 +26,12 @@ pub enum EvalError {
 impl fmt::Display for EvalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EvalError::OutOfRange { var, value, min, max } => write!(
+            EvalError::OutOfRange {
+                var,
+                value,
+                min,
+                max,
+            } => write!(
                 f,
                 "variable {var} assigned {value}, outside its range [{min}, {max}]"
             ),
@@ -98,7 +103,10 @@ impl IntExpr {
     pub fn value_range(&self, ranges: &[(i64, i64)]) -> (i64, i64) {
         match self {
             IntExpr::Const(c) => (*c, *c),
-            IntExpr::Var(v) => ranges.get(v.index()).copied().unwrap_or((i64::MIN, i64::MAX)),
+            IntExpr::Var(v) => ranges
+                .get(v.index())
+                .copied()
+                .unwrap_or((i64::MIN, i64::MAX)),
             IntExpr::Add(a, b) => {
                 let (al, ah) = a.value_range(ranges);
                 let (bl, bh) = b.value_range(ranges);
@@ -394,11 +402,7 @@ impl VarStore {
 
     /// Applies a sequence of updates, checking each assigned value against the
     /// supplied ranges.
-    pub fn apply(
-        &mut self,
-        updates: &[Update],
-        ranges: &[(i64, i64)],
-    ) -> Result<(), EvalError> {
+    pub fn apply(&mut self, updates: &[Update], ranges: &[(i64, i64)]) -> Result<(), EvalError> {
         for u in updates {
             let value = u.expr.eval(self)?;
             let (min, max) = ranges
@@ -491,7 +495,9 @@ mod tests {
         .unwrap();
         assert_eq!(s.values(), &[2, 2]);
 
-        let err = s.apply(&[Update::assign(VarId(0), 42)], &ranges).unwrap_err();
+        let err = s
+            .apply(&[Update::assign(VarId(0), 42)], &ranges)
+            .unwrap_err();
         assert!(matches!(err, EvalError::OutOfRange { value: 42, .. }));
     }
 
@@ -500,7 +506,10 @@ mod tests {
         let ranges = vec![(0, 5), (2, 3)];
         let e = IntExpr::Var(VarId(0)) + IntExpr::Var(VarId(1));
         assert_eq!(e.value_range(&ranges), (2, 8));
-        let e = IntExpr::Sub(Box::new(IntExpr::Var(VarId(0))), Box::new(IntExpr::Var(VarId(1))));
+        let e = IntExpr::Sub(
+            Box::new(IntExpr::Var(VarId(0))),
+            Box::new(IntExpr::Var(VarId(1))),
+        );
         assert_eq!(e.value_range(&ranges), (-3, 3));
         let e = IntExpr::Ite(
             Box::new(VarId(0).eq_(0)),

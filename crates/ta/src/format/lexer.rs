@@ -162,7 +162,11 @@ pub(crate) fn tokenize(input: &str) -> Result<Vec<Spanned>, ParseError> {
                     s.push(c);
                 }
                 if !closed {
-                    return Err(ParseError::new(tok_line, tok_col, "unterminated quoted name"));
+                    return Err(ParseError::new(
+                        tok_line,
+                        tok_col,
+                        "unterminated quoted name",
+                    ));
                 }
                 out.push(Spanned {
                     token: Token::Quoted(s),
@@ -175,9 +179,12 @@ pub(crate) fn tokenize(input: &str) -> Result<Vec<Spanned>, ParseError> {
                 while i < bytes.len() && bytes[i].is_ascii_digit() {
                     let ch = bytes[i];
                     let d = ch as i64 - '0' as i64;
-                    value = value.checked_mul(10).and_then(|v| v.checked_add(d)).ok_or_else(
-                        || ParseError::new(tok_line, tok_col, "integer literal overflows i64"),
-                    )?;
+                    value = value
+                        .checked_mul(10)
+                        .and_then(|v| v.checked_add(d))
+                        .ok_or_else(|| {
+                            ParseError::new(tok_line, tok_col, "integer literal overflows i64")
+                        })?;
                     advance(&mut i, &mut line, &mut column, ch);
                 }
                 out.push(Spanned {
@@ -272,7 +279,11 @@ mod tests {
     use super::*;
 
     fn toks(input: &str) -> Vec<Token> {
-        tokenize(input).unwrap().into_iter().map(|s| s.token).collect()
+        tokenize(input)
+            .unwrap()
+            .into_iter()
+            .map(|s| s.token)
+            .collect()
     }
 
     #[test]

@@ -106,7 +106,11 @@ impl Parser {
         } else {
             Err(self.error_at(
                 &sp,
-                format!("expected {}, found {}", expected.describe(), sp.token.describe()),
+                format!(
+                    "expected {}, found {}",
+                    expected.describe(),
+                    sp.token.describe()
+                ),
             ))
         }
     }
@@ -409,14 +413,19 @@ impl Parser {
             }
         }
 
-        let loc_id = |locs: &[Location], n: &str, line: usize, col: usize| -> Result<LocId, ParseError> {
-            locs.iter()
-                .position(|l| l.name == n)
-                .map(|i| LocId(i as u32))
-                .ok_or_else(|| {
-                    ParseError::new(line, col, format!("unknown location `{n}` in automaton `{name}`"))
-                })
-        };
+        let loc_id =
+            |locs: &[Location], n: &str, line: usize, col: usize| -> Result<LocId, ParseError> {
+                locs.iter()
+                    .position(|l| l.name == n)
+                    .map(|i| LocId(i as u32))
+                    .ok_or_else(|| {
+                        ParseError::new(
+                            line,
+                            col,
+                            format!("unknown location `{n}` in automaton `{name}`"),
+                        )
+                    })
+            };
 
         let mut edges = Vec::with_capacity(pending_edges.len());
         for (src, sline, scol, dst, dline, dcol, body) in pending_edges {
@@ -474,7 +483,8 @@ impl Parser {
                 body.guard = std::mem::replace(&mut body.guard, BoolExpr::tt()).and(data);
             } else if self.eat_keyword("when") {
                 let expr = self.parse_expr()?;
-                body.clock_guard.extend(self.coerce_clock_conjunction(&expr)?);
+                body.clock_guard
+                    .extend(self.coerce_clock_conjunction(&expr)?);
             } else if self.eat_keyword("sync") {
                 let (cname, cline, ccol) = self.parse_name()?;
                 let channel = self.lookup_channel(&cname).ok_or_else(|| {
@@ -489,7 +499,10 @@ impl Parser {
                         return Err(ParseError::new(
                             sline,
                             scol,
-                            format!("expected `!` or `?` after channel name, found {}", other.describe()),
+                            format!(
+                                "expected `!` or `?` after channel name, found {}",
+                                other.describe()
+                            ),
                         ))
                     }
                 };
@@ -719,7 +732,11 @@ impl Parser {
                         format!("clock `{n}` cannot appear inside an integer expression"),
                     ))
                 } else {
-                    Err(ParseError::new(*line, *col, format!("unknown variable `{n}`")))
+                    Err(ParseError::new(
+                        *line,
+                        *col,
+                        format!("unknown variable `{n}`"),
+                    ))
                 }
             }
             UExpr::Neg(a) => Ok(IntExpr::Neg(Box::new(self.coerce_int(a)?))),
@@ -777,9 +794,13 @@ impl Parser {
                     "expected a boolean expression, found an arithmetic operator",
                 )),
             },
-            UExpr::Int(_) | UExpr::Name(..) | UExpr::Neg(_) | UExpr::Ternary(..) => Err(
-                ParseError::new(0, 0, "expected a boolean expression, found an integer expression"),
-            ),
+            UExpr::Int(_) | UExpr::Name(..) | UExpr::Neg(_) | UExpr::Ternary(..) => {
+                Err(ParseError::new(
+                    0,
+                    0,
+                    "expected a boolean expression, found an integer expression",
+                ))
+            }
         }
     }
 
@@ -1079,17 +1100,24 @@ mod tests {
                 init l
         "#;
         // Clock under a disjunction.
-        let err = parse_system(&format!("{base} edge l -> l {{ guard n > 0 || x > 1 }} }}"))
-            .unwrap_err();
-        assert!(err.message.contains("top-level conjunct"), "{}", err.message);
-        // Clock compared with !=.
         let err =
-            parse_system(&format!("{base} edge l -> l {{ when x != 3 }} }}")).unwrap_err();
+            parse_system(&format!("{base} edge l -> l {{ guard n > 0 || x > 1 }} }}")).unwrap_err();
+        assert!(
+            err.message.contains("top-level conjunct"),
+            "{}",
+            err.message
+        );
+        // Clock compared with !=.
+        let err = parse_system(&format!("{base} edge l -> l {{ when x != 3 }} }}")).unwrap_err();
         assert!(err.message.contains("!="), "{}", err.message);
         // Clock inside arithmetic.
         let err =
             parse_system(&format!("{base} edge l -> l {{ update n = x + 1 }} }}")).unwrap_err();
-        assert!(err.message.contains("integer expression"), "{}", err.message);
+        assert!(
+            err.message.contains("integer expression"),
+            "{}",
+            err.message
+        );
         // Invariant with a data atom.
         let err = parse_system(&format!(
             "{base} location m {{ invariant n < 3 }} edge l -> m {{ }} }}"
@@ -1100,10 +1128,9 @@ mod tests {
 
     #[test]
     fn unknown_names_are_reported() {
-        let err = parse_system(
-            "system s\nautomaton a { location l init l edge l -> l { sync nope! } }",
-        )
-        .unwrap_err();
+        let err =
+            parse_system("system s\nautomaton a { location l init l edge l -> l { sync nope! } }")
+                .unwrap_err();
         assert!(err.message.contains("unknown channel"));
 
         let err = parse_system(
@@ -1112,10 +1139,9 @@ mod tests {
         .unwrap_err();
         assert!(err.message.contains("unknown variable"));
 
-        let err = parse_system(
-            "system s\nautomaton a { location l init l edge l -> l { reset nope } }",
-        )
-        .unwrap_err();
+        let err =
+            parse_system("system s\nautomaton a { location l init l edge l -> l { reset nope } }")
+                .unwrap_err();
         assert!(err.message.contains("unknown clock"));
     }
 

@@ -95,10 +95,18 @@ fn print_automaton(out: &mut String, sys: &System, a: &Automaton) {
                 })
                 .collect::<Vec<_>>()
                 .join(" && ");
-            let _ = writeln!(out, "    {kind}location {} {{ invariant {inv} }}", name(&loc.name));
+            let _ = writeln!(
+                out,
+                "    {kind}location {} {{ invariant {inv} }}",
+                name(&loc.name)
+            );
         }
     }
-    let _ = writeln!(out, "    init {}", name(&a.locations[a.initial.index()].name));
+    let _ = writeln!(
+        out,
+        "    init {}",
+        name(&a.locations[a.initial.index()].name)
+    );
     for e in &a.edges {
         print_edge(out, sys, a, e);
     }
@@ -173,7 +181,10 @@ fn print_edge(out: &mut String, sys: &System, a: &Automaton, e: &Edge) {
 /// Quotes a name when it is not a plain identifier or collides with a keyword.
 fn name(n: &str) -> String {
     let plain = !n.is_empty()
-        && n.chars().next().map(|c| c.is_alphabetic() || c == '_').unwrap_or(false)
+        && n.chars()
+            .next()
+            .map(|c| c.is_alphabetic() || c == '_')
+            .unwrap_or(false)
         && n.chars().all(|c| c.is_alphanumeric() || c == '_')
         && !KEYWORDS.contains(&n);
     if plain {

@@ -47,16 +47,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod ids;
-mod expr;
-mod clockcon;
 pub mod activity;
-mod channel;
 mod automaton;
-mod system;
 mod builder;
+mod channel;
+mod clockcon;
 pub mod dot;
+mod expr;
 pub mod format;
+mod ids;
+mod system;
 mod validate;
 
 pub use activity::ActivityTable;
@@ -68,6 +68,6 @@ pub use clockcon::{
 };
 pub use expr::{BoolExpr, EvalError, IntExpr, Update, VarExprExt, VarStore};
 pub use ids::{ChannelId, ClockId, LocId, VarId};
-pub use tempo_dbm::RelOp;
 pub use system::{ClockDecl, LuTable, System, VarDecl};
+pub use tempo_dbm::RelOp;
 pub use validate::ValidationError;

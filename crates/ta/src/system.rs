@@ -184,14 +184,24 @@ impl System {
         for (ai, a) in self.automata.iter().enumerate() {
             for (li, loc) in a.locations.iter().enumerate() {
                 for cc in &loc.invariant {
-                    bump(&mut per_loc[ai][li], cc.clock, cc.op, cc.max_constant(&ranges));
+                    bump(
+                        &mut per_loc[ai][li],
+                        cc.clock,
+                        cc.op,
+                        cc.max_constant(&ranges),
+                    );
                 }
             }
             for e in &a.edges {
                 let src = e.source.index();
                 let dst = e.target.index();
                 for cc in &e.clock_guard {
-                    bump(&mut per_loc[ai][src], cc.clock, cc.op, cc.max_constant(&ranges));
+                    bump(
+                        &mut per_loc[ai][src],
+                        cc.clock,
+                        cc.op,
+                        cc.max_constant(&ranges),
+                    );
                 }
                 // A reset to `v` pins the clock to the constant `v` in the
                 // successor zone; keep it representable on both sides.

@@ -84,10 +84,16 @@ impl fmt::Display for ValidationError {
                 write!(f, "automaton `{automaton}` has no locations")
             }
             ValidationError::BadInitialLocation { automaton } => {
-                write!(f, "automaton `{automaton}` has an out-of-range initial location")
+                write!(
+                    f,
+                    "automaton `{automaton}` has an out-of-range initial location"
+                )
             }
             ValidationError::BadEdgeEndpoint { automaton, edge } => {
-                write!(f, "edge {edge} of `{automaton}` has an out-of-range endpoint")
+                write!(
+                    f,
+                    "edge {edge} of `{automaton}` has an out-of-range endpoint"
+                )
             }
             ValidationError::UnknownClock { automaton, clock } => {
                 write!(f, "`{automaton}` references undeclared clock {clock}")
@@ -108,10 +114,16 @@ impl fmt::Display for ValidationError {
                 write!(f, "duplicate automaton name `{name}`")
             }
             ValidationError::DuplicateLocationName { automaton, name } => {
-                write!(f, "duplicate location name `{name}` in automaton `{automaton}`")
+                write!(
+                    f,
+                    "duplicate location name `{name}` in automaton `{automaton}`"
+                )
             }
             ValidationError::NegativeReset { automaton, edge } => {
-                write!(f, "edge {edge} of `{automaton}` resets a clock to a negative value")
+                write!(
+                    f,
+                    "edge {edge} of `{automaton}` resets a clock to a negative value"
+                )
             }
         }
     }
@@ -124,16 +136,22 @@ pub fn validate(sys: &System) -> Result<(), ValidationError> {
     // Declarations.
     for v in &sys.vars {
         if v.min > v.max {
-            return Err(ValidationError::EmptyRange { var: v.name.clone() });
+            return Err(ValidationError::EmptyRange {
+                var: v.name.clone(),
+            });
         }
         if v.init < v.min || v.init > v.max {
-            return Err(ValidationError::InitialValueOutOfRange { var: v.name.clone() });
+            return Err(ValidationError::InitialValueOutOfRange {
+                var: v.name.clone(),
+            });
         }
     }
     let mut names = std::collections::HashSet::new();
     for a in &sys.automata {
         if !names.insert(a.name.as_str()) {
-            return Err(ValidationError::DuplicateAutomatonName { name: a.name.clone() });
+            return Err(ValidationError::DuplicateAutomatonName {
+                name: a.name.clone(),
+            });
         }
     }
 
@@ -269,7 +287,10 @@ mod tests {
         s.vars[0].init = 0;
         s.vars[0].min = 5;
         s.vars[0].max = 2;
-        assert!(matches!(s.validate(), Err(ValidationError::EmptyRange { .. })));
+        assert!(matches!(
+            s.validate(),
+            Err(ValidationError::EmptyRange { .. })
+        ));
     }
 
     #[test]
@@ -285,7 +306,10 @@ mod tests {
         s.automata[0].edges[0]
             .updates
             .push(crate::Update::add(VarId(7), 1));
-        assert!(matches!(s.validate(), Err(ValidationError::UnknownVar { .. })));
+        assert!(matches!(
+            s.validate(),
+            Err(ValidationError::UnknownVar { .. })
+        ));
     }
 
     #[test]

@@ -49,25 +49,32 @@ fn int_expr(num_vars: usize, depth: u32) -> BoxedStrategy<IntExpr> {
             (inner.clone(), inner.clone())
                 .prop_map(|(a, b)| IntExpr::Div(Box::new(a), Box::new(b))),
             inner.clone().prop_map(|a| IntExpr::Neg(Box::new(a))),
-            (bool_leaf(num_vars), inner.clone(), inner)
-                .prop_map(|(c, t, e)| IntExpr::Ite(Box::new(c), Box::new(t), Box::new(e))),
+            (bool_leaf(num_vars), inner.clone(), inner).prop_map(|(c, t, e)| IntExpr::Ite(
+                Box::new(c),
+                Box::new(t),
+                Box::new(e)
+            )),
         ]
     })
     .boxed()
 }
 
 fn bool_leaf(num_vars: usize) -> BoxedStrategy<BoolExpr> {
-    let atom = (int_expr(num_vars, 1), int_expr(num_vars, 1), 0..6usize).prop_map(|(a, b, op)| {
-        match op {
+    let atom =
+        (int_expr(num_vars, 1), int_expr(num_vars, 1), 0..6usize).prop_map(|(a, b, op)| match op {
             0 => BoolExpr::Eq(a, b),
             1 => BoolExpr::Ne(a, b),
             2 => BoolExpr::Lt(a, b),
             3 => BoolExpr::Le(a, b),
             4 => BoolExpr::Gt(a, b),
             _ => BoolExpr::Ge(a, b),
-        }
-    });
-    prop_oneof![Just(BoolExpr::Const(true)), Just(BoolExpr::Const(false)), atom].boxed()
+        });
+    prop_oneof![
+        Just(BoolExpr::Const(true)),
+        Just(BoolExpr::Const(false)),
+        atom
+    ]
+    .boxed()
 }
 
 fn bool_expr(num_vars: usize) -> BoxedStrategy<BoolExpr> {
@@ -174,18 +181,20 @@ fn edge(
         updates,
         prop::collection::vec((0..num_clocks, 0i64..10), 0..3),
     )
-        .prop_map(|(src, dst, guard, clock_guard, sync, updates, resets)| Edge {
-            source: LocId(src as u32),
-            target: LocId(dst as u32),
-            guard,
-            clock_guard,
-            sync,
-            updates,
-            resets: resets
-                .into_iter()
-                .map(|(c, v)| (ClockId(c as u32), v))
-                .collect(),
-        })
+        .prop_map(
+            |(src, dst, guard, clock_guard, sync, updates, resets)| Edge {
+                source: LocId(src as u32),
+                target: LocId(dst as u32),
+                guard,
+                clock_guard,
+                sync,
+                updates,
+                resets: resets
+                    .into_iter()
+                    .map(|(c, v)| (ClockId(c as u32), v))
+                    .collect(),
+            },
+        )
         .boxed()
 }
 
@@ -235,33 +244,45 @@ fn system() -> impl Strategy<Value = System> {
             sh.channels,
         );
         let vars = prop::collection::vec((-5i64..5, 0i64..50), sh.vars);
-        let automata = (automaton(sh, 0), automaton(sh, 1), 1..=2usize)
-            .prop_map(|(a0, a1, n)| if n == 1 { vec![a0] } else { vec![a0, a1] });
-        (Just(clocks), vars, channel_kinds, automata, entity_name("sys")).prop_map(
-            |(clocks, var_ranges, channel_kinds, automata, name)| System {
-                name,
-                clocks,
-                vars: var_ranges
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, (min, width))| VarDecl {
-                        name: format!("var_{i}"),
-                        min,
-                        max: min + width,
-                        init: min,
-                    })
-                    .collect(),
-                channels: channel_kinds
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, kind)| ChannelDecl {
-                        name: format!("chan_{i}"),
-                        kind,
-                    })
-                    .collect(),
-                automata,
-            },
+        let automata = (automaton(sh, 0), automaton(sh, 1), 1..=2usize).prop_map(|(a0, a1, n)| {
+            if n == 1 {
+                vec![a0]
+            } else {
+                vec![a0, a1]
+            }
+        });
+        (
+            Just(clocks),
+            vars,
+            channel_kinds,
+            automata,
+            entity_name("sys"),
         )
+            .prop_map(
+                |(clocks, var_ranges, channel_kinds, automata, name)| System {
+                    name,
+                    clocks,
+                    vars: var_ranges
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, (min, width))| VarDecl {
+                            name: format!("var_{i}"),
+                            min,
+                            max: min + width,
+                            init: min,
+                        })
+                        .collect(),
+                    channels: channel_kinds
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, kind)| ChannelDecl {
+                            name: format!("chan_{i}"),
+                            kind,
+                        })
+                        .collect(),
+                    automata,
+                },
+            )
     })
 }
 
@@ -300,7 +321,9 @@ proptest! {
 fn tricky_names_and_expressions_roundtrip() {
     let sys = System {
         name: "edge".into(),
-        clocks: vec![ClockDecl { name: "when".into() }],
+        clocks: vec![ClockDecl {
+            name: "when".into(),
+        }],
         vars: vec![VarDecl {
             name: "init".into(),
             min: -3,
