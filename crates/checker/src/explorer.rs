@@ -4,7 +4,7 @@ use crate::error::CheckError;
 use crate::fault::{FaultPlan, FaultSite};
 use crate::state::SymState;
 use crate::store::{Insert, PassedList};
-use crate::successor::{ActionLabel, QuerySeed, SuccessorGen};
+use crate::successor::{self, ActionLabel, QuerySeed, SuccessorGen, Successors};
 use crate::target::TargetSpec;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -279,8 +279,7 @@ impl<'s> Explorer<'s> {
     /// Creates an explorer after validating the system.  It runs unbounded
     /// until given a context with [`Explorer::with_context`].
     pub fn new(sys: &'s System, opts: SearchOptions) -> Result<Explorer<'s>, CheckError> {
-        // Constructing a generator performs validation and feature checks.
-        SuccessorGen::new(sys, &opts)?;
+        successor::validate(sys)?;
         Ok(Explorer {
             sys,
             opts,
@@ -321,7 +320,7 @@ impl<'s> Explorer<'s> {
         mut visit: F,
     ) -> Result<(Option<Vec<TraceStep>>, bool, ExplorationStats), CheckError> {
         let start = Instant::now();
-        let gen = SuccessorGen::for_query(self.sys, &self.opts, query)?;
+        let gen = SuccessorGen::for_query(self.sys, &self.opts, query);
         let ctx = &self.ctx;
         let progress_every = ctx.effective_progress_every();
         let mut last_progress = 0usize;
@@ -334,7 +333,10 @@ impl<'s> Explorer<'s> {
 
         let mut stats = ExplorationStats::default();
         let mut trail: Vec<Node> = Vec::new();
-        let mut waiting: VecDeque<(usize, SymState)> = VecDeque::new();
+        // Each queued state travels with its location vector's data, so an
+        // expansion needs no memo lookup.
+        let mut waiting = VecDeque::new();
+        let mut succs = Successors::default();
 
         let mut init = gen.initial_state()?;
         if init.zone.is_empty() || !gen.can_reach_query(&init.discrete) {
@@ -345,8 +347,8 @@ impl<'s> Explorer<'s> {
             return Ok((None, false, stats));
         }
         let mut passed = PassedList::new();
-        let live = &gen.state_consts(&init.discrete).live;
-        passed.insert(&init.discrete, &mut init.zone, live, false, 0);
+        let init_consts = gen.state_consts(&init.discrete);
+        passed.insert(&init.discrete, &mut init.zone, &init_consts.live, false, 0);
         if keep_trail {
             trail.push(Node {
                 state: None,
@@ -354,12 +356,12 @@ impl<'s> Explorer<'s> {
                 action: None,
             });
         }
-        waiting.push_back((0, init));
+        waiting.push_back((0, init, init_consts));
         stats.stored_cumulative = 1;
         stats.peak_waiting = 1;
 
         let mut found: Option<usize> = None;
-        'search: while let Some((idx, state)) = match self.opts.order {
+        'search: while let Some((idx, state, consts)) = match self.opts.order {
             SearchOrder::Bfs => waiting.pop_front(),
             SearchOrder::Dfs | SearchOrder::RandomDfs => waiting.pop_back(),
         } {
@@ -415,16 +417,16 @@ impl<'s> Explorer<'s> {
                     break 'search;
                 }
             }
-            let mut succs = {
+            {
                 let _span = tempo_obs::span!("explore.successor_gen");
-                gen.successors(&state)?
-            };
-            stats.transitions += succs.len();
+                gen.successors(&state, &consts, keep_trail, &mut succs)?;
+            }
+            stats.transitions += succs.out.len();
             if self.opts.order == SearchOrder::RandomDfs {
-                succs.shuffle(&mut rng);
+                succs.out.shuffle(&mut rng);
             }
             let _insert_span = tempo_obs::span!("explore.store_insert");
-            for (mut succ, action, consts) in succs {
+            for (mut succ, action, consts) in succs.out.drain(..) {
                 if succ.zone.is_empty() {
                     continue;
                 }
@@ -457,10 +459,10 @@ impl<'s> Explorer<'s> {
                     trail.push(Node {
                         state: None,
                         parent: Some(idx),
-                        action: Some(action),
+                        action,
                     });
                 }
-                waiting.push_back((node_idx, succ));
+                waiting.push_back((node_idx, succ, consts));
                 stats.stored_cumulative += 1;
                 stats.peak_waiting = stats.peak_waiting.max(waiting.len());
                 if ctx

@@ -62,6 +62,7 @@
 mod error;
 mod explorer;
 mod fault;
+mod fxhash;
 mod state;
 mod store;
 mod successor;

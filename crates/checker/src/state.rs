@@ -1,5 +1,6 @@
 //! Symbolic states of the zone graph.
 
+use crate::fxhash::FxHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use tempo_dbm::Dbm;
@@ -21,7 +22,7 @@ pub struct DiscreteState {
     locations: Vec<LocId>,
     /// Valuation of the integer variables.
     vars: VarStore,
-    /// Cached hash over `locations` and `vars`.
+    /// Cached Fx-style hash over `locations` and `vars`.
     hash: u64,
 }
 
@@ -29,8 +30,7 @@ impl DiscreteState {
     /// Builds a discrete state from its location vector and variable
     /// valuation, computing the cached hash.
     pub fn new(locations: Vec<LocId>, vars: VarStore) -> DiscreteState {
-        use std::collections::hash_map::DefaultHasher;
-        let mut h = DefaultHasher::new();
+        let mut h = FxHasher::default();
         locations.hash(&mut h);
         vars.hash(&mut h);
         DiscreteState {

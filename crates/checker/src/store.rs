@@ -35,6 +35,7 @@
 //! includes it, so verdicts, suprema and WCRTs are preserved (proven by
 //! `tests/reduction_differential.rs`).
 
+use crate::fxhash::FxBuildHasher;
 use crate::state::DiscreteState;
 use std::collections::HashMap;
 use tempo_dbm::Dbm;
@@ -78,7 +79,7 @@ impl AsRef<Dbm> for Stored {
 /// clones the (location vector + valuation) key only the first time a
 /// discrete state is seen, not on every insert.
 pub(crate) struct PassedList {
-    ids: HashMap<DiscreteState, u32>,
+    ids: HashMap<DiscreteState, u32, FxBuildHasher>,
     zones: Vec<Vec<Stored>>,
     /// Indexed by node id: `true` while the node's zone is stored.
     current: Vec<bool>,
@@ -97,7 +98,7 @@ fn words(zone: &Dbm) -> usize {
 impl PassedList {
     pub(crate) fn new() -> PassedList {
         PassedList {
-            ids: HashMap::new(),
+            ids: HashMap::default(),
             zones: Vec::new(),
             current: Vec::new(),
             projected: Dbm::zero(0),

@@ -3,14 +3,14 @@
 
 use crate::error::CheckError;
 use crate::explorer::SearchOptions;
+use crate::fxhash::FxBuildHasher;
 use crate::state::{DiscreteState, SymState};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 use tempo_dbm::Dbm;
 use tempo_ta::{
-    apply_constraints, ChannelId, ChannelKind, Edge, EvalError, LocationKind, Sync, System,
-    VarStore,
+    apply_constraints, ChannelId, EvalError, LocId, LocationKind, Sync, System, VarStore,
 };
 
 /// Description of the discrete action labelling a zone-graph transition; used
@@ -101,8 +101,40 @@ pub struct QuerySeed {
     pub consts: Vec<(tempo_ta::ClockId, i64)>,
 }
 
+/// Validates `sys` for exploration: [`System::validate`] plus the
+/// restriction that keeps the semantics implementable with plain zones, no
+/// clock guards on urgent synchronizations or broadcast receptions (the same
+/// restriction as UPPAAL).  [`SuccessorGen::for_query`] expects a system that
+/// passed it; [`crate::Explorer::new`] runs it once per explorer.
+pub(crate) fn validate(sys: &System) -> Result<(), CheckError> {
+    sys.validate()?;
+    for a in &sys.automata {
+        for (ei, e) in a.edges.iter().enumerate() {
+            if let Some(ch) = e.sync.channel() {
+                let kind = sys.channels[ch.index()].kind;
+                let is_recv = matches!(e.sync, Sync::Recv(_));
+                if (kind.is_urgent() || (kind.is_broadcast() && is_recv))
+                    && !e.clock_guard.is_empty()
+                {
+                    return Err(CheckError::ClockGuardOnUrgentEdge {
+                        automaton: a.name.clone(),
+                        edge: ei,
+                    });
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Successor generator: precomputed per-system data plus the extrapolation
 /// constants in effect for the current query.
+///
+/// Everything that depends on a location vector alone (its constants, its
+/// live clocks and the table of its outgoing edges) is computed once per
+/// location vector ([`StateConsts`]), so an expansion evaluates only data
+/// guards and zone operations, and writes into buffers the explorer reuses
+/// ([`Successors`]).
 pub struct SuccessorGen<'s> {
     sys: &'s System,
     ranges: Vec<(i64, i64)>,
@@ -145,7 +177,7 @@ pub struct SuccessorGen<'s> {
     /// number of distinct location vectors is tiny compared to the number of
     /// symbolic states, so memoizing the merge keeps the per-successor
     /// extrapolation and reduction allocation-free on the hot path.
-    merged_cache: std::cell::RefCell<HashMap<Vec<tempo_ta::LocId>, Rc<StateConsts>>>,
+    merged_cache: RefCell<HashMap<Vec<LocId>, Rc<StateConsts>, FxBuildHasher>>,
     /// Per location atom of the query, the set of locations of that
     /// automaton from which the atom's location is reachable (location-graph
     /// over-approximation).  A state is pruned iff some atom has become
@@ -163,8 +195,8 @@ pub struct SuccessorGen<'s> {
 
 /// Merged per-clock data for one discrete location vector: the (lower, upper)
 /// extrapolation constants and the active-clock flags (element-wise maximum /
-/// union over every automaton's current location), plus what decides whether
-/// time may pass there.
+/// union over every automaton's current location), what decides whether
+/// time may pass there, and the table of its outgoing edges.
 pub(crate) struct StateConsts {
     lower: Vec<i64>,
     upper: Vec<i64>,
@@ -178,31 +210,69 @@ pub(crate) struct StateConsts {
     pub(crate) live: Vec<usize>,
     /// Some automaton occupies an urgent or committed location.
     urgent_location: bool,
-    /// The urgent channels that can synchronize from this location vector
-    /// if their data guards allow it (empty when `urgent_location` is set).
-    urgent_syncs: Vec<UrgentSync>,
+    /// Some automaton occupies a committed location, so every transition
+    /// must move one that does.
+    committed: bool,
+    /// The outgoing edges, in one allocation: first the internal edges the
+    /// committed filter allows, then the synchronizing edges grouped by
+    /// channel, ascending; automaton and edge order within each part.  This
+    /// is the order [`SuccessorGen::successors`] emits transitions in.
+    edges: Box<[OutEdge]>,
 }
 
-/// A computed successor: the symbolic state, the transition taken, and the
-/// data of the state's location vector.
-pub(crate) type Successor = (SymState, ActionLabel, Rc<StateConsts>);
+/// Edge `edge` of automaton `automaton`, with its synchronization.
+#[derive(Clone, Copy)]
+struct OutEdge {
+    sync: Sync,
+    automaton: u32,
+    edge: u32,
+}
 
-/// The outgoing edges over one urgent channel at one location vector, as
-/// `(automaton, edge)` pairs.
-struct UrgentSync {
-    broadcast: bool,
+impl OutEdge {
+    fn pair(self) -> (usize, usize) {
+        (self.automaton as usize, self.edge as usize)
+    }
+}
+
+impl StateConsts {
+    /// The internal edges, and each channel with its synchronizing edges.
+    fn edge_groups(&self) -> (&[OutEdge], impl Iterator<Item = (ChannelId, &[OutEdge])>) {
+        let taus = self.edges.partition_point(|e| e.sync == Sync::Tau);
+        let (taus, syncs) = self.edges.split_at(taus);
+        let groups = syncs
+            .chunk_by(|x, y| x.sync.channel() == y.sync.channel())
+            .map(|group| {
+                (
+                    group[0].sync.channel().expect("a synchronizing edge"),
+                    group,
+                )
+            });
+        (taus, groups)
+    }
+}
+
+/// A computed successor: the symbolic state, the transition taken (when the
+/// caller asked for labels) and the data of the state's location vector.
+pub(crate) type Successor = (SymState, Option<ActionLabel>, Rc<StateConsts>);
+
+/// The buffers [`SuccessorGen::successors`] writes into, reused across
+/// expansions so that enumerating the transitions allocates nothing.
+#[derive(Default)]
+pub(crate) struct Successors {
+    /// The successors of the last expansion, in generation order.
+    pub(crate) out: Vec<Successor>,
     senders: Vec<(usize, usize)>,
     receivers: Vec<(usize, usize)>,
+    /// Per automaton taking part in a broadcast, its range in `receivers`.
+    runs: Vec<(usize, usize)>,
+    /// Per run, the receiver the current broadcast combination takes.
+    odometer: Vec<usize>,
+    participants: Vec<(usize, usize)>,
 }
 
 impl<'s> SuccessorGen<'s> {
-    /// Creates a generator from search options alone; equivalent to
-    /// [`SuccessorGen::for_query`] without a query.
-    pub fn new(sys: &'s System, opts: &SearchOptions) -> Result<SuccessorGen<'s>, CheckError> {
-        SuccessorGen::for_query(sys, opts, None)
-    }
-
-    /// Creates a generator serving the given query (or none).
+    /// Creates a generator serving the given query (or none) on a system
+    /// that passed [`validate`].
     ///
     /// The query's clock constants (target guard constants, WCRT cap) must
     /// survive extrapolation — and active-clock reduction — exactly wherever
@@ -215,28 +285,7 @@ impl<'s> SuccessorGen<'s> {
         sys: &'s System,
         opts: &SearchOptions,
         query: Option<&QuerySeed>,
-    ) -> Result<SuccessorGen<'s>, CheckError> {
-        sys.validate()?;
-        // Restriction checks that keep the semantics implementable with plain
-        // zones: no clock guards on urgent synchronizations or broadcast
-        // receptions (same restriction as UPPAAL).
-        for (ai, a) in sys.automata.iter().enumerate() {
-            for (ei, e) in a.edges.iter().enumerate() {
-                if let Some(ch) = e.sync.channel() {
-                    let kind = sys.channels[ch.index()].kind;
-                    let is_recv = matches!(e.sync, Sync::Recv(_));
-                    if (kind.is_urgent() || (kind.is_broadcast() && is_recv))
-                        && !e.clock_guard.is_empty()
-                    {
-                        let _ = ai;
-                        return Err(CheckError::ClockGuardOnUrgentEdge {
-                            automaton: a.name.clone(),
-                            edge: ei,
-                        });
-                    }
-                }
-            }
-        }
+    ) -> SuccessorGen<'s> {
         let mut lu = sys.location_lu_table();
         let mut activity = sys.location_activity_table();
         let dim = sys.num_clocks() + 1;
@@ -275,7 +324,7 @@ impl<'s> SuccessorGen<'s> {
                 );
             }
         }
-        Ok(SuccessorGen {
+        SuccessorGen {
             sys,
             ranges: sys.var_ranges(),
             lu,
@@ -283,33 +332,27 @@ impl<'s> SuccessorGen<'s> {
             query_reach,
             global_lower,
             global_upper,
-            merged_cache: std::cell::RefCell::new(HashMap::new()),
+            merged_cache: RefCell::new(HashMap::default()),
             reduce: opts.active_clock_reduction,
             eliminated: Cell::new(0),
-        })
-    }
-
-    /// The system this generator works on.
-    #[allow(dead_code)]
-    pub fn system(&self) -> &'s System {
-        self.sys
+        }
     }
 
     /// The merged per-clock data in effect at the given discrete state: the
     /// element-wise maximum of the global query constants and every
     /// automaton's location-dependent LU constants, plus the union of the
     /// per-location active-clock sets (a clock stays live as long as *any*
-    /// automaton may still observe it), and the location kinds and
-    /// urgent-channel edges [`SuccessorGen::delay_allowed`] reads.  Memoized
-    /// per location vector.
+    /// automaton may still observe it), the location kinds and the edge
+    /// table.  Memoized per location vector.
     pub(crate) fn state_consts(&self, discrete: &DiscreteState) -> Rc<StateConsts> {
-        if let Some(cached) = self.merged_cache.borrow().get(discrete.locations()) {
+        let locations = discrete.locations();
+        if let Some(cached) = self.merged_cache.borrow().get(locations) {
             return Rc::clone(cached);
         }
         let mut lower = self.global_lower.clone();
         let mut upper = self.global_upper.clone();
         let mut active = vec![false; lower.len()];
-        for (ai, loc) in discrete.locations().iter().enumerate() {
+        for (ai, loc) in locations.iter().enumerate() {
             let (l, u) = &self.lu.per_loc[ai][loc.index()];
             let act = &self.activity.per_loc[ai][loc.index()];
             for i in 1..lower.len() {
@@ -327,29 +370,54 @@ impl<'s> SuccessorGen<'s> {
         let live = (1..active.len())
             .filter(|&i| active[i] || !self.reduce)
             .collect();
-        let urgent_location = self
-            .sys
-            .automata
-            .iter()
-            .zip(discrete.locations())
-            .any(|(a, loc)| a.location(*loc).kind != LocationKind::Normal);
-        let urgent_syncs = if urgent_location {
-            Vec::new()
-        } else {
-            self.urgent_syncs(discrete)
+        let kinds = || {
+            self.sys
+                .automata
+                .iter()
+                .zip(locations)
+                .map(|(a, loc)| a.location(*loc).kind)
         };
+        let urgent_location = kinds().any(|kind| kind != LocationKind::Normal);
+        let committed = kinds().any(|kind| kind == LocationKind::Committed);
         let merged = Rc::new(StateConsts {
             lower,
             upper,
             active,
             live,
             urgent_location,
-            urgent_syncs,
+            committed,
+            edges: self.edge_table(locations, committed),
         });
         self.merged_cache
             .borrow_mut()
-            .insert(discrete.locations().to_vec(), Rc::clone(&merged));
+            .insert(locations.to_vec(), Rc::clone(&merged));
         merged
+    }
+
+    /// The edge table of a location vector ([`StateConsts::edges`]).
+    fn edge_table(&self, locations: &[LocId], committed: bool) -> Box<[OutEdge]> {
+        let mut edges: Vec<OutEdge> = (self.sys.automata.iter().zip(locations).enumerate())
+            .flat_map(|(ai, (a, &loc))| {
+                let from_committed = a.location(loc).kind == LocationKind::Committed;
+                a.outgoing(loc)
+                    .filter(move |(_, e)| e.sync != Sync::Tau || from_committed || !committed)
+                    .map(move |(ei, e)| OutEdge {
+                        sync: e.sync,
+                        automaton: ai as u32,
+                        edge: ei as u32,
+                    })
+            })
+            .collect();
+        // Stable: the internal edges first, and the order within a channel.
+        edges.sort_by_key(|e| e.sync.channel());
+        edges.into_boxed_slice()
+    }
+
+    /// `true` iff the data guard of `e` holds under `vars`.
+    fn enabled(&self, e: OutEdge, vars: &VarStore) -> Result<bool, EvalError> {
+        self.sys.automata[e.automaton as usize].edges[e.edge as usize]
+            .guard
+            .eval(vars)
     }
 
     /// Canonicalizes the clocks that are dead at `consts`' discrete state
@@ -399,46 +467,11 @@ impl<'s> SuccessorGen<'s> {
         Ok(())
     }
 
-    /// Per urgent channel, the outgoing edges that send or receive on it at
-    /// `discrete`'s location vector; channels that cannot synchronize there
-    /// whatever the data guards say are left out.
-    fn urgent_syncs(&self, discrete: &DiscreteState) -> Vec<UrgentSync> {
-        let mut syncs = Vec::new();
-        for (ci, ch) in self.sys.channels.iter().enumerate() {
-            if !ch.kind.is_urgent() {
-                continue;
-            }
-            let channel = ChannelId(ci as u32);
-            let mut sync = UrgentSync {
-                broadcast: ch.kind.is_broadcast(),
-                senders: Vec::new(),
-                receivers: Vec::new(),
-            };
-            for (ai, a) in self.sys.automata.iter().enumerate() {
-                for (ei, e) in a.outgoing(discrete.locations()[ai]) {
-                    match e.sync {
-                        Sync::Send(c) if c == channel => sync.senders.push((ai, ei)),
-                        Sync::Recv(c) if c == channel => sync.receivers.push((ai, ei)),
-                        _ => {}
-                    }
-                }
-            }
-            let possible = sync
-                .senders
-                .iter()
-                .any(|&(s, _)| sync.broadcast || sync.receivers.iter().any(|&(r, _)| r != s));
-            if possible {
-                syncs.push(sync);
-            }
-        }
-        syncs
-    }
-
     /// `true` iff time may elapse in the given discrete state: no automaton
     /// occupies an urgent or committed location and no urgent-channel
     /// synchronization is enabled.  Everything but the data guards comes
     /// from the memoized `consts` of the state's location vector (clock
-    /// guards on urgent edges are rejected at construction time).
+    /// guards on urgent edges are rejected by [`validate`]).
     fn delay_allowed(
         &self,
         discrete: &DiscreteState,
@@ -447,19 +480,25 @@ impl<'s> SuccessorGen<'s> {
         if consts.urgent_location {
             return Ok(false);
         }
-        let enabled = |&(ai, ei): &(usize, usize)| {
-            self.sys.automata[ai].edges[ei].guard.eval(discrete.vars())
-        };
-        for sync in &consts.urgent_syncs {
-            for sender in &sync.senders {
-                if !enabled(sender)? {
+        let vars = discrete.vars();
+        for (channel, group) in consts.edge_groups().1 {
+            let sends = group.iter().filter(|e| matches!(e.sync, Sync::Send(_)));
+            let partner = |s: &OutEdge, r: &OutEdge| {
+                matches!(r.sync, Sync::Recv(_)) && r.automaton != s.automaton
+            };
+            // A channel with no sender and receiver in different automata
+            // cannot synchronize whatever the data; its guards stay unread.
+            if !self.sys.channels[channel.index()].kind.is_urgent()
+                || !sends.clone().any(|s| group.iter().any(|r| partner(s, r)))
+            {
+                continue;
+            }
+            for s in sends {
+                if !self.enabled(*s, vars)? {
                     continue;
                 }
-                if sync.broadcast {
-                    return Ok(false);
-                }
-                for receiver in &sync.receivers {
-                    if receiver.0 != sender.0 && enabled(receiver)? {
+                for r in group {
+                    if partner(s, r) && self.enabled(*r, vars)? {
                         return Ok(false);
                     }
                 }
@@ -484,19 +523,6 @@ impl<'s> SuccessorGen<'s> {
         self.reduce_zone(&mut zone, &consts);
         self.extrapolate_zone(&mut zone, &consts);
         Ok(SymState::new(discrete, zone))
-    }
-
-    /// `true` iff any automaton currently occupies a committed location.
-    fn in_committed(&self, discrete: &DiscreteState) -> bool {
-        self.sys
-            .automata
-            .iter()
-            .zip(discrete.locations())
-            .any(|(a, l)| a.location(*l).kind == LocationKind::Committed)
-    }
-
-    fn edge_committed(&self, automaton: usize, edge: &Edge) -> bool {
-        self.sys.automata[automaton].location(edge.source).kind == LocationKind::Committed
     }
 
     /// Fires the edges of `participants` (in order) from `state`, producing
@@ -575,170 +601,163 @@ impl<'s> SuccessorGen<'s> {
         Ok(Some((SymState::new(new_discrete, zone), consts)))
     }
 
-    /// Computes all symbolic successors of a state, each with the transition
-    /// taken and its location vector's data (whose [`StateConsts::live`]
-    /// clocks the passed list stores the zone on).
-    pub(crate) fn successors(&self, state: &SymState) -> Result<Vec<Successor>, CheckError> {
-        let discrete = &state.discrete;
-        let vars = discrete.vars();
-        let committed_active = self.in_committed(discrete);
-        let mut out: Vec<Successor> = Vec::new();
+    /// Fires `participants` from `state` and keeps the successor, if any,
+    /// with its label when `labels` is set.
+    fn push(
+        &self,
+        state: &SymState,
+        participants: &[(usize, usize)],
+        labels: bool,
+        label: impl FnOnce() -> ActionLabel,
+        out: &mut Vec<Successor>,
+    ) -> Result<(), CheckError> {
+        if let Some((succ, consts)) = self.apply_transition(state, participants)? {
+            out.push((succ, labels.then(label), consts));
+        }
+        Ok(())
+    }
 
-        let push = |participants: &[(usize, usize)],
-                    label: ActionLabel,
-                    this: &Self,
-                    out: &mut Vec<Successor>|
-         -> Result<(), CheckError> {
-            if let Some((succ, consts)) = this.apply_transition(state, participants)? {
-                out.push((succ, label, consts));
-            }
-            Ok(())
+    /// Computes all symbolic successors of `state`, whose location vector's
+    /// data is `consts`, into `buf.out`, each with its location vector's data
+    /// (whose [`StateConsts::live`] clocks the passed list stores the zone
+    /// on) and, when `labels` is set, the transition taken.
+    ///
+    /// The order follows the edge table: internal edges, then per channel
+    /// and enabled sender each enabled receiver (binary) or each combination
+    /// of one enabled receiving edge per other automaton that has one
+    /// (broadcast; the last automaton varies fastest).  Only data guards are
+    /// evaluated here; clock guards go to the zone in `apply_transition`.
+    pub(crate) fn successors(
+        &self,
+        state: &SymState,
+        consts: &StateConsts,
+        labels: bool,
+        buf: &mut Successors,
+    ) -> Result<(), CheckError> {
+        let locations = state.discrete.locations();
+        let vars = state.discrete.vars();
+        let from_committed = |&(a, _): &(usize, usize)| {
+            self.sys.automata[a].location(locations[a]).kind == LocationKind::Committed
         };
+        let Successors {
+            out,
+            senders,
+            receivers,
+            runs,
+            odometer,
+            participants,
+        } = buf;
+        out.clear();
+        let (taus, groups) = consts.edge_groups();
 
-        // Internal (τ) transitions.
-        for (ai, a) in self.sys.automata.iter().enumerate() {
-            let loc = discrete.locations()[ai];
-            for (ei, e) in a.outgoing(loc) {
-                if e.sync != Sync::Tau {
-                    continue;
-                }
-                if committed_active && !self.edge_committed(ai, e) {
-                    continue;
-                }
-                if !e.guard.eval(vars)? {
-                    continue;
-                }
-                push(
-                    &[(ai, ei)],
-                    ActionLabel::Internal {
-                        automaton: ai,
-                        edge: ei,
-                    },
-                    self,
-                    &mut out,
-                )?;
+        for &tau in taus {
+            if self.enabled(tau, vars)? {
+                let (automaton, edge) = tau.pair();
+                let label = || ActionLabel::Internal { automaton, edge };
+                self.push(state, &[(automaton, edge)], labels, label, out)?;
             }
         }
 
-        // Synchronizations, per channel.
-        for (ci, ch) in self.sys.channels.iter().enumerate() {
-            let channel = ChannelId(ci as u32);
-            // Collect enabled senders and receivers (data guards only; clock
-            // guards are applied to the zone inside `apply_transition`).
-            let mut senders: Vec<(usize, usize)> = Vec::new();
-            let mut receivers: Vec<(usize, usize)> = Vec::new();
-            for (ai, a) in self.sys.automata.iter().enumerate() {
-                let loc = discrete.locations()[ai];
-                for (ei, e) in a.outgoing(loc) {
+        for (channel, group) in groups {
+            senders.clear();
+            receivers.clear();
+            for &e in group {
+                if self.enabled(e, vars)? {
                     match e.sync {
-                        Sync::Send(c) if c == channel && e.guard.eval(vars)? => {
-                            senders.push((ai, ei));
-                        }
-                        Sync::Recv(c) if c == channel && e.guard.eval(vars)? => {
-                            receivers.push((ai, ei));
-                        }
-                        _ => {}
+                        Sync::Send(_) => senders.push(e.pair()),
+                        _ => receivers.push(e.pair()),
                     }
                 }
             }
-            if senders.is_empty() {
+            if !self.sys.channels[channel.index()].kind.is_broadcast() {
+                for (&sender, &receiver) in senders
+                    .iter()
+                    .flat_map(|s| receivers.iter().map(move |r| (s, r)))
+                {
+                    // An automaton cannot synchronize with itself.
+                    if sender.0 == receiver.0
+                        || (consts.committed
+                            && !from_committed(&sender)
+                            && !from_committed(&receiver))
+                    {
+                        continue;
+                    }
+                    let label = || ActionLabel::Binary {
+                        channel,
+                        sender,
+                        receiver,
+                    };
+                    self.push(state, &[sender, receiver], labels, label, out)?;
+                }
                 continue;
             }
-            match ch.kind {
-                ChannelKind::Binary | ChannelKind::Urgent => {
-                    for &s in &senders {
-                        for &r in &receivers {
-                            if s.0 == r.0 {
-                                continue; // an automaton cannot synchronize with itself
-                            }
-                            if committed_active
-                                && !self.edge_committed(s.0, &self.sys.automata[s.0].edges[s.1])
-                                && !self.edge_committed(r.0, &self.sys.automata[r.0].edges[r.1])
-                            {
-                                continue;
-                            }
-                            push(
-                                &[s, r],
-                                ActionLabel::Binary {
-                                    channel,
-                                    sender: s,
-                                    receiver: r,
-                                },
-                                self,
-                                &mut out,
-                            )?;
-                        }
+            for &sender in senders.iter() {
+                // Every automaton but the sender's that has an enabled
+                // receiving edge takes part with one of them; each choice is
+                // a distinct transition.  Receivers are in automaton order,
+                // so each automaton's form one run.
+                runs.clear();
+                for (k, receiver) in receivers.iter().enumerate() {
+                    if receiver.0 == sender.0 {
+                        continue;
+                    }
+                    match runs.last_mut() {
+                        Some((start, end)) if receivers[*start].0 == receiver.0 => *end = k + 1,
+                        _ => runs.push((k, k + 1)),
                     }
                 }
-                ChannelKind::Broadcast => {
-                    for &s in &senders {
-                        // Every automaton (other than the sender) that has an
-                        // enabled receiving edge must participate.  If an
-                        // automaton has several enabled receiving edges, each
-                        // combination yields a distinct transition.
-                        let mut per_automaton: Vec<Vec<(usize, usize)>> = Vec::new();
-                        for (ai, _) in self.sys.automata.iter().enumerate() {
-                            if ai == s.0 {
-                                continue;
-                            }
-                            let choices: Vec<(usize, usize)> = receivers
-                                .iter()
-                                .copied()
-                                .filter(|(ra, _)| *ra == ai)
-                                .collect();
-                            if !choices.is_empty() {
-                                per_automaton.push(choices);
-                            }
-                        }
-                        // Cartesian product over the receiver choices.
-                        let mut combos: Vec<Vec<(usize, usize)>> = vec![Vec::new()];
-                        for choices in &per_automaton {
-                            let mut next = Vec::with_capacity(combos.len() * choices.len());
-                            for combo in &combos {
-                                for &c in choices {
-                                    let mut extended = combo.clone();
-                                    extended.push(c);
-                                    next.push(extended);
-                                }
-                            }
-                            combos = next;
-                        }
-                        for combo in combos {
-                            if committed_active {
-                                let any_committed = std::iter::once(s)
-                                    .chain(combo.iter().copied())
-                                    .any(|(a, e)| {
-                                        self.edge_committed(a, &self.sys.automata[a].edges[e])
-                                    });
-                                if !any_committed {
-                                    continue;
-                                }
-                            }
-                            let mut participants = vec![s];
-                            participants.extend(combo.iter().copied());
-                            push(
-                                &participants,
-                                ActionLabel::Broadcast {
-                                    channel,
-                                    sender: s,
-                                    receivers: combo.clone(),
-                                },
-                                self,
-                                &mut out,
-                            )?;
-                        }
+                odometer.clear();
+                odometer.extend(runs.iter().map(|&(start, _)| start));
+                loop {
+                    participants.clear();
+                    participants.push(sender);
+                    participants.extend(odometer.iter().map(|&k| receivers[k]));
+                    if !consts.committed || participants.iter().any(from_committed) {
+                        let label = || ActionLabel::Broadcast {
+                            channel,
+                            sender,
+                            receivers: participants[1..].to_vec(),
+                        };
+                        self.push(state, participants, labels, label, out)?;
+                    }
+                    // Next combination, the last automaton fastest.
+                    let Some(g) = (0..runs.len()).rev().find(|&g| odometer[g] + 1 < runs[g].1)
+                    else {
+                        break;
+                    };
+                    odometer[g] += 1;
+                    for later in g + 1..runs.len() {
+                        odometer[later] = runs[later].0;
                     }
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempo_ta::{ClockRef, SystemBuilder, Update, VarExprExt};
+    use tempo_ta::{ChannelKind, ClockRef, SystemBuilder, Update, VarExprExt};
+
+    fn generator(sys: &System) -> SuccessorGen<'_> {
+        SuccessorGen::for_query(sys, &SearchOptions::default(), None)
+    }
+
+    /// Every successor of `state`, labelled, in generation order.
+    fn successors(
+        gen: &SuccessorGen<'_>,
+        state: &SymState,
+    ) -> Vec<(SymState, ActionLabel, Rc<StateConsts>)> {
+        let mut buf = Successors::default();
+        let consts = gen.state_consts(&state.discrete);
+        gen.successors(state, &consts, true, &mut buf).unwrap();
+        buf.out
+            .into_iter()
+            .map(|(s, label, c)| (s, label.expect("labels were asked for"), c))
+            .collect()
+    }
 
     /// One automaton ticking every exactly 10 time units, counting ticks.
     fn periodic_system() -> System {
@@ -760,7 +779,7 @@ mod tests {
     #[test]
     fn initial_state_is_delay_closed_within_invariant() {
         let sys = periodic_system();
-        let gen = SuccessorGen::new(&sys, &SearchOptions::default()).unwrap();
+        let gen = generator(&sys);
         let init = gen.initial_state().unwrap();
         let x = sys.clock_by_name("x").unwrap().dbm_clock();
         assert_eq!(init.zone.sup(x), tempo_dbm::Bound::weak(10));
@@ -769,9 +788,9 @@ mod tests {
     #[test]
     fn tick_successor_resets_clock_and_counts() {
         let sys = periodic_system();
-        let gen = SuccessorGen::new(&sys, &SearchOptions::default()).unwrap();
+        let gen = generator(&sys);
         let init = gen.initial_state().unwrap();
-        let succ = gen.successors(&init).unwrap();
+        let succ = successors(&gen, &init);
         assert_eq!(succ.len(), 1);
         let (s, label, _) = &succ[0];
         assert!(matches!(
@@ -819,7 +838,7 @@ mod tests {
     #[test]
     fn urgent_sync_forbids_delay() {
         let sys = urgent_pair();
-        let gen = SuccessorGen::new(&sys, &SearchOptions::default()).unwrap();
+        let gen = generator(&sys);
         let init = gen.initial_state().unwrap();
         // pending = 1, so the urgent sync is enabled: no delay in the initial
         // state, hence x is still exactly 0.
@@ -830,7 +849,7 @@ mod tests {
             .unwrap());
 
         // Take the sync; now pending = 0 and the resource is busy for 5.
-        let succ = gen.successors(&init).unwrap();
+        let succ = successors(&gen, &init);
         assert_eq!(succ.len(), 1);
         let (s, label, _) = &succ[0];
         assert!(matches!(label, ActionLabel::Binary { .. }));
@@ -859,7 +878,7 @@ mod tests {
         a.build();
         let sys = sb.build();
         assert!(matches!(
-            SuccessorGen::new(&sys, &SearchOptions::default()),
+            validate(&sys),
             Err(CheckError::ClockGuardOnUrgentEdge { .. })
         ));
     }
@@ -885,10 +904,10 @@ mod tests {
         b.set_initial(m0);
         b.build();
         let sys = sb.build();
-        let gen = SuccessorGen::new(&sys, &SearchOptions::default()).unwrap();
+        let gen = generator(&sys);
         let init = gen.initial_state().unwrap();
         // From the initial state both automata can move.
-        let succ = gen.successors(&init).unwrap();
+        let succ = successors(&gen, &init);
         assert_eq!(succ.len(), 2);
         // Find the successor where `a` entered the committed location.
         let committed_state = succ
@@ -900,7 +919,7 @@ mod tests {
         let x = sys.clock_by_name("x").unwrap().dbm_clock();
         assert_eq!(committed_state.zone.sup(x), tempo_dbm::Bound::weak(0));
         // From the committed state only `a`'s outgoing edge may fire.
-        let succ2 = gen.successors(&committed_state).unwrap();
+        let succ2 = successors(&gen, &committed_state);
         assert_eq!(succ2.len(), 1);
         assert!(matches!(
             succ2[0].1,
@@ -937,9 +956,9 @@ mod tests {
             r.build();
         }
         let sys = sb.build();
-        let gen = SuccessorGen::new(&sys, &SearchOptions::default()).unwrap();
+        let gen = generator(&sys);
         let init = gen.initial_state().unwrap();
-        let succ = gen.successors(&init).unwrap();
+        let succ = successors(&gen, &init);
         assert_eq!(succ.len(), 1);
         let (st, label, _) = &succ[0];
         match label {
@@ -984,11 +1003,11 @@ mod tests {
     #[test]
     fn dead_clock_is_exactly_zero_after_the_delay() {
         let sys = dead_at_target_system();
-        let gen = SuccessorGen::new(&sys, &SearchOptions::default()).unwrap();
+        let gen = generator(&sys);
         let x = sys.clock_by_name("x").unwrap().dbm_clock();
         let y = sys.clock_by_name("y").unwrap().dbm_clock();
         let init = gen.initial_state().unwrap();
-        let succ = gen.successors(&init).unwrap();
+        let succ = successors(&gen, &init);
         assert_eq!(succ.len(), 1);
         let (s, _, _) = &succ[0];
         assert!(gen
@@ -1008,7 +1027,7 @@ mod tests {
     #[test]
     fn entry_time_does_not_split_successor_zones() {
         let sys = dead_at_target_system();
-        let gen = SuccessorGen::new(&sys, &SearchOptions::default()).unwrap();
+        let gen = generator(&sys);
         let x = sys.clock_by_name("x").unwrap().dbm_clock();
         let y = sys.clock_by_name("y").unwrap().dbm_clock();
         let pred = |y_max: i64| {
@@ -1019,8 +1038,8 @@ mod tests {
         };
         let (early, late) = (pred(0), pred(4));
         assert_ne!(early.zone, late.zone);
-        let succ_early = gen.successors(&early).unwrap();
-        let succ_late = gen.successors(&late).unwrap();
+        let succ_early = successors(&gen, &early);
+        let succ_late = successors(&gen, &late);
         assert_eq!(succ_early.len(), 1);
         assert_eq!(succ_late.len(), 1);
         assert_eq!(succ_early[0].0.discrete, succ_late[0].0.discrete);
@@ -1030,12 +1049,193 @@ mod tests {
     #[test]
     fn action_label_pretty_uses_names() {
         let sys = urgent_pair();
-        let gen = SuccessorGen::new(&sys, &SearchOptions::default()).unwrap();
+        let gen = generator(&sys);
         let init = gen.initial_state().unwrap();
-        let succ = gen.successors(&init).unwrap();
+        let succ = successors(&gen, &init);
         let text = succ[0].1.pretty(&sys);
         assert!(text.contains("hurry"));
         assert!(text.contains("res"));
         assert!(text.contains("idle -> busy"));
+    }
+
+    /// A broadcast sender meets two receiver automata with two enabled
+    /// receiving edges each: four transitions, in cartesian order with the
+    /// last automaton varying fastest.
+    fn two_by_two_broadcast() -> System {
+        let mut sb = SystemBuilder::new("bcast2x2");
+        let go = sb.add_channel("go", ChannelKind::Broadcast);
+        let mut s = sb.automaton("S");
+        let s0 = s.location("s0").add();
+        let s1 = s.location("s1").add();
+        s.edge(s0, s1).sync(Sync::send(go)).add();
+        s.set_initial(s0);
+        s.build();
+        for name in ["R1", "R2"] {
+            let mut r = sb.automaton(name);
+            let wait = r.location("wait").add();
+            let a = r.location("a").add();
+            let b = r.location("b").add();
+            r.edge(wait, a).sync(Sync::recv(go)).add();
+            r.edge(wait, b).sync(Sync::recv(go)).add();
+            r.set_initial(wait);
+            r.build();
+        }
+        sb.build()
+    }
+
+    #[test]
+    fn broadcast_combinations_run_last_automaton_fastest() {
+        let sys = two_by_two_broadcast();
+        let gen = generator(&sys);
+        let succ = successors(&gen, &gen.initial_state().unwrap());
+        let labels: Vec<_> = succ.iter().map(|(_, label, _)| label.clone()).collect();
+        let expected: Vec<_> = [(0, 0), (0, 1), (1, 0), (1, 1)]
+            .into_iter()
+            .map(|(e1, e2)| ActionLabel::Broadcast {
+                channel: ChannelId(0),
+                sender: (0, 0),
+                receivers: vec![(1, e1), (2, e2)],
+            })
+            .collect();
+        assert_eq!(labels, expected);
+        let loc = |s: &SymState, a: usize| {
+            sys.automata[a]
+                .location(s.discrete.locations()[a])
+                .name
+                .clone()
+        };
+        let reached: Vec<_> = succ
+            .iter()
+            .map(|(s, _, _)| (loc(s, 1), loc(s, 2)))
+            .collect();
+        let names = |r1: &str, r2: &str| (r1.to_string(), r2.to_string());
+        assert_eq!(
+            reached,
+            [
+                names("a", "a"),
+                names("a", "b"),
+                names("b", "a"),
+                names("b", "b")
+            ]
+        );
+
+        // A targeted search keeps the label of the combination it took.
+        let target = crate::TargetSpec::location(&sys, "R1", "b")
+            .unwrap()
+            .and_location(&sys, "R2", "a")
+            .unwrap();
+        let report = crate::Explorer::new(&sys, SearchOptions::default())
+            .unwrap()
+            .check_reachable(&target)
+            .unwrap();
+        let trace = report.trace.unwrap();
+        assert_eq!(trace.len(), 2);
+        assert_eq!(
+            trace[1].action.as_deref(),
+            Some("go! (broadcast) [S: s0 -> s1 || R1: wait -> b || R2: wait -> a]")
+        );
+    }
+
+    /// `C` starts in a committed location: an internal edge, a binary
+    /// synchronization or a broadcast may fire only if it moves `C`.
+    #[test]
+    fn committed_location_filters_synchronizations() {
+        let mut sb = SystemBuilder::new("committed_syncs");
+        let b = sb.add_channel("b", ChannelKind::Binary);
+        let x = sb.add_channel("x", ChannelKind::Binary);
+        let all = sb.add_channel("all", ChannelKind::Broadcast);
+        let nb = sb.add_channel("nb", ChannelKind::Broadcast);
+        let mut c = sb.automaton("C");
+        let c0 = c.location("c0").committed(true).add();
+        let c1 = c.location("c1").add();
+        c.edge(c0, c1).add();
+        c.edge(c0, c1).sync(Sync::send(b)).add();
+        c.edge(c0, c1).sync(Sync::recv(all)).add();
+        c.set_initial(c0);
+        c.build();
+        let mut p = sb.automaton("P");
+        let p0 = p.location("p0").add();
+        let p1 = p.location("p1").add();
+        p.edge(p0, p1).sync(Sync::recv(b)).add();
+        p.edge(p0, p1).sync(Sync::send(x)).add();
+        p.edge(p0, p1).sync(Sync::recv(all)).add();
+        p.edge(p0, p1).sync(Sync::send(nb)).add();
+        p.set_initial(p0);
+        p.build();
+        let mut q = sb.automaton("Q");
+        let q0 = q.location("q0").add();
+        let q1 = q.location("q1").add();
+        q.edge(q0, q1).add();
+        q.edge(q0, q1).sync(Sync::recv(x)).add();
+        q.edge(q0, q1).sync(Sync::send(all)).add();
+        q.edge(q0, q1).sync(Sync::recv(nb)).add();
+        q.set_initial(q0);
+        q.build();
+        let sys = sb.build();
+        let gen = generator(&sys);
+        let labels: Vec<_> = successors(&gen, &gen.initial_state().unwrap())
+            .into_iter()
+            .map(|(_, label, _)| label)
+            .collect();
+        // Dropped: `Q`'s internal edge, `x` (P to Q) and `nb` (P to Q).
+        assert_eq!(
+            labels,
+            [
+                ActionLabel::Internal {
+                    automaton: 0,
+                    edge: 0
+                },
+                ActionLabel::Binary {
+                    channel: b,
+                    sender: (0, 1),
+                    receiver: (1, 0),
+                },
+                ActionLabel::Broadcast {
+                    channel: all,
+                    sender: (2, 2),
+                    receivers: vec![(0, 2), (1, 2)],
+                },
+            ]
+        );
+    }
+
+    /// An urgent channel whose only receiver is guarded by `ready == 1`:
+    /// time may pass exactly when that guard is false, which is exactly when
+    /// the channel yields no successor.
+    #[test]
+    fn urgent_receiver_guard_decides_delay() {
+        let mut sb = SystemBuilder::new("urgent_guard");
+        let _x = sb.add_clock("x");
+        let ready = sb.add_var("ready", 0, 1, 0);
+        let go = sb.add_channel("go", ChannelKind::Urgent);
+        let mut s = sb.automaton("S");
+        let s0 = s.location("s0").add();
+        let s1 = s.location("s1").add();
+        s.edge(s0, s1).sync(Sync::send(go)).add();
+        s.set_initial(s0);
+        s.build();
+        let mut r = sb.automaton("R");
+        let r0 = r.location("r0").add();
+        let r1 = r.location("r1").add();
+        r.edge(r0, r1)
+            .guard(ready.eq_(1))
+            .sync(Sync::recv(go))
+            .add();
+        r.set_initial(r0);
+        r.build();
+        let sys = sb.build();
+        let gen = generator(&sys);
+        let init = gen.initial_state().unwrap();
+        for value in [0, 1] {
+            let discrete = DiscreteState::new(
+                init.discrete.locations().to_vec(),
+                VarStore::new(vec![value]),
+            );
+            let consts = gen.state_consts(&discrete);
+            let delay = gen.delay_allowed(&discrete, &consts).unwrap();
+            assert_eq!(delay, value == 0, "ready = {value}");
+            let state = SymState::new(discrete, init.zone.clone());
+            assert_eq!(successors(&gen, &state).len(), usize::from(!delay));
+        }
     }
 }

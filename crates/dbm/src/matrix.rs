@@ -715,17 +715,41 @@ impl Dbm {
         // input row.
         let above = |row0: &[Bound], k: usize, c: i64| k != 0 && row0[k] < Bound::strict(-c);
         let n = self.dim;
+        // `above_u` of the first 64 clocks, read once; later ones per entry.
+        let mask = (1..n.min(64))
+            .filter(|&k| above(&self.m, k, u(k)))
+            .fold(0u64, |mask, k| mask | 1 << k);
+        let above_u = |row0: &[Bound], j: usize| match j {
+            0..64 => mask >> j & 1 == 1,
+            _ => above(row0, j, u(j)),
+        };
         let mut widened = [(0usize, 0usize); TRACKED];
         let mut count = 0;
         for i in (1..n).chain([0]) {
             let row_cap = Bound::weak(l(i));
             let above_l = above(&self.m, i, l(i));
+            // Most rows widen nothing: a finite entry must exceed the cap of a
+            // row `i != 0`, sit in such a row above `L` or in a column above
+            // `U`; a pass over the row and one over the mask rule that out.
+            let row = &self.m[i * n..(i + 1) * n];
+            let over_cap = row
+                .iter()
+                .fold(false, |any, &b| any | (b > row_cap) & !b.is_infinity());
+            let mut under_u = n > 64;
+            let mut cols = if under_u { 0 } else { mask & !(1 << i) };
+            while cols != 0 && !under_u {
+                under_u = !row[cols.trailing_zeros() as usize].is_infinity();
+                cols &= cols - 1;
+            }
+            if !(i != 0 && (above_l || over_cap)) && !under_u {
+                continue;
+            }
             for j in 0..n {
                 let b = self.m[i * n + j];
                 if i == j || b.is_infinity() {
                     continue;
                 }
-                let above_u = above(&self.m, j, u(j));
+                let above_u = above_u(&self.m, j);
                 let wide = if i != 0 && (b > row_cap || above_l || above_u) {
                     Bound::INFINITY
                 } else if i == 0 && above_u {

@@ -319,8 +319,9 @@ pub struct SpanGuard {
     name: &'static str,
     detail: Option<String>,
     id: u64,
-    start: Option<Instant>,
-    start_ts: u64,
+    /// Nanoseconds since the trace epoch when the span opened; `None` when
+    /// the guard is inert.
+    start_ts: Option<u64>,
 }
 
 impl SpanGuard {
@@ -338,8 +339,7 @@ impl SpanGuard {
                 name,
                 detail: None,
                 id: 0,
-                start: None,
-                start_ts: 0,
+                start_ts: None,
             };
         }
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
@@ -349,8 +349,7 @@ impl SpanGuard {
             name,
             detail,
             id,
-            start: Some(Instant::now()),
-            start_ts,
+            start_ts: Some(start_ts),
         }
     }
 
@@ -361,15 +360,17 @@ impl SpanGuard {
 
     /// Nanoseconds since the trace epoch when the span opened.
     pub fn start_nanos(&self) -> u64 {
-        self.start_ts
+        self.start_ts.unwrap_or(0)
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let dur = start.elapsed().as_nanos() as u64;
+        // Two clock reads per span, not four: the checker opens one per
+        // transition.
+        if let Some(start_ts) = self.start_ts {
             let ts = now_nanos();
+            let dur = ts.saturating_sub(start_ts);
             let detail = self.detail.take();
             with_subscriber(|s, tid| {
                 s.on_span_end(self.id, self.name, detail.as_deref(), ts, dur, tid)

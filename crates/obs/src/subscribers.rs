@@ -55,6 +55,14 @@ struct SpanStat {
     max_nanos: u64,
 }
 
+impl SpanStat {
+    fn record(&mut self, dur_nanos: u64) {
+        self.count += 1;
+        self.total_nanos = self.total_nanos.saturating_add(dur_nanos);
+        self.max_nanos = self.max_nanos.max(dur_nanos);
+    }
+}
+
 #[derive(Default)]
 struct RegistryInner {
     counters: BTreeMap<String, u64>,
@@ -129,21 +137,25 @@ impl Subscriber for MetricsRegistry {
         _tid: u64,
     ) {
         let mut inner = self.inner.lock().expect("metrics registry lock");
-        let plain = inner.spans.entry(name.to_string()).or_default();
-        plain.count += 1;
-        plain.total_nanos = plain.total_nanos.saturating_add(dur_nanos);
-        plain.max_nanos = plain.max_nanos.max(dur_nanos);
+        // Look the name up before allocating a key (here and for counters):
+        // the checker ends a span per transition, and after the first one
+        // the name is always present.
+        match inner.spans.get_mut(name) {
+            Some(plain) => plain.record(dur_nanos),
+            None => inner.spans.entry(name.to_string()).or_default().record(dur_nanos),
+        }
         if let Some(detail) = detail {
-            let keyed = inner.spans.entry(format!("{name}:{detail}")).or_default();
-            keyed.count += 1;
-            keyed.total_nanos = keyed.total_nanos.saturating_add(dur_nanos);
-            keyed.max_nanos = keyed.max_nanos.max(dur_nanos);
+            let keyed = format!("{name}:{detail}");
+            inner.spans.entry(keyed).or_default().record(dur_nanos);
         }
     }
 
     fn on_counter(&self, name: &'static str, delta: u64, _ts_nanos: u64, _tid: u64) {
         let mut inner = self.inner.lock().expect("metrics registry lock");
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+        match inner.counters.get_mut(name) {
+            Some(total) => *total += delta,
+            None => *inner.counters.entry(name.to_string()).or_insert(0) += delta,
+        }
     }
 
     fn on_histogram(&self, name: &'static str, value: u64, _ts_nanos: u64, _tid: u64) {

@@ -8,7 +8,7 @@
 use crate::expr::{EvalError, IntExpr, VarStore};
 use crate::ids::ClockId;
 use std::fmt;
-use tempo_dbm::{Bound, Clock, Constraint, RelOp};
+use tempo_dbm::{Bound, Clock, Dbm, RelOp};
 
 /// A single clock constraint `clock (op) rhs`.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -30,18 +30,6 @@ impl ClockConstraint {
             op,
             rhs: rhs.into(),
         }
-    }
-
-    /// Lowers the constraint to DBM [`Constraint`]s for the given variable
-    /// valuation.
-    pub fn to_dbm(&self, store: &VarStore) -> Result<Vec<Constraint>, EvalError> {
-        let value = self.rhs.eval(store)?;
-        Ok(Constraint::from_rel(
-            self.clock.dbm_clock(),
-            Clock::REF,
-            self.op,
-            value,
-        ))
     }
 
     /// The largest constant this constraint can compare its clock against,
@@ -91,18 +79,31 @@ impl ClockRef for ClockId {
     }
 }
 
-/// Applies a conjunction of clock constraints to a zone, in place.
+/// Applies a conjunction of clock constraints to a zone, in place: each
+/// atom's right-hand side is evaluated under `store` and lowered straight
+/// into [`Dbm::constrain`] (`==` tightens both sides).  Stops at the first
+/// atom that empties the zone; the later right-hand sides are not evaluated.
 pub fn apply_constraints(
-    zone: &mut tempo_dbm::Dbm,
+    zone: &mut Dbm,
     constraints: &[ClockConstraint],
     store: &VarStore,
 ) -> Result<(), EvalError> {
     for cc in constraints {
-        for c in cc.to_dbm(store)? {
-            zone.and(&c);
-            if zone.is_empty() {
-                return Ok(());
-            }
+        let m = cc.rhs.eval(store)?;
+        let x = cc.clock.dbm_clock();
+        match cc.op {
+            RelOp::Lt => zone.constrain(x, Clock::REF, Bound::strict(m)),
+            RelOp::Le => zone.constrain(x, Clock::REF, Bound::weak(m)),
+            RelOp::Gt => zone.constrain(Clock::REF, x, Bound::strict(-m)),
+            RelOp::Ge => zone.constrain(Clock::REF, x, Bound::weak(-m)),
+            RelOp::Eq => zone.constrain(x, Clock::REF, Bound::weak(m)).constrain(
+                Clock::REF,
+                x,
+                Bound::weak(-m),
+            ),
+        };
+        if zone.is_empty() {
+            return Ok(());
         }
     }
     Ok(())
@@ -113,7 +114,7 @@ pub fn apply_constraints(
 /// separately followed by a joint check only when needed, so callers that need
 /// the constrained zone should use [`apply_constraints`] on a clone.
 pub fn satisfies_constraints(
-    zone: &tempo_dbm::Dbm,
+    zone: &Dbm,
     constraints: &[ClockConstraint],
     store: &VarStore,
 ) -> Result<bool, EvalError> {
@@ -125,40 +126,58 @@ pub fn satisfies_constraints(
     Ok(!z.is_empty())
 }
 
-/// The bound to use when a constraint set must hold *invariantly*: returns the
-/// DBM constraints of all atoms.
-pub fn lower_all(
-    constraints: &[ClockConstraint],
-    store: &VarStore,
-) -> Result<Vec<Constraint>, EvalError> {
-    let mut out = Vec::new();
-    for cc in constraints {
-        out.extend(cc.to_dbm(store)?);
-    }
-    Ok(out)
-}
-
-/// Helper producing the DBM bound for an upper-bound invariant `clock <= v`.
-pub fn upper_bound(clock: ClockId, value: i64, strict: bool) -> Constraint {
-    Constraint::upper(clock.dbm_clock(), Bound::new(value, strict))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempo_dbm::Dbm;
 
     #[test]
-    fn constraint_lowering() {
+    fn apply_constraints_lowers_every_relop() {
         let x = ClockId(0);
         let store = VarStore::new(vec![7]);
-        let cs = x.le(IntExpr::Var(crate::VarId(0))).to_dbm(&store).unwrap();
-        assert_eq!(cs.len(), 1);
-        assert_eq!(cs[0].left, Clock(1));
-        assert_eq!(cs[0].bound, Bound::weak(7));
+        let applied = |cc: ClockConstraint| {
+            let mut z = Dbm::zero(1);
+            z.up();
+            apply_constraints(&mut z, &[cc], &store).unwrap();
+            z
+        };
+        let z = applied(x.lt(IntExpr::Var(crate::VarId(0))));
+        assert_eq!(
+            (z.sup(Clock(1)), z.inf(Clock(1))),
+            (Bound::strict(7), (0, false))
+        );
+        let z = applied(x.le(7));
+        assert_eq!(
+            (z.sup(Clock(1)), z.inf(Clock(1))),
+            (Bound::weak(7), (0, false))
+        );
+        let z = applied(x.gt(7));
+        assert_eq!(
+            (z.sup(Clock(1)), z.inf(Clock(1))),
+            (Bound::INFINITY, (7, true))
+        );
+        let z = applied(x.ge(7));
+        assert_eq!(
+            (z.sup(Clock(1)), z.inf(Clock(1))),
+            (Bound::INFINITY, (7, false))
+        );
+        // `==` tightens both sides.
+        let z = applied(x.eq_(7));
+        assert_eq!(
+            (z.sup(Clock(1)), z.inf(Clock(1))),
+            (Bound::weak(7), (7, false))
+        );
 
-        let cs = x.eq_(5).to_dbm(&store).unwrap();
-        assert_eq!(cs.len(), 2);
+        // The first atom that empties the zone ends the conjunction: the
+        // next right-hand side would divide by zero, but is never evaluated.
+        let by_zero = IntExpr::Div(Box::new(IntExpr::Const(1)), Box::new(IntExpr::Const(0)));
+        let mut z = Dbm::zero(1);
+        apply_constraints(&mut z, &[x.ge(1), x.le(by_zero.clone())], &store).unwrap();
+        assert!(z.is_empty());
+        let mut z = Dbm::zero(1);
+        assert_eq!(
+            apply_constraints(&mut z, &[x.ge(0), x.le(by_zero)], &store),
+            Err(EvalError::DivisionByZero)
+        );
     }
 
     #[test]

@@ -63,9 +63,7 @@ pub use activity::ActivityTable;
 pub use automaton::{Automaton, Edge, Location, LocationKind, Sync};
 pub use builder::{AutomatonBuilder, EdgeBuilder, LocationBuilder, SystemBuilder};
 pub use channel::{ChannelDecl, ChannelKind};
-pub use clockcon::{
-    apply_constraints, lower_all, satisfies_constraints, upper_bound, ClockConstraint, ClockRef,
-};
+pub use clockcon::{apply_constraints, satisfies_constraints, ClockConstraint, ClockRef};
 pub use expr::{BoolExpr, EvalError, IntExpr, Update, VarExprExt, VarStore};
 pub use ids::{ChannelId, ClockId, LocId, VarId};
 pub use system::{ClockDecl, LuTable, System, VarDecl};
